@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Callable, Iterator
+from typing import Callable, Iterator, Sequence
 
 from .errors import IndexOutOfRange
 from .padic import DEFAULT_GUARD, PadicApprox, padic_from_fraction, strip_p
@@ -208,12 +208,15 @@ def generalized_binomial(
     return padic_from_fraction(num / math.factorial(k), p, gg)
 
 
-def jacobi_stream_arrays(a: int, p: int, workexp: int) -> tuple[list[int], list[int]]:
+def jacobi_stream_arrays(
+    a: int, p: int, workexp: int, inv_sq: Sequence[int]
+) -> tuple[list[int], list[int]]:
     """Valuations/units of J_k = C(a,k) C(-1-a,k) for k = 0..p-1, a exact int.
 
-    Ratio: J_{k+1}/J_k = -(a-k)(a+k+1)/(k+1)^2.  When a hits an integer wall
-    (a = k or a = -k-1) the stream is exactly zero from there on; those
-    entries carry u = 0 and their valuations are meaningless.
+    Ratio: J_{k+1}/J_k = -(a-k)(a+k+1)/(k+1)^2, with inv_sq[k] = (k+1)^-2
+    mod p^workexp (the (k+1)^2 are p-free for k <= p-2).  When a hits an
+    integer wall (a = k or a = -k-1) the stream is exactly zero from there
+    on; those entries carry u = 0 and their valuations are meaningless.
     """
     P = p**workexp
     vs = [0] * p
@@ -221,21 +224,15 @@ def jacobi_stream_arrays(a: int, p: int, workexp: int) -> tuple[list[int], list[
     us[0] = 1
     v = 0
     u = 1
-    # (k+1)^2 denominators are p-free for k <= p-2; invert in one batch.
-    inv_sq = batch_invert([k + 1 for k in range(p - 1)], P)
     for k in range(p - 1):
-        if u == 0:
-            break
         top1 = a - k
         top2 = a + k + 1
         if top1 == 0 or top2 == 0:
-            u = 0
-            continue
+            break
         v1, u1 = strip_p(top1, p)
         v2, u2 = strip_p(top2, p)
         v += v1 + v2
-        ik = inv_sq[k]
-        u = u * -u1 % P * u2 % P * ik % P * ik % P
+        u = u * -u1 % P * u2 % P * inv_sq[k] % P
         vs[k + 1] = v
         us[k + 1] = u
     return vs, us

@@ -21,6 +21,14 @@ class NegativeValuation(SupercongError):
     """Attempt to reduce a value with v_p < 0 to a residue."""
 
 
+class PoleFloorViolated(SupercongError):
+    """A stream term at a weight pole has a lower valuation than its product guarantees."""
+
+
+class ModulusTooHigh(SupercongError):
+    """A right-hand side is known only modulo a lower power of p than requested."""
+
+
 class InsufficientPrecision(SupercongError):
     """Guard digits exhausted; caller should raise the guard and recompute."""
 

@@ -21,6 +21,7 @@ from typing import Callable, Union
 from . import quadform
 from .binomials import B22, B31, B42, B63
 from .context import PrimeContext
+from .errors import ModulusTooHigh
 from .quadform import F2, F3, F4, F7, F27
 from .sums import (
     FULL,
@@ -234,7 +235,7 @@ def _rmix(
 
     def rhs(ctx: PrimeContext, t: int) -> int:
         if t > 2:
-            raise ValueError("R1/R3 right-hand sides are defined mod p^2 only")
+            raise ModulusTooHigh(f"R1/R3 right-hand sides are known mod p^2 only, not mod p^{t}")
         m = ctx.p**t
         r = (ctx.r1() if which == "r1" else ctx.r3()) % m
         return (_fr(ctx, cr, t) * r + _fr(ctx, cp, t) * ctx.p + _fr(ctx, c0, t)) % m

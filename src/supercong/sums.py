@@ -2,25 +2,48 @@
 
 A sum is described by a :class:`SumSpec`: a product of central binomial
 families, a rational base m (terms are divided by m^k), a term weight,
-a truncation limit, and an optional global sign.  Evaluation is exact:
-term valuations are tracked separately from units, every unit is carried
-modulo p^(t + guard), and the accumulated total is therefore exact modulo
-p^t with no rounding of any kind.
+a truncation limit, and an optional global sign.  Jacobi sums take the
+stream C(a,k)C(-1-a,k) [* C(2k,k)] and a multiplier mult^k / base^k
+instead of the product and base.
 
-Negative net valuation in a term is an error (the sum would not be a
-p-adic integer); terms whose valuation reaches the working exponent
-contribute nothing and are skipped.
+Evaluation has two stages, both cached on the :class:`PrimeContext`:
+
+* the term array t_k = u_k * z^k * p^(v_k) mod P (P = p^workexp), built
+  once per (stream, base) by ``ctx.terms``: u_k p^(v_k) is the stream term
+  and z = p^zv * zu the per-step multiplier (1/m, or mult/base);
+* the weight array w_k of ``ctx.weight``: k^e as plain ints, or the
+  inverses of k+1, k+2, k+3, 2k-1 and their powers.  A linear weight
+  c0 + c1*k is taken as c0 times the sum weighted 1 plus c1 times the sum
+  weighted k.
+
+A sum is then the truncated dot product sum_{k <= bound} w_k t_k mod P, so
+the 4 to 6 weights a statement compares at one (stream, base) share one
+term array.  Every residue is exact: units are carried mod P and terms of
+valuation >= workexp vanish mod P.
+
+Inverse weights have poles where p divides their base (k + 1 = p, 2k - 1
+= p, ...).  The weight array holds 0 there, and each pole at or below the
+bound adds its term exactly from the stream: valuation v_k + k*zv - d for
+a weight p^-d * unit.  A negative valuation means the sum is not a p-adic
+integer and raises :class:`NegativeValuation`.  For a 1/(2k-1)^e sum over
+a product, the stream valuation at 2k = p + 1 is at least the number of
+C(2k,k) and C(6k,3k) factors; a pole term under ``SumSpec.pole_floor``,
+that number less e, raises :class:`PoleFloorViolated`, a check that
+``python -O`` keeps.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Sequence
+from itertools import islice
+from operator import mul
+from typing import Iterable
 
 from .binomials import EXACT, rational_binomial
-from .context import PrimeContext
-from .errors import BaseNotUnit, NegativeValuation
+from .context import PrimeContext, Source
+from .errors import BaseNotUnit, DenominatorNotUnit, NegativeValuation, PoleFloorViolated
 from .padic import DEFAULT_GUARD, Residue
 
 # Truncation limits, as functions of p.
@@ -63,7 +86,8 @@ W_INV_K3 = Weight("inv_k3")
 W_INV_2K1 = Weight("inv_2k1")
 W_INV_2K1_SQ = Weight("inv_2k1_sq")
 
-# (base(k) coefficients, exponent, inverted) per tag; "linear" is special.
+# (a0, a1, exp, inverted) per tag: w(k) = (a0 + a1*k)^exp, or its inverse;
+# "linear" is special.
 _WEIGHT_SHAPE = {
     "one": (1, 0, 1, False),
     "k": (0, 1, 1, False),
@@ -85,13 +109,27 @@ def linear_weight(c0: Fraction | int, c1: Fraction | int) -> Weight:
 
 @dataclass(frozen=True)
 class SumSpec:
-    """A truncated sum sum_k w(k) * prod(binomials at k) / m^k."""
+    """A truncated sum sum_k w(k) * prod(binomials at k) / m^k.
+
+    pole_floor is derived: for a 1/(2k-1)^e weight, each C(2k,k) or
+    C(6k,3k) factor contributes one power of p at 2k = p + 1 while C(3k,k)
+    and C(4k,2k) contribute none, so the pole term's valuation is at least
+    that count less e.  It is None for the other weights.
+    """
 
     product: tuple[str, ...]
     m: Fraction
     weight: Weight = W_ONE
     limit: str = HALF
     prefactor: str = NONE
+    pole_floor: int | None = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        floor = None
+        if self.weight.tag in ("inv_2k1", "inv_2k1_sq"):
+            gain = sum(1 for kind in self.product if kind in ("B22", "B63"))
+            floor = gain - _WEIGHT_SHAPE[self.weight.tag][2]
+        object.__setattr__(self, "pole_floor", floor)
 
 
 def limit_bound(limit: str, p: int) -> int:
@@ -116,84 +154,64 @@ def prefactor_sign(prefactor: str, p: int) -> int:
     raise ValueError(f"unknown prefactor {prefactor!r}")
 
 
-def _weight_ints(weight: Weight) -> tuple[int, int, int, bool, int]:
-    """Integer form (a0, a1, exp, inverted, clear) with w = (a0+a1*k)^e/clear.
-
-    For the "linear" tag the rational coefficients are cleared to integers
-    and the denominator is returned separately; it is a global constant
-    factor, applied once to the whole sum.
-    """
-    if weight.tag == "linear":
-        den = weight.c0.denominator
-        den = den * weight.c1.denominator // _gcd(den, weight.c1.denominator)
-        a0 = int(weight.c0 * den)
-        a1 = int(weight.c1 * den)
-        return a0, a1, 1, False, den
-    a0, a1, exp, inv = _WEIGHT_SHAPE[weight.tag]
-    return a0, a1, exp, inv, 1
+def _linear_ints(weight: Weight) -> tuple[int, int, int]:
+    """(a0, a1, clear) with c0 + c1*k = (a0 + a1*k) / clear in integers."""
+    clear = math.lcm(weight.c0.denominator, weight.c1.denominator)
+    return int(weight.c0 * clear), int(weight.c1 * clear), clear
 
 
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
+def _unit_inverse(base: Fraction, p: int, P: int) -> int:
+    """1/base mod P for a p-adic unit base."""
+    num, den = base.numerator, base.denominator
+    if num % p == 0 or den % p == 0:
+        raise BaseNotUnit(f"base {base} is not a p-adic unit at p={p}")
+    return den % P * pow(num, -1, P) % P
 
 
-def _accumulate(
-    vs: Sequence[int],
-    us: Sequence[int],
-    bound: int,
-    p: int,
-    P: int,
-    T: int,
-    pow_p: Sequence[int],
-    weight: Weight,
+def _weighted_sum(
+    ctx: PrimeContext,
+    source: Source,
     zv: int,
     zu: int,
-    inv,
-    pole_min: int | None = None,
+    weight: Weight,
+    bound: int,
+    floor: int | None = None,
 ) -> int:
-    """Sum of w(k) * term_k * z^k over k = 0..bound, exact mod P = p^T.
+    """sum_{k=0..bound} w(k) * term_k * z^k, exact mod P, with z = p^zv * zu.
 
-    (vs, us) give term valuations and units; us[k] == 0 marks an exact
-    zero.  z = p^zv * zu is the per-step geometric multiplier.  The
-    result still carries the linear weight's cleared denominator.
+    source names the stream (see ``PrimeContext.terms``); floor, when
+    given, is the least stream valuation less the weight's pole order
+    that a pole term may have.
     """
-    a0, a1, exp, inverted, _ = _weight_ints(weight)
-    acc = 0
-    pv, pu = 0, 1
-    for k in range(bound + 1):
-        u = us[k]
-        if u and pv < T + 3:
-            b = a0 + a1 * k
-            if b:
-                sign = 1
-                if b < 0:
-                    sign, b = -1, -b
-                dv = 0
-                while b % p == 0:
-                    b //= p
-                    dv += 1
-                ub = inv(b) if inverted else b
-                du = ub
-                for _ in range(exp - 1):
-                    du = du * ub % P
-                if sign < 0 and exp % 2:
-                    du = -du % P
-                net = vs[k] + (-dv if inverted else dv) * exp
-                if inverted and dv and pole_min is not None:
-                    # the product's valuation must absorb the pole at 2k = p+1
-                    assert net >= pole_min, (k, net, pole_min)
-                v = net + pv
-                if v < 0:
-                    raise NegativeValuation(
-                        f"term k={k} has valuation {v} < 0; sum is not p-integral"
-                    )
-                if v < T:
-                    acc = (acc + u * du % P * pu % P * pow_p[v]) % P
-        pv += zv
-        pu = pu * zu % P
-    return acc
+    p, P = ctx.p, ctx.P
+    if weight.tag == "linear":
+        # (c0 + c1*k) = (a0 + a1*k) / clear, from the sums weighted 1 and k
+        a0, a1, clear = _linear_ints(weight)
+        if clear % p == 0:
+            raise DenominatorNotUnit(
+                f"weight {weight.c0} + {weight.c1}*k has denominator {clear}, divisible by p={p}"
+            )
+        s0 = _weighted_sum(ctx, source, zv, zu, W_ONE, bound)
+        s1 = _weighted_sum(ctx, source, zv, zu, W_K, bound)
+        return (a0 * s0 + a1 * s1) * pow(clear, -1, P) % P
+    ws, poles = ctx.weight(*_WEIGHT_SHAPE[weight.tag])
+    n = bound + 1
+    acc = sum(map(mul, islice(ws, n), islice(ctx.terms(source, zv, zu), n)))
+    for k, d, unit in poles:
+        if k > bound:
+            continue
+        vs, us = ctx.arrays(source)
+        if not us[k]:
+            continue
+        v = vs[k] - d
+        if floor is not None and v < floor:
+            raise PoleFloorViolated(f"term k={k} has valuation {v} below the pole floor {floor}")
+        v += k * zv
+        if v < 0:
+            raise NegativeValuation(f"term k={k} has valuation {v} < 0; sum is not p-integral")
+        if v < ctx.workexp:
+            acc += us[k] * pow(zu, k, P) % P * unit % P * ctx.pow_p[v]
+    return acc % P
 
 
 def evaluate_sum(
@@ -208,27 +226,11 @@ def evaluate_sum(
         ctx = PrimeContext.for_target(p, t, guard)
     if ctx.workexp < t:
         raise ValueError(f"context exponent {ctx.workexp} below target {t}")
-    P, T = ctx.P, ctx.workexp
-    num, den = spec.m.numerator, spec.m.denominator
-    if num % p == 0 or den % p == 0:
-        raise BaseNotUnit(f"base {spec.m} is not a p-adic unit at p={p}")
-    zu = den % P * pow(num, -1, P) % P
-    vs, us = ctx.product(spec.product)
+    zu = _unit_inverse(Fraction(spec.m), p, ctx.P)
     bound = limit_bound(spec.limit, p)
-    pole_min = None
-    if spec.weight.tag.startswith("inv_2k1"):
-        # at 2k = p + 1 each C(2k,k) or C(6k,3k) factor contributes one
-        # power of p while C(3k,k) and C(4k,2k) contribute none
-        gain = sum(1 for kind in spec.product if kind in ("B22", "B63"))
-        pole_min = gain - _WEIGHT_SHAPE[spec.weight.tag][2]
-    acc = _accumulate(
-        vs, us, bound, p, P, T, ctx.pow_p, spec.weight, 0, zu, ctx.inv, pole_min
-    )
-    clear = _weight_ints(spec.weight)[4]
-    if clear > 1:
-        acc = acc * pow(clear, -1, P) % P
+    acc = _weighted_sum(ctx, spec.product, 0, zu, spec.weight, bound, spec.pole_floor)
     if prefactor_sign(spec.prefactor, p) < 0:
-        acc = -acc % P
+        acc = -acc % ctx.P
     return Residue(p, t, acc)
 
 
@@ -273,28 +275,18 @@ def evaluate_jacobi_sum(
     if ctx is None:
         ctx = PrimeContext.for_target(p, t, guard)
     P, T = ctx.P, ctx.workexp
-    vs, us = ctx.jacobi_central(a) if central else ctx.jacobi(a)
     zv, zu = 0, mult
     if mult == 0:
-        zv = T + 4  # kills every k >= 1
-        zu = 1
+        zv, zu = T + 4, 1  # kills every k >= 1
     else:
         while zu % p == 0:
             zu //= p
             zv += 1
         zu %= P
     if base is not None:
-        bfrac = Fraction(base)
-        num, den = bfrac.numerator, bfrac.denominator
-        if num % p == 0 or den % p == 0:
-            raise BaseNotUnit(f"base {bfrac} is not a p-adic unit at p={p}")
-        zu = zu * den % P * pow(num, -1, P) % P
+        zu = zu * _unit_inverse(Fraction(base), p, P) % P
     bound = limit_bound(limit, p)
-    acc = _accumulate(vs, us, bound, p, P, T, ctx.pow_p, weight, zv, zu, ctx.inv)
-    clear = _weight_ints(weight)[4]
-    if clear > 1:
-        acc = acc * pow(clear, -1, P) % P
-    return Residue(p, t, acc)
+    return Residue(p, t, _weighted_sum(ctx, (a, central), zv, zu, weight, bound))
 
 
 # -- exact rational oracles (for tests and cross-checks) -------------------

@@ -6,14 +6,21 @@ used on both sides of the comparison.
 """
 
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from supercong.context import PrimeContext
-from supercong.errors import BaseNotUnit, NegativeValuation
+import supercong
+from supercong.context import JACOBI_CACHE, TERM_CACHE, PrimeContext
+from supercong.errors import BaseNotUnit, DenominatorNotUnit, NegativeValuation, SupercongError
+from supercong.padic import DEFAULT_GUARD
 from supercong.registry import REGISTRY, SUM_SPECS, statement_modexp
+from supercong.statements import MAX_MODEXP
 from supercong.sums import (
     FULL,
     HALF,
@@ -22,8 +29,10 @@ from supercong.sums import (
     W_INV_K1,
     W_K,
     W_ONE,
+    Weight,
     evaluate_combo,
     evaluate_jacobi_sum,
+    evaluate_jacobi_sum_exact,
     evaluate_sum,
     linear_weight,
 )
@@ -253,30 +262,122 @@ def test_linear_weight_matches_literal():
 
 @pytest.mark.parametrize("p", (5, 11, 13))
 def test_jacobi_sum_matches_falling_factorial_oracle(p):
+    """Every weight, limit, multiplier class (0, p, a unit) and central
+    flag, each sum evaluated on a fresh context and, in shuffled order,
+    on one shared context whose term cache sees every (a, central, z).
+    a = 3 hits an integer wall; the full limits include the 1/(2k-1) pole
+    at 2k = p + 1 and the k + c = p poles."""
     rng = random.Random(40 + p)
     t = 2
-    for _ in range(12):
-        a = rng.randrange(0, p * p)
-        mult = rng.choice((1, 4))
-        central = rng.choice((True, False))
-        base = rng.choice((None, Fraction(-64), Fraction(7, 3)))
+    avals = (3, rng.randrange(p, p * p), -rng.randrange(1, p * p))
+    unit = next(n for n in (3, -4, 7) if n % p)
+    cases = [
+        (a, tag, limit, mult, central, rng.choice((None, Fraction(-64), Fraction(7, 3))))
+        for a in avals
+        for tag in WEIGHTS
+        for limit in LIMITS
+        for mult in (0, p, unit)
+        for central in (False, True)
+    ]
+    rng.shuffle(cases)
+    shared = PrimeContext(p, 8)
+    non_integral = 0
+    for a, tag, limit, mult, central, base in cases:
         if base is not None and (base.numerator % p == 0 or base.denominator % p == 0):
             base = None
-        limit = rng.choice((HALF, FULL))
-        weight = rng.choice((W_ONE, W_K, W_INV_K1))
-        got = evaluate_jacobi_sum(
-            a, p, t, weight=weight, limit=limit, mult=mult, base=base, central=central
-        )
+        weight = Weight(tag)
+        kw = dict(weight=weight, limit=limit, mult=mult, base=base, central=central)
         total = Fraction(0)
         for k in range(LIMITS[limit](p) + 1):
-            term = weight_fn(weight)(k)
-            term *= falling_binom(a, k) * falling_binom(-1 - a, k)
+            term = WEIGHTS[tag](k) * falling_binom(a, k) * falling_binom(-1 - a, k)
             if central:
                 term *= math.comb(2 * k, k)
             term *= Fraction(mult) ** k
             if base is not None:
-                term /= Fraction(base) ** k
+                term /= base**k
             total += term
-        if total.denominator % p == 0:
-            continue
-        assert got.value == reduce_fraction(total, p, t)
+        assert evaluate_jacobi_sum_exact(a, p, **kw) == total
+        non_integral += total.denominator % p == 0
+        for ctx in (shared, None):
+            if total.denominator % p == 0:
+                with pytest.raises(NegativeValuation):
+                    evaluate_jacobi_sum(a, p, t, ctx=ctx, **kw)
+            else:
+                got = evaluate_jacobi_sum(a, p, t, ctx=ctx, **kw)
+                assert got.value == reduce_fraction(total, p, t), (a, kw)
+    assert 0 < non_integral < len(cases) // 2
+
+
+# -- caches ----------------------------------------------------------------------
+
+
+def test_sampled_caches_stay_bounded():
+    """100 distinct a, each with its own base, leave at most the LRU sizes."""
+    p = 101
+    ctx = PrimeContext(p, 8)
+    for a in range(100):
+        for central in (False, True):
+            evaluate_jacobi_sum(7 * a + 2, p, 2, weight=W_K, base=a + 1, central=central, ctx=ctx)
+        evaluate_sum(SumSpec(("B22", "B22", "B22"), Fraction(16 * (a + 1)), W_INV_K1), p, 2, ctx)
+    assert len(ctx._jacobi) == len(ctx._jacobi_central) == JACOBI_CACHE
+    assert len(ctx._terms) == TERM_CACHE
+    assert len(ctx._products) == 1 and len(ctx._weights) == 2
+
+
+def test_shared_context_matches_fresh_context():
+    """Every registered sum gives the same residue, or the same error, on
+    one context shared by all sums of a prime as on a context of its own."""
+
+    def outcome(spec, p, t, ctx):
+        try:
+            return evaluate_sum(spec, p, t, ctx).value
+        except SupercongError as exc:
+            return type(exc)
+
+    for p in [n for n in range(5, 201) if all(n % d for d in range(2, n))]:
+        shared = PrimeContext(p, MAX_MODEXP + DEFAULT_GUARD)
+        for sid, spec in SUM_SPECS.items():
+            t = statement_modexp(REGISTRY[sid], p)
+            assert outcome(spec, p, t, shared) == outcome(spec, p, t, None), (sid, p)
+
+
+# -- typed errors ----------------------------------------------------------------
+
+
+def test_linear_weight_denominator_divisible_by_p_is_typed():
+    spec = SumSpec(("B22", "B22"), Fraction(16), linear_weight(Fraction(1, 7), 1), HALF)
+    with pytest.raises(DenominatorNotUnit):
+        evaluate_sum(spec, 7, 2)
+    assert evaluate_sum(spec, 11, 2).value == reduce_fraction(oracle_sum(spec, 11), 11, 2)
+
+
+POLE_FLOOR_SCRIPT = """
+import sys
+from fractions import Fraction
+from supercong.context import PrimeContext
+from supercong.errors import PoleFloorViolated
+from supercong.sums import FULL, W_INV_2K1, SumSpec, evaluate_sum
+
+if __debug__:
+    sys.exit("assertions are enabled")
+p = 13
+ctx = PrimeContext(p, 6)
+vs, _ = ctx.product(("B22", "B22"))
+vs[(p + 1) // 2] = 0  # two C(2k,k) factors guarantee p^2 at 2k = p + 1
+try:
+    evaluate_sum(SumSpec(("B22", "B22"), Fraction(16), W_INV_2K1, FULL), p, 2, ctx)
+except PoleFloorViolated:
+    sys.exit(0)
+sys.exit("no PoleFloorViolated")
+"""
+
+
+def test_pole_floor_is_checked_under_python_O():
+    """A stream whose pole term falls under the SumSpec floor raises a typed
+    error, also when python -O strips assertions."""
+    src = str(Path(supercong.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", POLE_FLOOR_SCRIPT], env=env, capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
