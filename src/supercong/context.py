@@ -38,7 +38,7 @@ from typing import Callable, Hashable, TypeVar
 
 from . import quadform, special
 from .binomials import batch_invert, jacobi_stream_arrays, stream_arrays
-from .errors import NotRepresentable
+from .errors import DenominatorNotUnit, NotRepresentable
 from .padic import DEFAULT_GUARD, Residue
 
 #: Entries kept by the bounded per-sample caches.
@@ -284,4 +284,8 @@ class PrimeContext:
     def residue(self, q: Fraction | int, t: int) -> Residue:
         q = Fraction(q)
         m = self.p**t
-        return Residue(self.p, t, q.numerator * pow(q.denominator, -1, m) % m)
+        try:
+            inv = pow(q.denominator, -1, m)
+        except ValueError:
+            raise DenominatorNotUnit(f"{q} has a denominator divisible by p={self.p}") from None
+        return Residue(self.p, t, q.numerator * inv % m)

@@ -7,6 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from supercong import identities
+from supercong.binomials import exact_binomial, rational_binomial
 from supercong.identities import (
     check_convolution_identity,
     check_convolution_recurrence,
@@ -16,6 +18,39 @@ from supercong.identities import (
     convolution_lhs,
     convolution_rhs,
 )
+
+
+def oracle_lhs(a, n):
+    """sum_{k=0}^n k C(a,k)C(-1-a,k) (n+1-k) C(a,n+1-k)C(-1-a,n+1-k), term by term."""
+    a = Fraction(a)
+    total = Fraction(0)
+    for k in range(n + 1):
+        j = n + 1 - k
+        total += (
+            k
+            * rational_binomial(a, k)
+            * rational_binomial(-1 - a, k)
+            * j
+            * rational_binomial(a, j)
+            * rational_binomial(-1 - a, j)
+        )
+    return total
+
+
+def oracle_rhs(a, n):
+    """a(a+1) sum_{k=0}^n C(a,k)C(-1-a,k)C(2k,k+1)(-1)^(n+1-k)C(k-1,n-k), term by term."""
+    a = Fraction(a)
+    total = Fraction(0)
+    for k in range(n + 1):
+        sign = -1 if (n + 1 - k) % 2 else 1
+        total += (
+            rational_binomial(a, k)
+            * rational_binomial(-1 - a, k)
+            * exact_binomial(2 * k, k + 1)
+            * sign
+            * rational_binomial(k - 1, n - k)
+        )
+    return a * (a + 1) * total
 
 
 def seeded_rationals(seed: int, count: int):
@@ -83,3 +118,53 @@ def test_shift_identity_property(a, k):
 )
 def test_convolution_recurrence_property(a, n):
     assert check_convolution_recurrence(n, a)
+
+
+#: integers, half-integers and general rationals
+rationals = st.one_of(
+    st.integers(min_value=-60, max_value=60).map(Fraction),
+    st.integers(min_value=-60, max_value=60).map(lambda m: Fraction(2 * m + 1, 2)),
+    st.fractions(min_value=-60, max_value=60, max_denominator=30),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(a=rationals, n=st.integers(min_value=0, max_value=15), data=st.data())
+def test_rows_and_sides_match_fraction_oracles(a, n, data):
+    start = data.draw(st.integers(min_value=0, max_value=n))
+    row = identities._binomial_row(a, n, start)
+    assert row == [rational_binomial(a, k) for k in range(start, n + 1)]
+    if a.denominator == 1:
+        assert all(type(x) is int for x in row)
+    assert convolution_lhs(a, n) == oracle_lhs(a, n)
+    assert convolution_rhs(a, n) == oracle_rhs(a, n)
+
+
+def _c2_off_by_one(row_fn):
+    """The row helper with C(a,2) one too large: C(a,2) + 1 and C(-1-a,2) + 1
+    always change the product C(a,2)C(-1-a,2), by a^2 + a + 2 != 0."""
+
+    def broken(a, n, start=0):
+        row = row_fn(a, n, start)
+        if start <= 2 <= n:
+            row[2 - start] += 1
+        return row
+
+    return broken
+
+
+@pytest.mark.parametrize(
+    "check",
+    [
+        lambda: check_convolution_identity(3),
+        lambda: check_convolution_recurrence(3, Fraction(2, 5)),
+        lambda: check_product_identities(3),
+        lambda: check_series_square(Fraction(2, 5), 4),
+        lambda: check_shift_identity(Fraction(2, 5), 1),
+    ],
+    ids=["convolution", "recurrence", "products", "series_square", "shift"],
+)
+def test_checks_fail_on_a_wrong_binomial(monkeypatch, check):
+    assert check() is True
+    monkeypatch.setattr(identities, "_binomial_row", _c2_off_by_one(identities._binomial_row))
+    assert check() is False

@@ -13,6 +13,7 @@ from supercong.registry import (
     SUM_SPECS,
     Fixed,
     Parametric,
+    _fr,
     _rmix,
     _sum_lhs,
     statement_modexp,
@@ -221,28 +222,40 @@ class TestRunRange:
             del REGISTRY[sid]
 
     def test_engine_errors_stay_in_their_cell(self):
-        """A linear weight whose denominator p divides and an R1 right-hand
-        side asked for mod p^3 each become Skipped rows naming the error
-        type; every other cell of the sweep still runs."""
+        """A linear weight whose denominator p divides, a right-hand-side
+        constant whose denominator p divides and an R1 right-hand side asked
+        for mod p^3 each become Skipped rows naming the error type; every
+        other cell of the sweep still runs."""
         lhs = _sum_lhs(SumSpec(C2, Fraction(16), linear_weight(Fraction(1, 7), 1), HALF))
         REGISTRY["X-DEN"] = Fixed(
             "X-DEN", "theorem", "S == S (mod p^2)", "p > 3", lambda p: p > 3, 2, lhs, lhs,
+        )
+
+        def seventh(ctx, t):
+            return _fr(ctx, Fraction(1, 7), t)
+
+        REGISTRY["X-FR"] = Fixed(
+            "X-FR", "theorem", "1/7 == 1/7 (mod p^2)", "p > 3", lambda p: p > 3, 2, seventh, seventh,
         )
         REGISTRY["X-R1"] = Fixed(
             "X-R1", "theorem", "0 == R1 (mod p^3)", "p = 3 mod 4",
             lambda p: p % 4 == 3, 3, lambda ctx, t: 0, _rmix("r1", 1),
         )
         try:
-            r = run_range(5, 30, ids=["X-DEN", "X-R1", "T2.7"])
+            r = run_range(5, 30, ids=["X-DEN", "X-FR", "X-R1", "T2.7"])
         finally:
-            del REGISTRY["X-DEN"], REGISTRY["X-R1"]
+            del REGISTRY["X-DEN"], REGISTRY["X-FR"], REGISTRY["X-R1"]
         skipped = {(row.p, row.sid): row.detail for row in r.rows if row.outcome == SKIPPED}
-        assert set(skipped) == {(7, "X-DEN")} | {(p, "X-R1") for p in (7, 11, 19, 23)}
+        assert set(skipped) == {(7, "X-DEN"), (7, "X-FR")} | {
+            (p, "X-R1") for p in (7, 11, 19, 23)
+        }
         assert skipped[7, "X-DEN"].startswith("DenominatorNotUnit: ")
+        assert skipped[7, "X-FR"].startswith("DenominatorNotUnit: ")
         assert skipped[11, "X-R1"].startswith("ModulusTooHigh: ")
-        assert len(r.rows) == 3 * len(primes_in(5, 30))
+        assert len(r.rows) == 4 * len(primes_in(5, 30))
         assert {row.outcome for row in r.rows if row.sid == "T2.7"} == {HOLDS}
-        assert {row.outcome for row in r.rows if row.sid == "X-DEN" and row.p != 7} == {HOLDS}
+        for sid in ("X-DEN", "X-FR"):
+            assert {row.outcome for row in r.rows if row.sid == sid and row.p != 7} == {HOLDS}
 
     def test_conjecture_failures_gate_only_in_strict_mode(self):
         sid = "XJ-FALSE"
