@@ -12,14 +12,12 @@ from .binomials import B22, B31, B42, B63
 from .context import PrimeContext
 from .errors import (
     BaseNotUnit,
-    InsufficientPrecision,
     NegativeValuation,
     NotRepresentable,
-    PrecisionExhausted,
     SupercongError,
     UnknownStatement,
 )
-from .padic import DEFAULT_GUARD, Residue
+from .padic import Residue
 from .quadform import F2, F3, F4, F7, F27, FORMS, QuadRep, applicable, represent
 from .registry import (
     REGISTRY,
@@ -58,7 +56,6 @@ __all__ = [
     "B42",
     "B63",
     "BaseNotUnit",
-    "DEFAULT_GUARD",
     "F2",
     "F27",
     "F3",
@@ -70,11 +67,9 @@ __all__ = [
     "FULL_MINUS_2",
     "Fixed",
     "HALF",
-    "InsufficientPrecision",
     "NegativeValuation",
     "NotRepresentable",
     "Parametric",
-    "PrecisionExhausted",
     "PrimeContext",
     "QuadRep",
     "REGISTRY",

@@ -6,18 +6,16 @@ generated from its exact consecutive-term ratio; the ratios are derived from
 factorial quotients and unit-tested against ``exact_binomial``.
 
 One-shot ``binomial_mod`` handles the special binomials in right-hand sides
-(valuation by carry counting, unit by p-free factorial products), and
-``generalized_binomial`` extends C(a,k) to p-adic a.
+(valuation by carry counting, unit by p-free factorial products).
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Sequence
 
-from .errors import IndexOutOfRange
-from .padic import DEFAULT_GUARD, PadicApprox, padic_from_fraction, strip_p
+from .padic import strip_p
 
 #: Stream kind tags.
 B22 = "B22"  # C(2k, k)
@@ -121,16 +119,6 @@ def stream_arrays(kind: str, p: int, workexp: int) -> tuple[list[int], list[int]
     return vs, us
 
 
-def stream(kind: str, p: int, g: int) -> Iterator[PadicApprox]:
-    """Yield C(.k,.k-type) for k = 0..p-1 as PadicApprox with g unit digits."""
-    if g < 1:
-        raise ValueError("g must be >= 1")
-    vs, us = stream_arrays(kind, p, g)
-    m = p**g
-    for k in range(p):
-        yield PadicApprox(p, vs[k], us[k] % m, g)
-
-
 def v_p_binomial(n: int, k: int, p: int) -> int:
     """v_p(C(n,k)) by Kummer: carries when adding k and n-k in base p."""
 
@@ -162,50 +150,20 @@ def _factorial_unit(m: int, p: int, mod: int) -> int:
 _EXACT_CUTOFF = 10_000
 
 
-def binomial_mod(n: int, k: int, p: int, t: int) -> PadicApprox:
-    """C(n,k) as a PadicApprox with t + guard unit digits (0 <= k <= n)."""
+def binomial_mod(n: int, k: int, p: int, t: int) -> int:
+    """C(n,k) mod p^t (0 <= k <= n)."""
     if not 0 <= k <= n:
         raise ValueError("binomial_mod requires 0 <= k <= n")
-    g = t + DEFAULT_GUARD
-    mod = p**g
+    mod = p**t
     if n <= _EXACT_CUTOFF:
-        c = math.comb(n, k)
-        if c == 1:
-            return PadicApprox.one(p, g)
-        v, u = strip_p(c, p)
-        return PadicApprox(p, v, u % mod, g)
+        return math.comb(n, k) % mod
     v = v_p_binomial(n, k, p)
     u = (
         _factorial_unit(n, p, mod)
         * pow(_factorial_unit(k, p, mod) * _factorial_unit(n - k, p, mod), -1, mod)
         % mod
     )
-    return PadicApprox(p, v, u, g)
-
-
-def generalized_binomial(
-    a: int | Fraction | PadicApprox, k: int, p: int, g: int | None = None
-) -> PadicApprox:
-    """C(a,k) = a(a-1)...(a-k+1)/k! for p-adic a, 0 <= k <= p-1.
-
-    k is capped below p so that k! stays a p-unit.  Exact int/Fraction
-    arguments are evaluated exactly and then reduced.
-    """
-    if not 0 <= k <= p - 1:
-        raise IndexOutOfRange(f"k={k} outside 0..{p - 1}")
-    if isinstance(a, PadicApprox):
-        if a.p != p:
-            raise ValueError("prime mismatch")
-        gg = a.g if g is None else g
-        out = PadicApprox.one(p, gg)
-        for i in range(k):
-            out = out.mul(a.sub(padic_from_fraction(i, p, gg)))
-        return out.div(padic_from_fraction(math.factorial(k), p, gg))
-    gg = (2 + DEFAULT_GUARD) if g is None else g
-    num = Fraction(1)
-    for i in range(k):
-        num *= Fraction(a) - i
-    return padic_from_fraction(num / math.factorial(k), p, gg)
+    return u * p**v % mod
 
 
 def jacobi_stream_arrays(

@@ -9,9 +9,8 @@ import sys
 from fractions import Fraction
 
 from . import __version__, identities, quadform
-from .context import PrimeContext
+from .context import context_for
 from .errors import SupercongError, UnknownStatement
-from .padic import DEFAULT_GUARD
 from .registry import REGISTRY, STATUSES, Parametric, statement_modexp
 from .statements import run_range, select_ids
 
@@ -53,7 +52,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
         ids=ids,
         statuses=_statuses_for(args.status),
         seed=args.seed,
-        guard=args.guard,
         jobs=args.jobs,
         fail_fast=args.fail_fast,
     )
@@ -88,7 +86,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     if not quadform.is_prime(p) or p == 2:
         raise ValueError(f"p must be an odd prime, got {p}")
     t = args.t if args.t is not None else statement_modexp(stmt, p)
-    ctx = PrimeContext(p, t + args.guard)
+    ctx = context_for(None, p, t)
     lhs = stmt.lhs(ctx, t)
     modulus = p**t
     if stmt.applies(p):
@@ -182,8 +180,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--format", choices=["text", "json", "csv"], default="text")
     p_verify.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
     p_verify.add_argument("--seed", type=int, default=0)
-    p_verify.add_argument("--guard", type=int, default=DEFAULT_GUARD,
-                          help="extra working precision above each statement's modulus")
     p_verify.add_argument("--fail-fast", action="store_true")
     p_verify.add_argument("--strict-conjectures", action="store_true",
                           help="let conjecture failures gate the exit code")
@@ -195,7 +191,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("p", type=int)
     p_eval.add_argument("t", type=int, nargs="?",
                         help="modulus exponent (default: the statement's own)")
-    p_eval.add_argument("--guard", type=int, default=DEFAULT_GUARD)
     p_eval.set_defaults(func=cmd_eval)
 
     p_rep = sub.add_parser("represent", help="represent a prime by a quadratic form")

@@ -37,9 +37,9 @@ from fractions import Fraction
 from typing import Callable, Hashable, TypeVar
 
 from . import quadform, special
-from .binomials import batch_invert, jacobi_stream_arrays, stream_arrays
+from .binomials import batch_invert, binomial_mod, jacobi_stream_arrays, stream_arrays
 from .errors import DenominatorNotUnit, NotRepresentable
-from .padic import DEFAULT_GUARD, Residue
+from .padic import Residue
 
 #: Entries kept by the bounded per-sample caches.
 JACOBI_CACHE = 4
@@ -90,10 +90,6 @@ class PrimeContext:
         self._reps: dict[str, quadform.QuadRep | None] = {}
         self._euler: list[int] | None = None
         self._u: list[int] | None = None
-
-    @classmethod
-    def for_target(cls, p: int, t: int, guard: int = DEFAULT_GUARD) -> "PrimeContext":
-        return cls(p, t + guard)
 
     # -- streams ---------------------------------------------------------
 
@@ -254,11 +250,12 @@ class PrimeContext:
     def legendre(self, a: int) -> int:
         return special.legendre(a, self.p)
 
-    def r1(self, t: int = 2) -> int:
-        """R1(p) lifted from mod p^2 (statements only ever use it mod p^2)."""
+    def r1(self) -> int:
+        """R1(p) mod p^2, the only modulus it is known to."""
         return special.r1(self.p).value
 
-    def r3(self, t: int = 2) -> int:
+    def r3(self) -> int:
+        """R3(p) mod p^2, the only modulus it is known to."""
         return special.r3(self.p).value
 
     def fermat_quotient(self, b: int, t: int) -> int:
@@ -266,10 +263,7 @@ class PrimeContext:
 
     def binom(self, n: int, k: int, t: int) -> int:
         """C(n,k) mod p^t for the p-unit binomials in right-hand sides."""
-        from .binomials import binomial_mod
-        from .padic import reduce_to
-
-        return reduce_to(binomial_mod(n, k, self.p, t), t).value
+        return binomial_mod(n, k, self.p, t)
 
     def euler_number(self, n: int) -> int:
         if self._euler is None:
@@ -289,3 +283,17 @@ class PrimeContext:
         except ValueError:
             raise DenominatorNotUnit(f"{q} has a denominator divisible by p={self.p}") from None
         return Residue(self.p, t, q.numerator * inv % m)
+
+
+def context_for(ctx: PrimeContext | None, p: int, t: int) -> PrimeContext:
+    """ctx, checked to be for p and to reach exponent t; a new context at
+    exponent t when ctx is None."""
+    if t < 1:
+        raise ValueError(f"modulus exponent t must be >= 1, got {t}")
+    if ctx is None:
+        return PrimeContext(p, t)
+    if ctx.p != p:
+        raise ValueError(f"context is for p={ctx.p}, not p={p}")
+    if ctx.workexp < t:
+        raise ValueError(f"context exponent {ctx.workexp} below target {t}")
+    return ctx

@@ -9,14 +9,6 @@ class DenominatorNotUnit(SupercongError):
     """Rational-to-residue conversion with a denominator divisible by p."""
 
 
-class DivisionByZero(SupercongError):
-    """Division by an exact p-adic zero."""
-
-
-class PrecisionExhausted(SupercongError):
-    """A p-adic result's relative precision dropped to zero."""
-
-
 class NegativeValuation(SupercongError):
     """Attempt to reduce a value with v_p < 0 to a residue."""
 
@@ -27,14 +19,6 @@ class PoleFloorViolated(SupercongError):
 
 class ModulusTooHigh(SupercongError):
     """A right-hand side is known only modulo a lower power of p than requested."""
-
-
-class InsufficientPrecision(SupercongError):
-    """Guard digits exhausted; caller should raise the guard and recompute."""
-
-
-class IndexOutOfRange(SupercongError):
-    """Generalized binomial index k outside 0..p-1."""
 
 
 class NonResidue(SupercongError):

@@ -1,16 +1,9 @@
-"""Exact arithmetic in Z_p truncated to finite precision.
+"""Exact residues in Z/p^t.
 
-Two value types:
-
-* ``Residue`` -- an element of Z/p^t, the final form every congruence is
-  checked in.
-* ``PadicApprox`` -- a p-adic number stored as (valuation, unit, relative
-  precision): the value is u * p^v with u known mod p^g.  Valuations may be
-  negative in intermediates (1/(2k-1) at k=(p+1)/2 is p^-1 times a unit);
-  only ``reduce_to`` insists on v >= 0.
-
-Exact zero is a distinguished ``PadicApprox`` (v = +infinity), never an
-approximation, so zero right-hand sides stay decidable.
+Every value the engine computes is a Python int reduced mod p^t; terms
+with p in the denominator are split by ``strip_p`` into a power of p and
+a unit before they are reduced.  ``Residue`` is the form every congruence
+is checked in.
 """
 
 from __future__ import annotations
@@ -18,21 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import (
-    DenominatorNotUnit,
-    DivisionByZero,
-    InsufficientPrecision,
-    NegativeValuation,
-    PrecisionExhausted,
-)
-
-#: Default guard digits added on top of a target exponent t.  The deepest
-#: cancellation in any registered sum costs 3 digits (a p^3-divisible
-#: binomial cube against a p^2 denominator), so t + 4 leaves margin.
-DEFAULT_GUARD = 4
-
-#: Sentinel valuation for exact zero.
-INF = float("inf")
+from .errors import DenominatorNotUnit
 
 
 def strip_p(n: int, p: int) -> tuple[int, int]:
@@ -61,25 +40,6 @@ class Residue:
     def modulus(self) -> int:
         return self.p**self.t
 
-    def _check(self, other: "Residue") -> None:
-        if (self.p, self.t) != (other.p, other.t):
-            raise ValueError("Residue arithmetic requires identical (p, t)")
-
-    def __add__(self, other: "Residue") -> "Residue":
-        self._check(other)
-        return Residue(self.p, self.t, self.value + other.value)
-
-    def __sub__(self, other: "Residue") -> "Residue":
-        self._check(other)
-        return Residue(self.p, self.t, self.value - other.value)
-
-    def __mul__(self, other: "Residue") -> "Residue":
-        self._check(other)
-        return Residue(self.p, self.t, self.value * other.value)
-
-    def __neg__(self) -> "Residue":
-        return Residue(self.p, self.t, -self.value)
-
     def __repr__(self) -> str:
         return f"{self.value} mod {self.p}^{self.t}"
 
@@ -96,134 +56,3 @@ def residue_from_fraction(q: Fraction | int, p: int, t: int) -> Residue:
     """Reduce an exact rational with p-unit denominator mod p^t."""
     q = Fraction(q)
     return residue_from_rational(q.numerator, q.denominator, p, t)
-
-
-@dataclass(frozen=True)
-class PadicApprox:
-    """u * p^v with the unit u known mod p^g (g >= 1).
-
-    Exact zero is encoded as v = +infinity, u = 0.
-    """
-
-    p: int
-    v: int | float
-    u: int
-    g: int
-
-    @classmethod
-    def zero(cls, p: int) -> "PadicApprox":
-        return cls(p, INF, 0, 1)
-
-    @classmethod
-    def one(cls, p: int, g: int) -> "PadicApprox":
-        return cls(p, 0, 1, g)
-
-    @property
-    def is_zero(self) -> bool:
-        return self.v == INF
-
-    def _check(self, other: "PadicApprox") -> None:
-        if self.p != other.p:
-            raise ValueError("mixed primes in p-adic arithmetic")
-
-    def mul(self, other: "PadicApprox") -> "PadicApprox":
-        self._check(other)
-        if self.is_zero or other.is_zero:
-            return PadicApprox.zero(self.p)
-        g = min(self.g, other.g)
-        return PadicApprox(
-            self.p, self.v + other.v, self.u * other.u % self.p**g, g
-        )
-
-    def div(self, other: "PadicApprox") -> "PadicApprox":
-        self._check(other)
-        if other.is_zero:
-            raise DivisionByZero("division by exact p-adic zero")
-        if self.is_zero:
-            return PadicApprox.zero(self.p)
-        g = min(self.g, other.g)
-        m = self.p**g
-        return PadicApprox(self.p, self.v - other.v, self.u * pow(other.u, -1, m) % m, g)
-
-    def add(self, other: "PadicApprox") -> "PadicApprox":
-        self._check(other)
-        if self.is_zero:
-            return other
-        if other.is_zero:
-            return self
-        lo, hi = (self, other) if self.v <= other.v else (other, self)
-        shift = hi.v - lo.v
-        # Absolute precision of the aligned sum, relative to p^lo.v.
-        g = min(lo.g, hi.g + shift)
-        if g <= 0:
-            raise PrecisionExhausted("operand precisions do not overlap")
-        m = self.p**g
-        s = (lo.u + hi.u * self.p**shift) % m
-        if s == 0:
-            # All known digits cancelled; nothing survives at this precision.
-            raise PrecisionExhausted(
-                f"cancellation consumed all {g} known digits (raise the guard)"
-            )
-        d, unit = strip_p(s, self.p)
-        if d >= g:
-            raise PrecisionExhausted("cancellation consumed all known digits")
-        return PadicApprox(self.p, lo.v + d, unit % self.p ** (g - d), g - d)
-
-    def sub(self, other: "PadicApprox") -> "PadicApprox":
-        return self.add(other.neg())
-
-    def neg(self) -> "PadicApprox":
-        if self.is_zero:
-            return self
-        return PadicApprox(self.p, self.v, -self.u % self.p**self.g, self.g)
-
-    def __repr__(self) -> str:
-        if self.is_zero:
-            return f"0 (p={self.p})"
-        return f"{self.u}*{self.p}^{self.v} + O({self.p}^{self.v + self.g})"
-
-
-def padic_from_rational(num: int, den: int, p: int, g: int) -> PadicApprox:
-    """Exact rational num/den as a PadicApprox with g unit digits."""
-    if den == 0:
-        raise ZeroDivisionError("zero denominator")
-    if num == 0:
-        return PadicApprox.zero(p)
-    vn, un = strip_p(num, p)
-    vd, ud = strip_p(den, p)
-    m = p**g
-    return PadicApprox(p, vn - vd, un * pow(ud, -1, m) % m, g)
-
-
-def padic_from_fraction(q: Fraction | int, p: int, g: int) -> PadicApprox:
-    q = Fraction(q)
-    return padic_from_rational(q.numerator, q.denominator, p, g)
-
-
-def padic_arith(x: PadicApprox, y: PadicApprox, op: str) -> PadicApprox:
-    """Dispatch arithmetic by name: op in {add, sub, mul, div}."""
-    if op == "add":
-        return x.add(y)
-    if op == "sub":
-        return x.sub(y)
-    if op == "mul":
-        return x.mul(y)
-    if op == "div":
-        return x.div(y)
-    raise ValueError(f"unknown op {op!r}")
-
-
-def reduce_to(x: PadicApprox, t: int) -> Residue:
-    """Reduce u * p^v to a Residue mod p^t.
-
-    Requires v >= 0 (p-adic integer) and v + g >= t (enough known digits).
-    """
-    if x.is_zero:
-        return Residue(x.p, t, 0)
-    if x.v < 0:
-        raise NegativeValuation(f"valuation {x.v} < 0 cannot reduce to Z/p^{t}")
-    if x.v + x.g < t:
-        raise InsufficientPrecision(
-            f"value known mod p^{x.v + x.g} but p^{t} requested"
-        )
-    return Residue(x.p, t, x.u * x.p**x.v)

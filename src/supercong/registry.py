@@ -2164,7 +2164,3 @@ def statement_modexp(stmt: Statement, p: int) -> int:
     if callable(stmt.modexp):
         return stmt.modexp(p)
     return stmt.modexp
-
-
-def by_status(status: str) -> list[str]:
-    return [sid for sid, s in REGISTRY.items() if s.status == status]

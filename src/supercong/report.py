@@ -2,7 +2,7 @@
 
 JSON schema (to_json/from_json round-trip exactly):
   {
-    "p_lo": int, "p_hi": int, "seed": int, "guard": int,
+    "p_lo": int, "p_hi": int, "seed": int, "guard": 4,
     "version": str, "elapsed": float,
     "rows": [
       {"p": int, "id": str, "outcome": "Holds|Fails|NotApplicable|Skipped",
@@ -11,6 +11,8 @@ JSON schema (to_json/from_json round-trip exactly):
     "summary": {status: {outcome: count}},   # derived, ignored on parse
     "counts": {outcome: count}               # derived, ignored on parse
   }
+
+"guard" is a fixed legacy key (see ``LEGACY_GUARD``), ignored on parse.
 
 CSV columns are fixed: p,id,outcome,lhs,rhs,modulus,detail.  None fields
 serialize as empty strings, and the detail column is omitted entirely on
@@ -24,6 +26,11 @@ import json
 from dataclasses import dataclass, field
 
 from .registry import REGISTRY
+
+#: The value of the "guard" key in JSON and text reports.  No computation
+#: reads it; the key is kept, at this fixed value, so that reports keep
+#: their format and their pinned digests.
+LEGACY_GUARD = 4
 
 
 @dataclass(frozen=True)
@@ -51,7 +58,6 @@ class VerificationReport:
     p_lo: int
     p_hi: int
     seed: int
-    guard: int
     version: str
     elapsed: float
     rows: list[ReportRow] = field(default_factory=list)
@@ -91,7 +97,7 @@ class VerificationReport:
             "p_lo": self.p_lo,
             "p_hi": self.p_hi,
             "seed": self.seed,
-            "guard": self.guard,
+            "guard": LEGACY_GUARD,
             "version": self.version,
             "elapsed": self.elapsed,
             "rows": [
@@ -130,7 +136,6 @@ class VerificationReport:
             p_lo=doc["p_lo"],
             p_hi=doc["p_hi"],
             seed=doc["seed"],
-            guard=doc["guard"],
             version=doc["version"],
             elapsed=doc["elapsed"],
             rows=rows,
@@ -155,7 +160,7 @@ class VerificationReport:
     def to_text(self) -> str:
         lines = [
             f"primes {self.p_lo}..{self.p_hi} seed={self.seed} "
-            f"guard={self.guard} version={self.version}"
+            f"guard={LEGACY_GUARD} version={self.version}"
         ]
         for r in self.rows:
             bits = [f"p={r.p}", r.sid, r.outcome]

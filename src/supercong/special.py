@@ -8,7 +8,7 @@ from fractions import Fraction
 
 from .binomials import binomial_mod
 from .errors import NotCoprime, WrongClass
-from .padic import Residue, reduce_to, residue_from_fraction
+from .padic import Residue, residue_from_fraction
 
 
 def legendre(a: int, p: int) -> int:
@@ -30,8 +30,8 @@ def fermat_quotient(b: int, p: int, t: int) -> Residue:
 
 def _half_binomial_sq(p: int, low_div: int) -> int:
     """C((p-1)/2, floor(p/low_div))^2 mod p^2 (always a p-unit: top < p)."""
-    b = reduce_to(binomial_mod((p - 1) // 2, p // low_div, p, 2), 2)
-    return b.value * b.value % p**2
+    b = binomial_mod((p - 1) // 2, p // low_div, p, 2)
+    return b * b % p**2
 
 
 def r1(p: int) -> Residue:

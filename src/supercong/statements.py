@@ -10,14 +10,8 @@ from dataclasses import dataclass
 from multiprocessing import Pool
 from typing import Iterable, Sequence
 
-from .context import PrimeContext
-from .errors import (
-    InsufficientPrecision,
-    PrecisionExhausted,
-    SupercongError,
-    UnknownStatement,
-)
-from .padic import DEFAULT_GUARD
+from .context import PrimeContext, context_for
+from .errors import SupercongError, UnknownStatement
 from .registry import REGISTRY, STATUSES, Fixed, Parametric, Statement, statement_modexp
 from .report import ReportRow, VerificationReport
 
@@ -29,8 +23,8 @@ SKIPPED = "Skipped"
 SAMPLES_PER_PRIME = 10
 MAX_REDRAWS = 64
 
-# Largest modulus exponent any registered statement uses; contexts built at
-# this target cover every statement for a prime.
+# Largest modulus exponent any registered statement uses; a context at this
+# exponent covers every statement for a prime.
 MAX_MODEXP = 4
 
 
@@ -151,15 +145,13 @@ def evaluate_statement(
     p: int,
     *,
     seed: int = 0,
-    guard: int = DEFAULT_GUARD,
     ctx: PrimeContext | None = None,
 ) -> Verdict:
     """Check one registered statement at one prime.
 
-    A shared PrimeContext may be passed in to reuse cached streams; it is
-    used only when its working precision covers this statement.  On
-    precision exhaustion the check is retried once at a higher guard
-    before the error propagates.
+    A shared PrimeContext for p may be passed in to reuse cached streams;
+    it must reach the statement's modulus exponent.  Without one, a
+    context at that exponent is built.
     """
     stmt = REGISTRY.get(sid)
     if stmt is None:
@@ -167,33 +159,23 @@ def evaluate_statement(
     if not stmt.applies(p):
         return Verdict(NOT_APPLICABLE, detail=f"requires {stmt.condition}")
     t = statement_modexp(stmt, p)
-    guards = (guard, guard + 4)
-    for i, g in enumerate(guards):
-        if i == 0 and ctx is not None and ctx.workexp >= t + g:
-            use = ctx
-        else:
-            use = PrimeContext(p, t + g)
-        try:
-            if isinstance(stmt, Parametric):
-                return _check_parametric(stmt, use, t, seed)
-            return _check_fixed(stmt, use, t)
-        except (InsufficientPrecision, PrecisionExhausted):
-            if i == len(guards) - 1:
-                raise
-    raise AssertionError("unreachable")
+    ctx = context_for(ctx, p, t)
+    if isinstance(stmt, Parametric):
+        return _check_parametric(stmt, ctx, t, seed)
+    return _check_fixed(stmt, ctx, t)
 
 
 def _verdict_row(p: int, sid: str, v: Verdict) -> ReportRow:
     return ReportRow(p, sid, v.outcome, v.lhs, v.rhs, v.modulus, v.detail)
 
 
-def _run_prime(args: tuple[int, tuple[str, ...], int, int]) -> list[ReportRow]:
-    p, sids, seed, guard = args
-    ctx = PrimeContext(p, MAX_MODEXP + guard)
+def _run_prime(args: tuple[int, tuple[str, ...], int]) -> list[ReportRow]:
+    p, sids, seed = args
+    ctx = PrimeContext(p, MAX_MODEXP)
     rows = []
     for sid in sorted(sids):
         try:
-            v = evaluate_statement(sid, p, seed=seed, guard=guard, ctx=ctx)
+            v = evaluate_statement(sid, p, seed=seed, ctx=ctx)
         except SupercongError as exc:
             v = Verdict(SKIPPED, detail=f"{type(exc).__name__}: {exc}")
         rows.append(_verdict_row(p, sid, v))
@@ -214,7 +196,6 @@ def run_range(
     ids: Sequence[str] | None = None,
     statuses: Iterable[str] | None = None,
     seed: int = 0,
-    guard: int = DEFAULT_GUARD,
     jobs: int = 1,
     fail_fast: bool = False,
 ) -> VerificationReport:
@@ -229,7 +210,7 @@ def run_range(
     started = time.monotonic()
     rows: list[ReportRow] = []
     if sids:
-        work = [(p, sids, seed, guard) for p in primes_in(p_lo, p_hi)]
+        work = [(p, sids, seed) for p in primes_in(p_lo, p_hi)]
         if jobs > 1 and len(work) > 1:
             with Pool(processes=min(jobs, len(work))) as pool:
                 for batch in pool.imap(_run_prime, work):
@@ -250,14 +231,7 @@ def run_range(
         p_lo=p_lo,
         p_hi=p_hi,
         seed=seed,
-        guard=guard,
         version=__version__,
         elapsed=time.monotonic() - started,
         rows=rows,
     )
-
-
-def statement_status(sid: str) -> str:
-    """Registry status for an id, or 'unknown' for unregistered ids."""
-    stmt = REGISTRY.get(sid)
-    return stmt.status if stmt is not None else "unknown"

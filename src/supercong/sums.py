@@ -39,12 +39,11 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import islice
 from operator import mul
-from typing import Iterable
 
 from .binomials import EXACT, rational_binomial
-from .context import PrimeContext, Source
+from .context import PrimeContext, Source, context_for
 from .errors import BaseNotUnit, DenominatorNotUnit, NegativeValuation, PoleFloorViolated
-from .padic import DEFAULT_GUARD, Residue
+from .padic import Residue
 
 # Truncation limits, as functions of p.
 HALF = "half"  # k = 0 .. (p-1)/2
@@ -219,38 +218,15 @@ def evaluate_sum(
     p: int,
     t: int,
     ctx: PrimeContext | None = None,
-    guard: int = DEFAULT_GUARD,
 ) -> Residue:
     """Evaluate the sum exactly modulo p^t."""
-    if ctx is None:
-        ctx = PrimeContext.for_target(p, t, guard)
-    if ctx.workexp < t:
-        raise ValueError(f"context exponent {ctx.workexp} below target {t}")
+    ctx = context_for(ctx, p, t)
     zu = _unit_inverse(Fraction(spec.m), p, ctx.P)
     bound = limit_bound(spec.limit, p)
     acc = _weighted_sum(ctx, spec.product, 0, zu, spec.weight, bound, spec.pole_floor)
     if prefactor_sign(spec.prefactor, p) < 0:
         acc = -acc % ctx.P
     return Residue(p, t, acc)
-
-
-def evaluate_combo(
-    terms: Iterable[tuple[Fraction | int, SumSpec]],
-    p: int,
-    t: int,
-    ctx: PrimeContext | None = None,
-    guard: int = DEFAULT_GUARD,
-) -> Residue:
-    """Linear combination sum_i c_i * S_i of sums, exact modulo p^t."""
-    if ctx is None:
-        ctx = PrimeContext.for_target(p, t, guard)
-    m = p**t
-    total = 0
-    for coeff, spec in terms:
-        c = Fraction(coeff)
-        cval = c.numerator * pow(c.denominator, -1, m) % m
-        total = (total + cval * evaluate_sum(spec, p, t, ctx, guard).value) % m
-    return Residue(p, t, total)
 
 
 def evaluate_jacobi_sum(
@@ -264,7 +240,6 @@ def evaluate_jacobi_sum(
     base: Fraction | int | None = None,
     central: bool = False,
     ctx: PrimeContext | None = None,
-    guard: int = DEFAULT_GUARD,
 ) -> Residue:
     """Sum of w(k) * C(a,k)C(-1-a,k) [* C(2k,k)] * mult^k [/ base^k] mod p^t.
 
@@ -272,8 +247,7 @@ def evaluate_jacobi_sum(
     of the series then vanishes on its own) or zero (only k = 0 remains).
     base, when given, must be a p-adic unit.
     """
-    if ctx is None:
-        ctx = PrimeContext.for_target(p, t, guard)
+    ctx = context_for(ctx, p, t)
     P, T = ctx.P, ctx.workexp
     zv, zu = 0, mult
     if mult == 0:

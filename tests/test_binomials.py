@@ -1,4 +1,4 @@
-"""Binomial streams and generalized binomials against exact big integers."""
+"""Binomial streams and one-shot binomials against exact big integers."""
 
 import math
 from fractions import Fraction
@@ -14,14 +14,12 @@ from supercong.binomials import (
     batch_invert,
     binomial_mod,
     exact_binomial,
-    generalized_binomial,
     rational_binomial,
-    stream,
     stream_arrays,
     v_p_binomial,
 )
-from supercong.errors import IndexOutOfRange
-from supercong.padic import reduce_to
+from supercong.context import PrimeContext
+from supercong.padic import residue_from_fraction
 
 # Independent oracles: literal closed forms, no shared table with the package.
 EXACT = {
@@ -56,10 +54,11 @@ def test_stream_matches_exact_binomials(p, kind):
 @pytest.mark.parametrize("p", (11, 101))
 @pytest.mark.parametrize("kind", KINDS)
 def test_stream_iterator_agrees_with_arrays(p, kind):
-    for k, term in enumerate(stream(kind, p, 4)):
-        if k >= p:
-            break
-        assert reduce_to(term, 3).value == EXACT[kind](k) % p**3
+    """A context's stream at working exponent 3, with no headroom, gives
+    every term exactly mod p^3."""
+    vs, us = PrimeContext(p, 3).stream(kind)
+    for k in range(p):
+        assert us[k] * p ** vs[k] % p**3 == EXACT[kind](k) % p**3
 
 
 @pytest.mark.parametrize("p", (11, 101, 997))
@@ -112,11 +111,7 @@ def test_batch_invert():
     ],
 )
 def test_binomial_mod_matches_exact(n, k, p, t):
-    want = math.comb(n, k)
-    got = binomial_mod(n, k, p, t)
-    assert got.v == exact_vp(want, p)
-    if got.v + got.g >= t:
-        assert reduce_to(got, t).value == want % p**t
+    assert binomial_mod(n, k, p, t) == math.comb(n, k) % p**t
 
 
 @pytest.mark.parametrize("p", (13, 29))
@@ -125,7 +120,7 @@ def test_half_binomial_identity(p):
     t = 2
     m = p**t
     for k in range(p):
-        got = reduce_to(generalized_binomial(Fraction(-1, 2), k, p, t + 2), t)
+        got = residue_from_fraction(rational_binomial(Fraction(-1, 2), k), p, t)
         want = math.comb(2 * k, k) * pow(-4, -k, m) % m
         assert got.value == want, k
 
@@ -145,15 +140,7 @@ def test_product_identities_mod_p2(p):
         if base % p == 0:
             continue
         for k in range(p):
-            left = generalized_binomial(a, k, p, t + 3).mul(
-                generalized_binomial(-1 - a, k, p, t + 3)
-            )
+            left = rational_binomial(a, k) * rational_binomial(-1 - a, k)
             want = prod(k) * pow(base, -k, m) % m
-            assert reduce_to(left, t).value == want, (a, k)
+            assert residue_from_fraction(left, p, t).value == want, (a, k)
 
-
-def test_generalized_binomial_index_bounds():
-    with pytest.raises(IndexOutOfRange):
-        generalized_binomial(Fraction(-1, 2), 13, 13)
-    with pytest.raises(IndexOutOfRange):
-        generalized_binomial(Fraction(-1, 2), -1, 13)

@@ -37,7 +37,7 @@ def test_verify_json_matches_library_run(capsys):
     parsed = VerificationReport.from_json(capsys.readouterr().out)
     direct = run_range(5, 40, ids=["T2.*"])
     assert parsed.rows == direct.rows
-    assert (parsed.p_lo, parsed.p_hi, parsed.seed, parsed.guard) == (5, 40, 0, 4)
+    assert (parsed.p_lo, parsed.p_hi, parsed.seed) == (5, 40, 0)
     assert parsed.version == direct.version
 
 
@@ -48,6 +48,7 @@ def test_verify_json_has_documented_fields(capsys):
         "p_lo", "p_hi", "seed", "guard", "version", "elapsed",
         "rows", "summary", "counts",
     }
+    assert doc["guard"] == 4  # fixed legacy key
     row = doc["rows"][0]
     assert set(row) == {"p", "id", "outcome", "lhs", "rhs", "modulus", "detail"}
 
@@ -175,6 +176,16 @@ def test_eval_errors(capsys):
     assert main(["eval", "T2.7", "9"]) == 2  # composite
     err = capsys.readouterr().err
     assert err.count("error:") == 3
+
+
+def test_eval_rejects_modulus_exponent_below_one(capsys):
+    fixed = [sid for sid, stmt in REGISTRY.items() if isinstance(stmt, Fixed)]
+    for sid in fixed:
+        for t in ("0", "-1"):
+            assert main(["eval", sid, "5", t]) == 2, (sid, t)
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("error: modulus exponent t must be >= 1"), (sid, t)
 
 
 def test_represent_golden(capsys):

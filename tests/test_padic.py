@@ -1,4 +1,4 @@
-"""Precision-tracked p-adic arithmetic against exact rational references."""
+"""Residues mod p^t and p-adic valuations against exact rational references."""
 
 import random
 from fractions import Fraction
@@ -7,25 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from supercong.errors import (
-    DenominatorNotUnit,
-    DivisionByZero,
-    InsufficientPrecision,
-    NegativeValuation,
-    PrecisionExhausted,
-)
-from supercong.padic import (
-    INF,
-    PadicApprox,
-    Residue,
-    padic_arith,
-    padic_from_fraction,
-    padic_from_rational,
-    reduce_to,
-    residue_from_fraction,
-    residue_from_rational,
-    strip_p,
-)
+from supercong.errors import DenominatorNotUnit
+from supercong.padic import Residue, residue_from_fraction, residue_from_rational, strip_p
 
 PRIMES = (5, 7, 11, 101)
 
@@ -62,18 +45,8 @@ def test_strip_p():
 def test_residue_normalizes_and_computes():
     r = Residue(5, 2, -3)
     assert r.value == 22 and r.modulus == 25
-    s = Residue(5, 2, 14)
-    assert (r + s).value == (22 + 14) % 25
-    assert (r - s).value == (22 - 14) % 25
-    assert (r * s).value == 22 * 14 % 25
-    assert (-r).value == 3
-
-
-def test_residue_mismatched_moduli_raise():
-    with pytest.raises(ValueError):
-        Residue(5, 2, 1) + Residue(7, 2, 1)
-    with pytest.raises(ValueError):
-        Residue(5, 2, 1) * Residue(5, 3, 1)
+    assert Residue(5, 2, 22 + 25 * 7) == r
+    assert repr(r) == "22 mod 5^2"
 
 
 def test_residue_from_rational_rejects_p_denominator():
@@ -82,129 +55,81 @@ def test_residue_from_rational_rejects_p_denominator():
     assert residue_from_rational(1, 3, 5, 2).value == pow(3, -1, 25)
 
 
+def split_reduce(q: Fraction, p: int, t: int) -> int:
+    """q mod p^t through its split into p^v times a unit, v >= 0."""
+    if q == 0:
+        return 0
+    v, un = strip_p(q.numerator, p)
+    _, ud = strip_p(q.denominator, p)
+    m = p**t
+    return un * pow(ud, -1, m) * p**v % m
+
+
 @pytest.mark.parametrize("p", PRIMES)
 def test_round_trip_matches_direct_reduction(p):
-    """reduce_to(lift(a/b), t) equals the one-step residue for any g >= t."""
+    """Reducing the unit of a rational and multiplying its power of p back
+    in gives the one-step residue."""
     rng = random.Random(100 + p)
     for _ in range(300):
         q = unit_fractions(rng, p)
-        if q == 0:
-            continue
         t = rng.randrange(1, 5)
-        g = t + rng.randrange(0, 4)
-        x = padic_from_rational(q.numerator, q.denominator, p, g)
         want = residue_from_rational(q.numerator, q.denominator, p, t)
-        if x.v + x.g < t:
-            # deeply divisible numerator with a small guard: the lift is
-            # entitled to refuse rather than fabricate digits
-            assert want.value % p ** (x.v + x.g) == 0
-            continue
-        assert reduce_to(x, t) == want
+        assert split_reduce(q, p, t) == want.value
+        assert want.value * q.denominator % p**t == q.numerator % p**t
 
 
 @pytest.mark.parametrize("p", PRIMES)
 def test_ring_laws_against_fraction_oracle(p):
-    """(x+y)z == xz + yz after reduction, and both match exact rationals."""
+    """Reduction mod p^t is a ring map: (x+y)z reduces to the sum and
+    product of the reductions."""
     rng = random.Random(200 + p)
-    g, t = 8, 3
+    t = 3
+    m = p**t
     for _ in range(1000):
         qx, qy, qz = (unit_fractions(rng, p) for _ in range(3))
-        x, y, z = (padic_from_fraction(q, p, g) for q in (qx, qy, qz))
-        try:
-            left = x.add(y).mul(z)
-            right = x.mul(z).add(y.mul(z))
-        except PrecisionExhausted:
-            # exact or near-exact cancellation: skip, the guard is finite
-            continue
-        exact = (qx + qy) * qz
-        if exact_vp_or_inf(exact, p) < 0:
-            continue
-        want = residue_from_fraction(exact, p, t)
-        assert reduce_to(left, t) == want
-        assert reduce_to(right, t) == want
-
-
-def exact_vp_or_inf(q: Fraction, p: int):
-    return INF if q == 0 else exact_vp(q, p)
+        x, y, z = (residue_from_fraction(q, p, t).value for q in (qx, qy, qz))
+        want = residue_from_fraction((qx + qy) * qz, p, t)
+        assert (x + y) * z % m == want.value
+        assert (x * z + y * z) % m == want.value
 
 
 @pytest.mark.parametrize("p", (5, 11))
 def test_valuation_additivity(p):
+    """strip_p valuations add under products, match literal counting and
+    bound the valuation of a sum."""
     rng = random.Random(300 + p)
-    g = 10
     for _ in range(500):
-        qx, qy = unit_fractions(rng, p), unit_fractions(rng, p)
-        if qx == 0 or qy == 0:
+        x, y = rng.randrange(-(10**6), 10**6 + 1), rng.randrange(-(10**6), 10**6 + 1)
+        if x == 0 or y == 0:
             continue
-        x, y = padic_from_fraction(qx, p, g), padic_from_fraction(qy, p, g)
-        assert x.v == exact_vp(qx, p) and y.v == exact_vp(qy, p)
-        assert x.mul(y).v == x.v + y.v
-        if qx + qy == 0:
+        (vx, ux), (vy, uy) = strip_p(x, p), strip_p(y, p)
+        assert vx == exact_vp(Fraction(x), p) and ux * p**vx == x
+        assert strip_p(x * y, p) == (vx + vy, ux * uy)
+        if x + y == 0:
             continue
-        try:
-            s = x.add(y)
-        except PrecisionExhausted:
-            assert exact_vp(qx + qy, p) >= min(x.v, y.v) + 1
-            continue
-        assert s.v >= min(x.v, y.v)
-        if x.v != y.v:
-            assert s.v == min(x.v, y.v)
-        assert s.v == exact_vp(qx + qy, p)
-
-
-def test_exact_zero_is_distinguished():
-    z = PadicApprox.zero(7)
-    assert z.is_zero and z.v == INF
-    one = PadicApprox.one(7, 4)
-    assert z.add(one) == one and one.add(z) == one
-    assert z.mul(one).is_zero
-    assert padic_from_rational(0, 3, 7, 4).is_zero
-    assert reduce_to(z, 3) == Residue(7, 3, 0)
-    assert z.neg().is_zero
-
-
-def test_full_cancellation_raises_rather_than_faking_zero():
-    one = PadicApprox.one(7, 4)
-    with pytest.raises(PrecisionExhausted):
-        one.sub(one)
+        vs, _ = strip_p(x + y, p)
+        assert vs >= min(vx, vy)
+        if vx != vy:
+            assert vs == min(vx, vy)
 
 
 def test_negative_valuation_rejected_only_at_reduction():
-    x = padic_from_rational(1, 5, 5, 6)
-    assert x.v == -1
-    with pytest.raises(NegativeValuation):
-        reduce_to(x, 2)
-    lifted = x.mul(padic_from_rational(25, 1, 5, 6))
-    assert reduce_to(lifted, 2) == residue_from_rational(5, 1, 5, 2)
-
-
-def test_insufficient_precision_signalled():
-    x = PadicApprox(5, 0, 3, 2)  # 3 + O(5^2)
-    with pytest.raises(InsufficientPrecision):
-        reduce_to(x, 3)
-    assert reduce_to(x, 2).value == 3
+    """1/5 has no residue mod 5^t, but 25 times it does."""
+    q = Fraction(1, 5)
+    assert exact_vp(q, 5) == -1
+    with pytest.raises(DenominatorNotUnit):
+        residue_from_fraction(q, 5, 2)
+    assert residue_from_fraction(q * 25, 5, 2) == residue_from_rational(5, 1, 5, 2)
 
 
 def test_division():
-    p, g = 7, 6
-    x = padic_from_rational(10, 3, p, g)
-    y = padic_from_rational(14, 5, p, g)
-    got = reduce_to(x.div(y).mul(y), 3)
-    assert got == residue_from_rational(10, 3, p, 3)
-    with pytest.raises(DivisionByZero):
-        x.div(PadicApprox.zero(p))
-
-
-def test_padic_arith_dispatch():
-    p, g = 5, 6
-    x = padic_from_rational(3, 1, p, g)
-    y = padic_from_rational(4, 1, p, g)
-    assert reduce_to(padic_arith(x, y, "add"), 2).value == 7
-    assert reduce_to(padic_arith(x, y, "sub"), 2).value == 24
-    assert reduce_to(padic_arith(x, y, "mul"), 2).value == 12
-    assert reduce_to(padic_arith(y, x, "div"), 2) == residue_from_rational(4, 3, p, 2)
-    with pytest.raises(ValueError):
-        padic_arith(x, y, "pow")
+    """The residue of x/y times the residue of y is the residue of x, also
+    when p divides both x and y."""
+    p, t = 7, 3
+    m = p**t
+    x, y = Fraction(14, 3), Fraction(7, 5)
+    got = residue_from_fraction(x / y, p, t).value * residue_from_fraction(y, p, t).value % m
+    assert got == residue_from_rational(14, 3, p, t).value
 
 
 @settings(max_examples=200, deadline=None)
@@ -215,12 +140,10 @@ def test_padic_arith_dispatch():
 )
 def test_lift_reduce_round_trip_property(num, den, t):
     p = 11
-    if den % p == 0 or num == 0:
+    if den % p == 0:
         return
     q = Fraction(num, den)
-    g = t + 4
-    x = padic_from_fraction(q, p, g)
-    assert reduce_to(x, t) == residue_from_fraction(q, p, t)
+    assert residue_from_fraction(q, p, t).value == split_reduce(q, p, t)
 
 
 @settings(max_examples=200, deadline=None)
@@ -229,14 +152,8 @@ def test_lift_reduce_round_trip_property(num, den, t):
     b=st.fractions(min_value=-(10**6), max_value=10**6, max_denominator=10**4),
 )
 def test_product_matches_fraction_oracle_property(a, b):
-    p = 13
+    p, t = 13, 2
     if a.denominator % p == 0 or b.denominator % p == 0:
         return
-    prod = a * b
-    x = padic_from_fraction(a, p, 8)
-    y = padic_from_fraction(b, p, 8)
-    got = x.mul(y)
-    if got.is_zero:
-        assert prod == 0
-        return
-    assert reduce_to(got, 2) == residue_from_fraction(prod, p, 2)
+    got = residue_from_fraction(a, p, t).value * residue_from_fraction(b, p, t).value
+    assert got % p**t == residue_from_fraction(a * b, p, t).value

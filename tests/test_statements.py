@@ -5,7 +5,8 @@ from fractions import Fraction
 import pytest
 
 from supercong import quadform
-from supercong.errors import InsufficientPrecision, UnknownStatement
+from supercong.context import PrimeContext
+from supercong.errors import UnknownStatement
 from supercong.registry import (
     C2,
     REGISTRY,
@@ -31,7 +32,6 @@ from supercong.statements import (
     primes_in,
     run_range,
     select_ids,
-    statement_status,
 )
 
 
@@ -148,32 +148,13 @@ class TestEvaluateStatement:
         assert v.outcome == HOLDS
         assert v.detail.startswith(f"{SAMPLES_PER_PRIME} samples")
 
-    def test_precision_retry_ladder(self):
-        sid = "X-RETRY"
-        calls = []
-
-        def flaky_lhs(ctx, t):
-            calls.append(ctx.workexp)
-            if len(calls) == 1:
-                raise InsufficientPrecision("synthetic")
-            return 0
-
-        REGISTRY[sid] = Fixed(
-            sid, "theorem", "0 == 0 (mod p^2)", "p > 3",
-            lambda p: p > 3, 2, flaky_lhs, lambda ctx, t: 0,
-        )
-        try:
-            v = evaluate_statement(sid, 11)
-            assert v.outcome == HOLDS
-            assert len(calls) == 2 and calls[1] > calls[0]
-        finally:
-            del REGISTRY[sid]
-
-
-def test_statement_status():
-    assert statement_status("T2.7") == "theorem"
-    assert statement_status("CJ-2.23") == "conjecture"
-    assert statement_status("nope") == "unknown"
+    def test_context_for_another_prime_is_rejected(self):
+        with pytest.raises(ValueError):
+            evaluate_statement("T2.7", 7, ctx=PrimeContext(11, 8))
+        with pytest.raises(ValueError):
+            evaluate_statement("T2.7", 7, ctx=PrimeContext(7, 1))
+        v = evaluate_statement("T2.7", 7, ctx=PrimeContext(7, 2))
+        assert (v.outcome, v.lhs, v.rhs, v.modulus) == (HOLDS, 36, 36, 49)
 
 
 class TestRunRange:

@@ -14,11 +14,12 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import supercong
 from supercong.context import JACOBI_CACHE, TERM_CACHE, PrimeContext
 from supercong.errors import BaseNotUnit, DenominatorNotUnit, NegativeValuation, SupercongError
-from supercong.padic import DEFAULT_GUARD
 from supercong.registry import REGISTRY, SUM_SPECS, statement_modexp
 from supercong.statements import MAX_MODEXP
 from supercong.sums import (
@@ -30,7 +31,6 @@ from supercong.sums import (
     W_K,
     W_ONE,
     Weight,
-    evaluate_combo,
     evaluate_jacobi_sum,
     evaluate_jacobi_sum_exact,
     evaluate_sum,
@@ -74,6 +74,10 @@ PREFACTORS = {
 }
 
 ORACLE_PRIMES = (5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+def primes_to(n: int) -> list[int]:
+    return [q for q in range(5, n + 1) if all(q % d for d in range(2, q))]
 
 
 def weight_fn(weight):
@@ -213,19 +217,22 @@ def test_tail_vanishing_mod_p2(base):
 
 
 def test_linearity_of_combo():
+    """A sum weighted c1 + c2*k is c1 times the sum weighted 1 plus c2 times
+    the sum weighted k, for rational c1, c2 with p-unit denominators."""
     p, t = 13, 2
-    ctx = PrimeContext(p, 6)
-    s1 = SumSpec(("B22", "B22", "B22"), Fraction(-512), W_ONE, HALF)
-    s2 = SumSpec(("B22", "B22", "B22"), Fraction(-512), W_K, HALF)
+    ctx = PrimeContext(p, t)
+    product, base = ("B22", "B22", "B22"), Fraction(-512)
+    s1 = evaluate_sum(SumSpec(product, base, W_ONE, HALF), p, t, ctx).value
+    s2 = evaluate_sum(SumSpec(product, base, W_K, HALF), p, t, ctx).value
     rng = random.Random(3)
+    m = p**t
     for _ in range(25):
         c1 = Fraction(rng.randrange(-50, 51), rng.choice((1, 2, 3, 4, 6)))
         c2 = Fraction(rng.randrange(-50, 51), rng.choice((1, 2, 3, 4, 6)))
-        combo = evaluate_combo([(c1, s1), (c2, s2)], p, t, ctx)
-        m = p**t
+        combo = evaluate_sum(SumSpec(product, base, linear_weight(c1, c2), HALF), p, t, ctx)
         want = (
-            c1.numerator * pow(c1.denominator, -1, m) * evaluate_sum(s1, p, t, ctx).value
-            + c2.numerator * pow(c2.denominator, -1, m) * evaluate_sum(s2, p, t, ctx).value
+            c1.numerator * pow(c1.denominator, -1, m) * s1
+            + c2.numerator * pow(c2.denominator, -1, m) * s2
         ) % m
         assert combo.value == want
 
@@ -324,21 +331,101 @@ def test_sampled_caches_stay_bounded():
     assert len(ctx._products) == 1 and len(ctx._weights) == 2
 
 
+def outcome(spec, p, t, ctx):
+    """The residue of a sum, or the type of the engine error it raises."""
+    try:
+        return evaluate_sum(spec, p, t, ctx).value
+    except SupercongError as exc:
+        return type(exc)
+
+
 def test_shared_context_matches_fresh_context():
     """Every registered sum gives the same residue, or the same error, on
     one context shared by all sums of a prime as on a context of its own."""
-
-    def outcome(spec, p, t, ctx):
-        try:
-            return evaluate_sum(spec, p, t, ctx).value
-        except SupercongError as exc:
-            return type(exc)
-
-    for p in [n for n in range(5, 201) if all(n % d for d in range(2, n))]:
-        shared = PrimeContext(p, MAX_MODEXP + DEFAULT_GUARD)
+    for p in primes_to(200):
+        shared = PrimeContext(p, MAX_MODEXP)
         for sid, spec in SUM_SPECS.items():
             t = statement_modexp(REGISTRY[sid], p)
             assert outcome(spec, p, t, shared) == outcome(spec, p, t, None), (sid, p)
+
+
+def test_sums_need_no_headroom():
+    """Every registered sum evaluated at working exponent t equals the same
+    sum at t + 4, or raises the same error, for every prime up to 1000:
+    every kept term has valuation >= 0, so no digit below p^t is lost."""
+    for p in primes_to(1000):
+        ctxs = {e: PrimeContext(p, e) for e in range(1, MAX_MODEXP + 5)}
+        for sid, spec in SUM_SPECS.items():
+            t = statement_modexp(REGISTRY[sid], p)
+            assert outcome(spec, p, t, ctxs[t]) == outcome(spec, p, t, ctxs[t + 4]), (sid, p)
+
+
+def test_context_for_another_prime_is_rejected():
+    """A context for another prime, or below the target exponent, raises
+    instead of giving a residue for the wrong modulus."""
+    spec = SUM_SPECS["T2.7"]
+    with pytest.raises(ValueError):
+        evaluate_sum(spec, 7, 2, PrimeContext(11, 8))
+    with pytest.raises(ValueError):
+        evaluate_jacobi_sum(3, 7, 2, ctx=PrimeContext(11, 8))
+    with pytest.raises(ValueError):
+        evaluate_jacobi_sum(3, 7, 3, ctx=PrimeContext(7, 2))
+    assert evaluate_sum(spec, 7, 2, PrimeContext(7, 2)).value == 36
+
+
+def test_modulus_exponent_below_one_is_rejected():
+    spec = SUM_SPECS["T2.7"]
+    for t in (0, -1):
+        with pytest.raises(ValueError):
+            evaluate_sum(spec, 7, t)
+        with pytest.raises(ValueError):
+            evaluate_jacobi_sum(3, 7, t, ctx=PrimeContext(7, 2))
+
+
+# -- random sums against the oracle -------------------------------------------
+
+
+@st.composite
+def sum_specs(draw):
+    p = draw(st.sampled_from(primes_to(200)))
+    product = tuple(draw(st.lists(st.sampled_from(sorted(BINOMS)), min_size=1, max_size=3)))
+    tag = draw(st.sampled_from(sorted(WEIGHTS) + ["linear"]))
+    if tag == "linear":
+        coeff = st.fractions(min_value=-20, max_value=20, max_denominator=12)
+        weight = linear_weight(draw(coeff), draw(coeff))
+    else:
+        weight = Weight(tag)
+    num = draw(st.integers(min_value=-600, max_value=600))
+    den = draw(st.integers(min_value=1, max_value=50))
+    assume(num % p and den % p)
+    spec = SumSpec(
+        product,
+        Fraction(num, den),
+        weight,
+        draw(st.sampled_from(sorted(LIMITS))),
+        draw(st.sampled_from(sorted(PREFACTORS))),
+    )
+    return spec, p, draw(st.integers(min_value=1, max_value=4))
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=sum_specs())
+def test_random_sum_matches_oracle_or_raises_typed_error(case):
+    """A random sum on a context with no headroom (working exponent t)
+    equals the Fraction oracle mod p^t, or raises a typed error: a pole
+    the product does not absorb, or a linear weight whose denominator p
+    divides."""
+    spec, p, t = case
+    exact = oracle_sum(spec, p)
+    try:
+        got = evaluate_sum(spec, p, t, PrimeContext(p, t))
+    except NegativeValuation:
+        assert exact.denominator % p == 0
+        return
+    except DenominatorNotUnit:
+        assert spec.weight.tag == "linear"
+        return
+    assert got.value == reduce_fraction(exact, p, t) and got.modulus == p**t
 
 
 # -- typed errors ----------------------------------------------------------------
