@@ -2,9 +2,9 @@
 
 Everything expensive that more than one statement needs at the same prime
 lives here and is computed once: binomial stream arrays, products of
-streams, inverse tables, term and weight arrays for the sum evaluator,
-quadratic form representations, and the special constants.  A context is
-confined to one task; the registry itself stays read-only and shareable.
+streams, inverse tables, term and weight arrays for the sum evaluator, and
+quadratic form representations.  A context is confined to one task; the
+registry itself stays read-only and shareable.
 
 A stream is a pair (vs, us) of valuations and units, term_k = us[k] *
 p^vs[k] for k = 0..p-1, with us[k] == 0 marking an exact zero.  A sum
@@ -33,13 +33,11 @@ checker call, ``JACOBI_CACHE`` streams cover all of its reuse, and
 from __future__ import annotations
 
 from collections import OrderedDict
-from fractions import Fraction
 from typing import Callable, Hashable, TypeVar
 
 from . import quadform, special
 from .binomials import batch_invert, binomial_mod, jacobi_stream_arrays, stream_arrays
-from .errors import DenominatorNotUnit, NotRepresentable
-from .padic import Residue
+from .errors import NotRepresentable
 
 #: Entries kept by the bounded per-sample caches.
 JACOBI_CACHE = 4
@@ -88,8 +86,6 @@ class PrimeContext:
         self._inv: list[int] | None = None
         self._inv_sq: list[int] | None = None
         self._reps: dict[str, quadform.QuadRep | None] = {}
-        self._euler: list[int] | None = None
-        self._u: list[int] | None = None
 
     # -- streams ---------------------------------------------------------
 
@@ -266,23 +262,10 @@ class PrimeContext:
         return binomial_mod(n, k, self.p, t)
 
     def euler_number(self, n: int) -> int:
-        if self._euler is None:
-            self._euler = special.euler_numbers_mod(self.p - 3, self.p)
-        return self._euler[n]
+        return special.euler_numbers_mod(n, self.p)
 
     def u_number(self, n: int) -> int:
-        if self._u is None:
-            self._u = special.u_numbers_mod(self.p - 3, self.p)
-        return self._u[n]
-
-    def residue(self, q: Fraction | int, t: int) -> Residue:
-        q = Fraction(q)
-        m = self.p**t
-        try:
-            inv = pow(q.denominator, -1, m)
-        except ValueError:
-            raise DenominatorNotUnit(f"{q} has a denominator divisible by p={self.p}") from None
-        return Residue(self.p, t, q.numerator * inv % m)
+        return special.u_numbers_mod(n, self.p)
 
 
 def context_for(ctx: PrimeContext | None, p: int, t: int) -> PrimeContext:

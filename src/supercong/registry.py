@@ -22,6 +22,7 @@ from . import quadform
 from .binomials import B22, B31, B42, B63
 from .context import PrimeContext
 from .errors import ModulusTooHigh
+from .padic import residue_from_fraction
 from .quadform import F2, F3, F4, F7, F27
 from .sums import (
     FULL,
@@ -164,8 +165,8 @@ def _not_2_3_7(p: int) -> bool:
 
 
 def _fr(ctx: PrimeContext, q: Fraction | int, t: int) -> int:
-    """Exact rational constant reduced mod p^t (denominator a p-unit)."""
-    return ctx.residue(Fraction(q), t).value
+    """Exact rational constant mod p^t; DenominatorNotUnit if p divides its denominator."""
+    return residue_from_fraction(q, ctx.p, t).value
 
 
 def _sum_lhs(spec: SumSpec) -> Side:

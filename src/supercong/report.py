@@ -22,6 +22,7 @@ it is byte-identical across reruns at a fixed seed.
 
 from __future__ import annotations
 
+import io
 import json
 from dataclasses import dataclass, field
 
@@ -115,7 +116,10 @@ class VerificationReport:
             "summary": self.summary(),
             "counts": self.counts(),
         }
-        return json.dumps(doc, indent=2)
+        # json.dumps would first hold every chunk of the text in one list
+        buf = io.StringIO()
+        json.dump(doc, buf, indent=2)
+        return buf.getvalue()
 
     @staticmethod
     def from_json(text: str) -> "VerificationReport":

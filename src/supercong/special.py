@@ -1,6 +1,7 @@
 """Auxiliary constants for right-hand sides: Legendre symbols, Fermat
-quotients, the binomial-square products R1(p)/R3(p), and the E_n/U_n
-recurrence sequences mod p."""
+quotients, the binomial-square products R1(p)/R3(p), and single Euler and
+U numbers E_n, U_n mod p, each an O(p) alternating power sum.  The exact
+integer sequences are kept as test oracles."""
 
 from __future__ import annotations
 
@@ -57,41 +58,47 @@ def r3(p: int) -> Residue:
     return Residue(p, 2, coeff * _half_binomial_sq(p, 6))
 
 
-def _even_index_sequence(n_max: int, p: int, factor: int) -> list[int]:
-    """Shared recurrence x_{2n} = factor * -(sum_k C(2n,2k) x_{2n-2k}) mod p."""
-    out = [0] * (n_max + 1)
-    out[0] = 1 % p
-    # Walk Pascal rows incrementally: row[j] = C(2n, j) mod p needs inverses
-    # of 1..2n, which stay units because callers keep n_max <= p - 1.
-    if n_max >= p:
-        raise ValueError("recurrence indices must stay below p")
-    inv = [0, 1] + [0] * max(0, p - 2)
-    for i in range(2, min(p, n_max + 2)):
-        inv[i] = -(p // i) * inv[p % i] % p
-    for n2 in range(2, n_max + 1, 2):
-        c = 1  # C(n2, 0)
-        acc = 0
-        for j2 in range(2, n2 + 1, 2):
-            # advance C(n2, j2-2) -> C(n2, j2) in two multiplicative steps
-            c = c * (n2 - j2 + 2) % p * inv[j2 - 1] % p
-            c = c * (n2 - j2 + 1) % p * inv[j2] % p
-            acc = (acc + c * out[n2 - j2]) % p
-        out[n2] = factor * -acc % p
-    return out
+def euler_numbers_mod(n: int, p: int) -> int:
+    """E_n mod p for an odd prime p and any n >= 0, in O(p) modular powers:
+
+        E_n == sum_{k=0}^{p-1} (-1)^k (2k+1)^n  (mod p).
+
+    Proof from the Euler polynomials E_n(x) (Abramowitz and Stegun, 23.1):
+    E_n(x+1) + E_n(x) = 2x^n telescopes over an odd number p of terms to
+    sum_{k<p} (-1)^k (x+k)^n = (E_n(x) + E_n(x+p))/2.  E_n(X) = sum_k C(n,k)
+    E_k 2^-k (X - 1/2)^(n-k) has powers of 2 as denominators, so
+    E_n(x+p) == E_n(x) (mod p) for p-integral x.  At x = 1/2 the sum above
+    is 2^n sum_{k<p} (-1)^k (k + 1/2)^n == 2^n E_n(1/2) = E_n.
+    """
+    if n < 0:
+        raise ValueError(f"index must be >= 0, got {n}")
+    # 2k+1 runs through 1, 5, 9, ... for even k and 3, 7, 11, ... for odd k
+    plus = sum(pow(x, n, p) for x in range(1, 2 * p, 4))
+    minus = sum(pow(x, n, p) for x in range(3, 2 * p, 4))
+    return (plus - minus) % p
 
 
-def euler_numbers_mod(n_max: int, p: int) -> list[int]:
-    """E_0..E_n_max mod p: E_0 = 1, odd E vanish, E_2n = -sum C(2n,2k) E_{2n-2k}."""
-    return _even_index_sequence(n_max, p, 1)
+def u_numbers_mod(n: int, p: int) -> int:
+    """U_n mod p for a prime p > 3 and any n >= 0, in O(p) modular powers:
 
+        U_n == (1/2) sum_{k=0}^{p-1} (-1)^k ((3k+1)^n + (3k+2)^n)  (mod p).
 
-def u_numbers_mod(n_max: int, p: int) -> list[int]:
-    """U_0..U_n_max mod p: U_0 = 1, odd U vanish, U_2n = -2 sum C(2n,2k) U_{2n-2k}."""
-    return _even_index_sequence(n_max, p, 2)
+    U(t) = 1/(2 cosh t - 1) = (e^t + e^2t)/(1 + e^3t), and E_n(x) has
+    generating function 2e^(xt)/(e^t + 1), so U_n = (3^n/2)(E_n(1/3) +
+    E_n(2/3)).  The sum is (3^n/2) sum_{k<p} (-1)^k ((k + 1/3)^n +
+    (k + 2/3)^n), so the proof of ``euler_numbers_mod`` at the p-integral
+    points x = 1/3 and x = 2/3 gives the congruence.
+    """
+    if n < 0:
+        raise ValueError(f"index must be >= 0, got {n}")
+    # 3k+1, 3k+2 are 1, 2 (mod 6) for even k and 4, 5 (mod 6) for odd k
+    plus = sum(pow(x, n, p) for r in (1, 2) for x in range(r, 3 * p, 6))
+    minus = sum(pow(x, n, p) for r in (4, 5) for x in range(r, 3 * p, 6))
+    return (plus - minus) * ((p + 1) // 2) % p
 
 
 def euler_numbers_exact(n_max: int) -> list[int]:
-    """Exact integer E_0..E_n_max (oracle for the modular recurrence)."""
+    """Exact integer E_0..E_n_max by E_2n = -sum C(2n,2k) E_{2n-2k} (test oracle)."""
     from math import comb
 
     out = [0] * (n_max + 1)
@@ -102,7 +109,7 @@ def euler_numbers_exact(n_max: int) -> list[int]:
 
 
 def u_numbers_exact(n_max: int) -> list[int]:
-    """Exact integer U_0..U_n_max (oracle for the modular recurrence)."""
+    """Exact integer U_0..U_n_max by U_2n = -2 sum C(2n,2k) U_{2n-2k} (test oracle)."""
     from math import comb
 
     out = [0] * (n_max + 1)

@@ -43,7 +43,9 @@ def test_verify_json_matches_library_run(capsys):
 
 def test_verify_json_has_documented_fields(capsys):
     main(["verify", "--primes", "7..7", "--ids", "T2.7", "--format", "json"])
-    doc = json.loads(capsys.readouterr().out)
+    text = capsys.readouterr().out
+    doc = json.loads(text)
+    assert text == json.dumps(doc, indent=2) + "\n"  # the layout digests pin
     assert set(doc) >= {
         "p_lo", "p_hi", "seed", "guard", "version", "elapsed",
         "rows", "summary", "counts",

@@ -128,13 +128,61 @@ def test_u_numbers_exact_prefix():
     assert all(u == 0 for u in us[1::2])
 
 
-@pytest.mark.parametrize("p", (7, 11, 101))
+def _even_index_sequence(n_max: int, p: int, factor: int) -> list[int]:
+    """x_0..x_n_max mod p by x_0 = 1, x_odd = 0 and the O(n_max^2) recurrence
+    x_2n = factor * -(sum_{k>=1} C(2n,2k) x_{2n-2k}): E_n for factor 1, U_n
+    for factor 2.  Pascal rows are walked with inverses of 1..2n, so
+    n_max < p."""
+    assert n_max < p
+    out = [0] * (n_max + 1)
+    out[0] = 1 % p
+    inv = [0, 1] + [0] * max(0, p - 2)
+    for i in range(2, min(p, n_max + 2)):
+        inv[i] = -(p // i) * inv[p % i] % p
+    for n2 in range(2, n_max + 1, 2):
+        c = 1  # C(n2, 0)
+        acc = 0
+        for j2 in range(2, n2 + 1, 2):
+            # advance C(n2, j2-2) -> C(n2, j2) in two multiplicative steps
+            c = c * (n2 - j2 + 2) % p * inv[j2 - 1] % p
+            c = c * (n2 - j2 + 1) % p * inv[j2] % p
+            acc = (acc + c * out[n2 - j2]) % p
+        out[n2] = factor * -acc % p
+    return out
+
+
+def test_single_index_numbers_match_recurrence_oracle():
+    """Every n <= p-3 at every prime 5 <= p <= 400."""
+    for p in primes_between(5, 400):
+        es = _even_index_sequence(p - 3, p, 1)
+        us = _even_index_sequence(p - 3, p, 2)
+        assert [euler_numbers_mod(n, p) for n in range(p - 2)] == es, p
+        assert [u_numbers_mod(n, p) for n in range(p - 2)] == us, p
+
+
+@pytest.mark.parametrize("p", primes_between(5, 61) + [101])
 def test_sequences_mod_match_exact_then_reduce(p):
-    n = min(30, p - 1)  # recurrence indices must stay below p
-    assert euler_numbers_mod(n, p) == [e % p for e in euler_numbers_exact(n)]
-    assert u_numbers_mod(n, p) == [u % p for u in u_numbers_exact(n)]
+    """E_n, U_n mod p for n <= 120, so also n >= p, where the recurrence
+    oracle has no inverses."""
+    es, us = euler_numbers_exact(120), u_numbers_exact(120)
+    assert [euler_numbers_mod(n, p) for n in range(121)] == [e % p for e in es]
+    assert [u_numbers_mod(n, p) for n in range(121)] == [u % p for u in us]
 
 
-def test_sequences_mod_reject_indices_at_p():
+@pytest.mark.parametrize("p", (1997, 2011, 4999))
+def test_lehmer_type_congruences_at_p_minus_3(p):
+    """sum_{k<=p/4} k^-2 == 4(-1)^((p-1)/2) E_{p-3} and
+    sum_{k<=p/3} k^-2 == 3 (p/3) U_{p-3} (mod p)."""
+    def inv_square_sum(top):
+        return sum(pow(k * k, -1, p) for k in range(1, top + 1)) % p
+
+    sign = -1 if (p - 1) // 2 % 2 else 1
+    assert inv_square_sum(p // 4) == 4 * sign * euler_numbers_mod(p - 3, p) % p
+    assert inv_square_sum(p // 3) == 3 * legendre(p, 3) * u_numbers_mod(p - 3, p) % p
+
+
+def test_single_index_numbers_reject_negative_index():
     with pytest.raises(ValueError):
-        euler_numbers_mod(7, 7)
+        euler_numbers_mod(-1, 7)
+    with pytest.raises(ValueError):
+        u_numbers_mod(-2, 7)

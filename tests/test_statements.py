@@ -3,10 +3,12 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from supercong import quadform
 from supercong.context import PrimeContext
-from supercong.errors import UnknownStatement
+from supercong.errors import SupercongError, UnknownStatement
 from supercong.registry import (
     C2,
     REGISTRY,
@@ -27,6 +29,7 @@ from supercong.statements import (
     NOT_APPLICABLE,
     SAMPLES_PER_PRIME,
     SKIPPED,
+    Verdict,
     draw_params,
     evaluate_statement,
     primes_in,
@@ -278,3 +281,21 @@ def test_not_applicable_exactly_off_the_applicability_class():
         for p in primes_in(5, 60):
             v = evaluate_statement(sid, p)
             assert (v.outcome == NOT_APPLICABLE) == (not stmt.applies(p)), (sid, p)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    sid=st.sampled_from(sorted(REGISTRY)),
+    p=st.sampled_from(primes_in(5, 10**4)),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_random_cell_gives_verdict_or_typed_error(sid, p, seed):
+    """Any registered statement at any prime up to 10^4, on a fresh context,
+    gives a Verdict or raises a SupercongError subclass, never another
+    exception."""
+    try:
+        v = evaluate_statement(sid, p, seed=seed)
+    except SupercongError:
+        return
+    assert isinstance(v, Verdict)
+    assert v.outcome in {HOLDS, FAILS, NOT_APPLICABLE, SKIPPED}
