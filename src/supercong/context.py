@@ -233,15 +233,7 @@ class PrimeContext:
 
     def x_one_mod_4(self) -> int:
         """x with p = x^2 + 4y^2 and x = 1 (mod 4)."""
-        return quadform.normalize_x(self.rep(quadform.F4), "one_mod_4").x
-
-    @property
-    def sign_half(self) -> int:
-        return -1 if (self.p - 1) // 2 % 2 else 1
-
-    @property
-    def sign_quarter(self) -> int:
-        return -1 if (self.p - 1) // 4 % 2 else 1
+        return quadform.normalize_x(self.rep(quadform.F4)).x
 
     def legendre(self, a: int) -> int:
         return special.legendre(a, self.p)

@@ -165,13 +165,8 @@ def represent(p: int, form: str) -> QuadRep:
     return QuadRep(form, x, y, p)
 
 
-def normalize_x(rep: QuadRep, convention: str) -> QuadRep:
-    """Fix the sign of x: 'positive' takes |x|; 'one_mod_4' (F4 only) makes
-    x = 1 mod 4, always possible because x is odd there."""
-    if convention == "positive":
-        return rep if rep.x > 0 else QuadRep(rep.form, -rep.x, rep.y, rep.p)
-    if convention == "one_mod_4":
-        if rep.form != F4:
-            raise WrongForm("one_mod_4 applies to p = x^2 + 4y^2 only")
-        return rep if rep.x % 4 == 1 else QuadRep(rep.form, -rep.x, rep.y, rep.p)
-    raise ValueError(f"unknown convention {convention!r}")
+def normalize_x(rep: QuadRep) -> QuadRep:
+    """The F4 rep with x = 1 mod 4, always possible because x is odd there."""
+    if rep.form != F4:
+        raise WrongForm("x = 1 mod 4 applies to p = x^2 + 4y^2 only")
+    return rep if rep.x % 4 == 1 else QuadRep(rep.form, -rep.x, rep.y, rep.p)

@@ -16,12 +16,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache, partial
 from typing import Callable, Union
 
 from . import quadform
 from .binomials import B22, B31, B42, B63
 from .context import PrimeContext
 from .errors import ModulusTooHigh
+from .identities import PRODUCT_FORMS
 from .padic import residue_from_fraction
 from .quadform import F2, F3, F4, F7, F27
 from .sums import (
@@ -60,7 +62,6 @@ C2B42 = (B22, B22, B42)
 CB31 = (B22, B31)
 CB42 = (B22, B42)
 CB31B63 = (B22, B31, B63)
-B31B63 = (B31, B63)
 
 STATUSES = ("theorem", "lemma", "corollary", "cited", "conjecture")
 
@@ -496,7 +497,7 @@ def _rhs_l23a(ctx: PrimeContext, t: int) -> int:
     m = ctx.p**t
     xt = ctx.x_one_mod_4() % m
     val = _fr(ctx, Fr(-1, 2), t) * xt + _fr(ctx, Fr(1, 4), t) * ctx.p % m * pow(xt, -1, m)
-    return val * ctx.sign_quarter % m
+    return val * prefactor_sign(SIGN_QUARTER, ctx.p) % m
 
 
 _fixed(
@@ -829,7 +830,7 @@ def _rhs_s216(ctx: PrimeContext, t: int) -> int:
     m = ctx.p**t
     xt = ctx.x_one_mod_4() % m
     val = (2 * xt - ctx.p * pow(2 * xt % m, -1, m)) % m
-    return val * ctx.sign_quarter % m
+    return val * prefactor_sign(SIGN_QUARTER, ctx.p) % m
 
 
 _fixed(
@@ -1056,7 +1057,7 @@ _fixed(
 def _rhs_cj23(ctx: PrimeContext, t: int) -> int:
     p, m = ctx.p, ctx.p**t
     e = ctx.euler_number(p - 3)
-    val = ctx.sign_half * p - _fr(ctx, Fr(745, 447), t) * pow(p, 3, m) % m * e
+    val = prefactor_sign(SIGN_HALF, p) * p - _fr(ctx, Fr(745, 447), t) * pow(p, 3, m) % m * e
     return val % m
 
 
@@ -1662,23 +1663,71 @@ _fixed(
 # ==============================================================================
 # Parametric families over sampled p-adic parameters
 # ==============================================================================
+#
+# A theorem over a sampled a is a relation of aa = a(a+1) and of its sums at
+# a; each corollary is its theorem's relation at a fixed a of
+# identities.PRODUCT_FORMS.
+
+# S(mult=, base=, central=) -> T(weight, limit=FULL): one sample's sums at a
+Sums = Callable[..., Callable[..., int]]
+# (ctx, t, aa, x, S) -> the pairs a Check returns
+Relation = Callable[
+    [PrimeContext, int, Union[Fraction, int], int, Sums], "list[tuple[int, int]] | None"
+]
 
 
-def _jsum(
+def _sums(
     ctx: PrimeContext,
     t: int,
-    a: int,
+    a: Fraction | int,
     *,
-    weight: Weight = W_ONE,
-    limit: str = FULL,
     mult: int = 1,
     base: int | None = None,
     central: bool = False,
-) -> int:
-    return evaluate_jacobi_sum(
-        a, ctx.p, t, weight=weight, limit=limit, mult=mult, base=base,
-        central=central, ctx=ctx,
-    ).value
+) -> Callable[..., int]:
+    """T(weight, limit=FULL): the sums of one sample at a over one stream.
+
+    T is sum_k w(k) C(a,k) C(-1-a,k) [C(2k,k)] mult^k / base^k mod p^t, over
+    the theorem's range.  An integer a goes to evaluate_jacobi_sum.  At a
+    fixed a, C(a,k) C(-1-a,k) = prod(kinds at k) / b^k with (kinds, b) =
+    PRODUCT_FORMS[a], so T is a product sum at base b*base/mult.  At
+    a = -1/2 both binomials are C(2k,k)/(-4)^k, which p divides for
+    (p-1)/2 < k < p, so every sum stops at (p-1)/2 except the 1/(2k-1)^e
+    sums, whose pole term at 2k - 1 = p keeps them at p-1.
+    """
+    p = ctx.p
+    form = PRODUCT_FORMS.get(a)
+    if form is None:
+        return lambda weight, limit=FULL: evaluate_jacobi_sum(
+            a, p, t, weight=weight, limit=limit, mult=mult, base=base, central=central, ctx=ctx,
+        ).value
+    kinds, b = form
+    half = kinds == (B22, B22)  # a = -1/2
+    product = (B22, *kinds) if central else kinds
+    m = Fr(b * (base or 1), mult)
+
+    def T(weight: Weight, limit: str = FULL) -> int:
+        if half:
+            limit = FULL if weight.tag in ("inv_2k1", "inv_2k1_sq") else HALF
+        return evaluate_sum(SumSpec(product, m, weight, limit), p, t, ctx).value
+
+    return T
+
+
+def _theorem(rel: Relation) -> Check:
+    """The check of a theorem over sampled (a, x)."""
+
+    def check(ctx: PrimeContext, t: int, ps: tuple[int, ...]):
+        a, x = ps
+        return rel(ctx, t, a * (a + 1), x, partial(_sums, ctx, t, a))
+
+    return check
+
+
+def _corollary(rel: Relation, a: Fraction) -> Check:
+    """The check of a corollary over sampled x: its theorem's relation at a."""
+    aa = a * (a + 1)
+    return lambda ctx, t, ps: rel(ctx, t, aa, ps[0], partial(_sums, ctx, t, a))
 
 
 def _adm_none(p: int, ps: tuple[int, ...]) -> bool:
@@ -1711,10 +1760,8 @@ def _adm_a_m_wide(p: int, ps: tuple[int, ...]) -> bool:
 
 def _chk_pl22(ctx: PrimeContext, t: int, ps: tuple[int, ...]):
     a, tt = ps
-    m = ctx.p**t
-    s0 = _jsum(ctx, t, a, mult=-tt)
-    rhs = _jsum(ctx, t, a, mult=-tt * (tt + 1), central=True)
-    return [(s0 * s0 % m, rhs)]
+    s0 = _sums(ctx, t, a, mult=-tt)(W_ONE)
+    return [(s0 * s0 % ctx.p**t, _sums(ctx, t, a, mult=-tt * (tt + 1), central=True)(W_ONE))]
 
 
 _param(
@@ -1724,20 +1771,18 @@ _param(
 )
 
 
-def _chk_pt21(ctx: PrimeContext, t: int, ps: tuple[int, ...]):
-    a, tt = ps
+def _rel_t21(ctx: PrimeContext, t: int, aa: Fraction | int, tt: int, S: Sums):
     m = ctx.p**t
-    lhs = _jsum(ctx, t, a, weight=W_INV_K1, limit=FULL_MINUS_1,
-                mult=-tt * (tt + 1), central=True)
-    s0 = _jsum(ctx, t, a, mult=-tt)
-    s1 = _jsum(ctx, t, a, weight=W_K, mult=-tt)
-    c = _fr(ctx, Fr(tt + 1, a * (a + 1) * tt), t)
+    lhs = S(mult=-tt * (tt + 1), central=True)(W_INV_K1, FULL_MINUS_1)
+    T = S(mult=-tt)
+    s0, s1 = T(W_ONE), T(W_K)
+    c = _fr(ctx, Fr(tt + 1, tt * aa), t)
     return [(lhs, (s0 * s0 - c * s1 % m * s1) % m)]
 
 
 _param(
     "P-T2.1", "theorem", "a != 0, -1 and t(t+1) != 0 (mod p)", _is_odd, 2,
-    ("a", "t"), _adm_a_t, _chk_pt21,
+    ("a", "t"), _adm_a_t, _theorem(_rel_t21),
     "sum_{k=0..p-2} C(2k,k) C(a,k) C(-1-a,k) (-t(t+1))^k / (k+1) == "
     "S0^2 - (t+1)/(a(a+1)t) S1^2 (mod p^2), "
     "S_i = sum_{k=0..p-1} k^i C(a,k) C(-1-a,k) (-t)^k",
@@ -1747,9 +1792,9 @@ _param(
 def _chk_peq22(ctx: PrimeContext, t: int, ps: tuple[int, ...]):
     a, tt = ps
     m = ctx.p**t
-    s0 = _jsum(ctx, t, a, mult=-tt)
-    s1 = _jsum(ctx, t, a, weight=W_K, mult=-tt)
-    n1 = _jsum(ctx, t, a, weight=W_K, mult=-tt * (tt + 1), central=True)
+    T = _sums(ctx, t, a, mult=-tt)
+    s0, s1 = T(W_ONE), T(W_K)
+    n1 = _sums(ctx, t, a, mult=-tt * (tt + 1), central=True)(W_K)
     c = _fr(ctx, Fr(2 * tt + 1, tt + 1), t)
     return [(2 * s0 * s1 % m, c * n1 % m)]
 
@@ -1762,113 +1807,59 @@ _param(
 )
 
 
-def _chk_pt22(ctx: PrimeContext, t: int, ps: tuple[int, ...]):
-    a, tt = ps
+def _rel_t22(ctx: PrimeContext, t: int, aa: Fraction | int, tt: int, S: Sums):
     p, m = ctx.p, ctx.p**t
-    mult = -tt * (tt + 1)
-    d = _jsum(ctx, t, a, mult=mult, central=True)
+    T = S(mult=-tt * (tt + 1), central=True)
+    d = T(W_ONE)
     if d % p == 0:
         return None
-    n = _jsum(ctx, t, a, weight=W_K, mult=mult, central=True)
-    lhs = _jsum(ctx, t, a, weight=W_INV_K1, limit=FULL_MINUS_1, mult=mult, central=True)
-    c = _fr(ctx, Fr((2 * tt + 1) ** 2, 4 * a * (a + 1) * tt * (tt + 1)), t)
-    rhs = (d - c * n % m * n % m * pow(d, -1, m)) % m
-    return [(lhs, rhs)]
+    n = T(W_K)
+    lhs = T(W_INV_K1, FULL_MINUS_1)
+    c = _fr(ctx, Fr((2 * tt + 1) ** 2, 4 * tt * (tt + 1) * aa), t)
+    return [(lhs, (d - c * n % m * n % m * pow(d, -1, m)) % m)]
 
 
 _param(
     "P-T2.2", "theorem",
     "a != 0, -1 and t(t+1) != 0 (mod p); requires D a unit", _is_odd, 2,
-    ("a", "t"), _adm_a_t, _chk_pt22,
+    ("a", "t"), _adm_a_t, _theorem(_rel_t22),
     "sum_{k=0..p-2} C(2k,k) C(a,k) C(-1-a,k) (-t(t+1))^k / (k+1) == "
     "D - (2t+1)^2/(4a(a+1)t(t+1)) N^2/D (mod p^2), D and N the plain and "
     "k-weighted sums of C(2k,k) C(a,k) C(-1-a,k) (-t(t+1))^k over k=0..p-1",
 )
 
-
-def _chk_pc21(ctx: PrimeContext, t: int, ps: tuple[int, ...]):
-    (tt,) = ps
-    p, m = ctx.p, ctx.p**t
-    lhs = evaluate_sum(
-        SumSpec(C3, Fr(-16, tt * (tt + 1)), W_INV_K1, HALF), p, t, ctx
-    ).value
-    s0 = evaluate_sum(SumSpec(C2, Fr(-16, tt), W_ONE, HALF), p, t, ctx).value
-    s1 = evaluate_sum(SumSpec(C2, Fr(-16, tt), W_K, HALF), p, t, ctx).value
-    c = _fr(ctx, Fr(4 * (tt + 1), tt), t)
-    return [(lhs, (s0 * s0 + c * s1 % m * s1) % m)]
-
-
 _param(
     "P-C2.1", "corollary", "t(t+1) != 0 (mod p)", _is_odd, 2,
-    ("t",), _adm_t_unit, _chk_pc21,
+    ("t",), _adm_t_unit, _corollary(_rel_t21, Fr(-1, 2)),
     "sum_{k=0..(p-1)/2} C(2k,k)^3 (-t(t+1)/16)^k / (k+1) == "
     "S0^2 + 4(t+1)/t S1^2 (mod p^2), "
     "S_i = sum_{k=0..(p-1)/2} k^i C(2k,k)^2 (-t/16)^k",
 )
-
-
-def _pc2_pair(lprod: tuple[str, ...], rprod: tuple[str, ...], b: int, cnum: int, cden: int):
-    def chk(ctx: PrimeContext, t: int, ps: tuple[int, ...]):
-        (tt,) = ps
-        p, m = ctx.p, ctx.p**t
-        lhs = evaluate_sum(
-            SumSpec(lprod, Fr(-b, tt * (tt + 1)), W_INV_K1, FULL_MINUS_1), p, t, ctx
-        ).value
-        s0 = evaluate_sum(SumSpec(rprod, Fr(-b, tt), W_ONE, FULL), p, t, ctx).value
-        s1 = evaluate_sum(SumSpec(rprod, Fr(-b, tt), W_K, FULL), p, t, ctx).value
-        c = _fr(ctx, Fr(cnum * (tt + 1), cden * tt), t)
-        return [(lhs, (s0 * s0 + c * s1 % m * s1) % m)]
-
-    return chk
-
-
 _param(
     "P-C2.2", "corollary", "t(t+1) != 0 (mod p)", _gt3, 2,
-    ("t",), _adm_t_unit, _pc2_pair(C2B31, CB31, 27, 9, 2),
+    ("t",), _adm_t_unit, _corollary(_rel_t21, Fr(-1, 3)),
     "sum_{k=0..p-2} C(2k,k)^2 C(3k,k) (-t(t+1)/27)^k / (k+1) == "
     "S0^2 + 9(t+1)/(2t) S1^2 (mod p^2), "
     "S_i = sum_{k=0..p-1} k^i C(2k,k) C(3k,k) (-t/27)^k",
 )
 _param(
     "P-C2.3", "corollary", "t(t+1) != 0 (mod p)", _gt3, 2,
-    ("t",), _adm_t_unit, _pc2_pair(C2B42, CB42, 64, 16, 3),
+    ("t",), _adm_t_unit, _corollary(_rel_t21, Fr(-1, 4)),
     "sum_{k=0..p-2} C(2k,k)^2 C(4k,2k) (-t(t+1)/64)^k / (k+1) == "
     "S0^2 + 16(t+1)/(3t) S1^2 (mod p^2), "
     "S_i = sum_{k=0..p-1} k^i C(2k,k) C(4k,2k) (-t/64)^k",
 )
 _param(
     "P-C2.4", "corollary", "t(t+1) != 0 (mod p)", _gt5, 2,
-    ("t",), _adm_t_unit, _pc2_pair(CB31B63, B31B63, 432, 36, 5),
+    ("t",), _adm_t_unit, _corollary(_rel_t21, Fr(-1, 6)),
     "sum_{k=0..p-2} C(2k,k) C(3k,k) C(6k,3k) (-t(t+1)/432)^k / (k+1) == "
     "S0^2 + 36(t+1)/(5t) S1^2 (mod p^2), "
     "S_i = sum_{k=0..p-1} k^i C(3k,k) C(6k,3k) (-t/432)^k",
 )
-
-
-def _pc2_self(prod: tuple[str, ...], b: int, cnum: int, cden: int, half: bool):
-    lim_s = HALF if half else FULL
-    lim_l = HALF if half else FULL_MINUS_1
-
-    def chk(ctx: PrimeContext, t: int, ps: tuple[int, ...]):
-        (tt,) = ps
-        p, m = ctx.p, ctx.p**t
-        base = Fr(-b, tt * (tt + 1))
-        d = evaluate_sum(SumSpec(prod, base, W_ONE, lim_s), p, t, ctx).value
-        if d % p == 0:
-            return None
-        n = evaluate_sum(SumSpec(prod, base, W_K, lim_s), p, t, ctx).value
-        lhs = evaluate_sum(SumSpec(prod, base, W_INV_K1, lim_l), p, t, ctx).value
-        c = _fr(ctx, Fr(cnum * (2 * tt + 1) ** 2, cden * tt * (tt + 1)), t)
-        rhs = (d + c * n % m * n % m * pow(d, -1, m)) % m
-        return [(lhs, rhs)]
-
-    return chk
-
-
 _param(
     "P-C2.5", "corollary",
     "t(t+1) != 0 (mod p); requires D a unit", _is_odd, 2,
-    ("t",), _adm_t_unit, _pc2_self(C3, 16, 1, 1, True),
+    ("t",), _adm_t_unit, _corollary(_rel_t22, Fr(-1, 2)),
     "sum_{k=0..(p-1)/2} C(2k,k)^3 (-t(t+1)/16)^k / (k+1) == "
     "D + (2t+1)^2/(t(t+1)) N^2/D (mod p^2), D and N the plain and k-weighted "
     "half-range sums of C(2k,k)^3 (-t(t+1)/16)^k",
@@ -1876,7 +1867,7 @@ _param(
 _param(
     "P-C2.6", "corollary",
     "t(t+1) != 0 (mod p); requires D a unit", _gt3, 2,
-    ("t",), _adm_t_unit, _pc2_self(C2B31, 27, 9, 8, False),
+    ("t",), _adm_t_unit, _corollary(_rel_t22, Fr(-1, 3)),
     "sum_{k=0..p-2} C(2k,k)^2 C(3k,k) (-t(t+1)/27)^k / (k+1) == "
     "D + 9(2t+1)^2/(8t(t+1)) N^2/D (mod p^2), D and N the plain and "
     "k-weighted full-range sums of C(2k,k)^2 C(3k,k) (-t(t+1)/27)^k",
@@ -1884,7 +1875,7 @@ _param(
 _param(
     "P-C2.7", "corollary",
     "t(t+1) != 0 (mod p); requires D a unit", _gt3, 2,
-    ("t",), _adm_t_unit, _pc2_self(C2B42, 64, 4, 3, False),
+    ("t",), _adm_t_unit, _corollary(_rel_t22, Fr(-1, 4)),
     "sum_{k=0..p-2} C(2k,k)^2 C(4k,2k) (-t(t+1)/64)^k / (k+1) == "
     "D + 4(2t+1)^2/(3t(t+1)) N^2/D (mod p^2), D and N the plain and "
     "k-weighted full-range sums of C(2k,k)^2 C(4k,2k) (-t(t+1)/64)^k",
@@ -1892,38 +1883,39 @@ _param(
 _param(
     "P-C2.8", "corollary",
     "t(t+1) != 0 (mod p); requires D a unit", _gt5, 2,
-    ("t",), _adm_t_unit, _pc2_self(CB31B63, 432, 9, 5, False),
+    ("t",), _adm_t_unit, _corollary(_rel_t22, Fr(-1, 6)),
     "sum_{k=0..p-2} C(2k,k) C(3k,k) C(6k,3k) (-t(t+1)/432)^k / (k+1) == "
     "D + 9(2t+1)^2/(5t(t+1)) N^2/D (mod p^2), D and N the plain and "
     "k-weighted full-range sums of C(2k,k) C(3k,k) C(6k,3k) (-t(t+1)/432)^k",
 )
 
 
+def _t31(ctx: PrimeContext, t: int, aa: Fraction | int, mm: int, T: Callable[..., int]):
+    """The first and third congruences of P-T3.1 over its sums T, the two P-C3.1 states."""
+    p, m = ctx.p, ctx.p**t
+    s, sk, sk2, sinv = T(W_ONE), T(W_K), T(W_K2), T(W_INV_K1, FULL_MINUS_1)
+    A = _fr(ctx, aa, t)
+    pairs = [(_fr(ctx, Fr(mm - 4, 2), t) * sk2 % m, (sk - 2 * A * s + A * sinv) % m)]
+    if (mm - 4) % p:
+        rhs = ((2 - 4 * A) * (mm - 4) + 12) * sk - 2 * A * (mm + 8) * s + 12 * A * sinv
+        pairs.append((T(W_K3), rhs % m * _fr(ctx, Fr(1, (mm - 4) ** 2), t) % m))
+    return pairs
+
+
+def _rel_t31(ctx: PrimeContext, t: int, aa: Fraction | int, mm: int, S: Sums):
+    return _t31(ctx, t, aa, mm, S(base=mm, central=True))
+
+
 def _chk_pt31(ctx: PrimeContext, t: int, ps: tuple[int, ...]):
     a, mm = ps
-    p, m = ctx.p, ctx.p**t
-
-    def js(w: Weight, lim: str = FULL) -> int:
-        return _jsum(ctx, t, a, weight=w, limit=lim, base=mm, central=True)
-
-    s = js(W_ONE)
-    sk = js(W_K)
-    sk2 = js(W_K2)
-    sk3 = js(W_K3)
-    sinv = js(W_INV_K1, FULL_MINUS_1)
-    aa = a * (a + 1)
-    half_m4 = _fr(ctx, Fr(mm - 4, 2), t)
-    pairs = [
-        (half_m4 * sk2 % m, (sk - 2 * aa % m * s % m + aa % m * sinv) % m),
-        (half_m4 * sk3 % m,
-         (3 * sk2 - (2 * aa - 1) % m * sk % m - aa % m * s % m) % m),
-    ]
-    if (mm - 4) % p:
-        den = (mm - 4) ** 2
-        c1 = _fr(ctx, Fr((2 - 4 * aa) * (mm - 4) + 12, den), t)
-        c2 = _fr(ctx, Fr(-2 * aa * (mm + 8), den), t)
-        c3 = _fr(ctx, Fr(12 * aa, den), t)
-        pairs.append((sk3, (c1 * sk % m + c2 * s % m + c3 * sinv) % m))
+    aa, m = a * (a + 1), ctx.p**t
+    # the second congruence reads T_0..T_3 again; the cache evaluates each once
+    T = cache(_sums(ctx, t, a, base=mm, central=True))
+    pairs = _t31(ctx, t, aa, mm, T)
+    pairs.insert(1, (
+        _fr(ctx, Fr(mm - 4, 2), t) * T(W_K3) % m,
+        (3 * T(W_K2) - (2 * aa - 1) * T(W_K) - aa * T(W_ONE)) % m,
+    ))
     return pairs
 
 
@@ -1937,39 +1929,9 @@ _param(
     "T_3 == ((2-4a(a+1))(m-4)+12)/(m-4)^2 T_1 - 2a(a+1)(m+8)/(m-4)^2 T_0 "
     "+ 12a(a+1)/(m-4)^2 V (mod p^3)",
 )
-
-
-def _chk_pc31(ctx: PrimeContext, t: int, ps: tuple[int, ...]):
-    (mm,) = ps
-    p, m = ctx.p, ctx.p**t
-
-    def cs(w: Weight) -> int:
-        return evaluate_sum(SumSpec(C3, Fr(16 * mm), w, HALF), p, t, ctx).value
-
-    s = cs(W_ONE)
-    sk = cs(W_K)
-    sk2 = cs(W_K2)
-    sinv = cs(W_INV_K1)
-    half_m4 = _fr(ctx, Fr(mm - 4, 2), t)
-    pairs = [
-        (half_m4 * sk2 % m,
-         (sk + _fr(ctx, Fr(1, 2), t) * s % m - _fr(ctx, Fr(1, 4), t) * sinv) % m)
-    ]
-    if (mm - 4) % p:
-        sk3 = cs(W_K3)
-        den = (mm - 4) ** 2
-        pairs.append(
-            (sk3,
-             (_fr(ctx, Fr(3 * mm, den), t) * sk % m
-              + _fr(ctx, Fr(mm + 8, 2 * den), t) * s % m
-              - _fr(ctx, Fr(3, den), t) * sinv) % m)
-        )
-    return pairs
-
-
 _param(
     "P-C3.1", "corollary", "m != 0 (mod p)", _is_odd, 3,
-    ("m",), _adm_m_unit, _chk_pc31,
+    ("m",), _adm_m_unit, _corollary(_rel_t31, Fr(-1, 2)),
     "with T_i = sum_{k=0..(p-1)/2} k^i C(2k,k)^3 / (16m)^k and "
     "V the 1/(k+1)-weighted half-range sum: "
     "(m-4)/2 T_2 == T_1 + T_0/2 - V/4, and for m != 4: "
@@ -1977,108 +1939,51 @@ _param(
 )
 
 
-def _chk_pt41(ctx: PrimeContext, t: int, ps: tuple[int, ...]):
-    a, mm = ps
-    p, m = ctx.p, ctx.p**t
-
-    def js(w: Weight, lim: str = FULL) -> int:
-        return _jsum(ctx, t, a, weight=w, limit=lim, base=mm, central=True)
-
-    s = js(W_ONE)
-    sk = js(W_K)
-    sinv = js(W_INV_K1, FULL_MINUS_1)
-    sinv2 = js(W_INV_K1_SQ, FULL_MINUS_1)
-    sinv3 = js(W_INV_K1_CU, FULL_MINUS_1)
-    aa = a * (a + 1)
-    lhs1 = 2 * aa % m * sinv2 % m
-    rhs1 = ((mm - 4) % m * sk % m + 2 * s + (4 * aa - 2) % m * sinv) % m
-    lhs2 = 2 * aa % m * sinv3 % m
-    ck = _fr(ctx, 2 * mm - 8 - Fr(mm - 4, aa), t)
-    cs_ = _fr(ctx, mm - Fr(2, aa), t)
-    ci = _fr(ctx, 8 * aa - 2 + Fr(2, aa), t)
-    rhs2 = (-mm + ck * sk % m + cs_ * s % m + ci * sinv) % m
-    return [(lhs1, rhs1), (lhs2, rhs2)]
+def _rel_t41(ctx: PrimeContext, t: int, aa: Fraction | int, mm: int, S: Sums):
+    m = ctx.p**t
+    T = S(base=mm, central=True)
+    s, sk = T(W_ONE), T(W_K)
+    sinv, sinv2, sinv3 = (T(w, FULL_MINUS_1) for w in (W_INV_K1, W_INV_K1_SQ, W_INV_K1_CU))
+    A, B = _fr(ctx, aa, t), _fr(ctx, Fr(1, aa), t)
+    rhs1 = (mm - 4) * sk + 2 * s + (4 * A - 2) * sinv
+    rhs2 = -mm + (2 * mm - 8 - (mm - 4) * B) * sk + (mm - 2 * B) * s + (8 * A - 2 + 2 * B) * sinv
+    return [(2 * A * sinv2 % m, rhs1 % m), (2 * A * sinv3 % m, rhs2 % m)]
 
 
 _param(
     "P-T4.1", "theorem", "a != 0, -1 and m != 0 (mod p)", _is_odd, 3,
-    ("a", "m"), _adm_a_m, _chk_pt41,
+    ("a", "m"), _adm_a_m, _theorem(_rel_t41),
     "with T_i and V_e = sum_{k=0..p-2} C(2k,k) C(a,k) C(-1-a,k)/(m^k (k+1)^e): "
     "2a(a+1) V_2 == (m-4) T_1 + 2 T_0 + (4a(a+1)-2) V_1 and "
     "2a(a+1) V_3 == -m + (2m-8-(m-4)/(a(a+1))) T_1 + (m-2/(a(a+1))) T_0 "
     "+ (8a(a+1)-2+2/(a(a+1))) V_1 (mod p^3)",
 )
-
-
-def _chk_pc41(ctx: PrimeContext, t: int, ps: tuple[int, ...]):
-    (mm,) = ps
-    p, m = ctx.p, ctx.p**t
-
-    def cs(w: Weight) -> int:
-        return evaluate_sum(SumSpec(C3, Fr(16 * mm), w, HALF), p, t, ctx).value
-
-    s = cs(W_ONE)
-    sk = cs(W_K)
-    sinv = cs(W_INV_K1)
-    sinv2 = cs(W_INV_K1_SQ)
-    sinv3 = cs(W_INV_K1_CU)
-    rhs1 = ((8 - 2 * mm) % m * sk % m - 4 * s + 6 * sinv) % m
-    rhs2 = (2 * mm - 12 * (mm - 4) % m * sk % m
-            - 2 * (mm + 8) % m * s % m + 24 * sinv) % m
-    return [(sinv2, rhs1), (sinv3, rhs2)]
-
-
 _param(
     "P-C4.1", "corollary", "m != 0 (mod p)", _is_odd, 3,
-    ("m",), _adm_m_unit, _chk_pc41,
+    ("m",), _adm_m_unit, _corollary(_rel_t41, Fr(-1, 2)),
     "with half-range T_i and V_e = sum C(2k,k)^3/((16m)^k (k+1)^e): "
     "V_2 == (8-2m) T_1 - 4 T_0 + 6 V_1 and "
     "V_3 == 2m - 12(m-4) T_1 - 2(m+8) T_0 + 24 V_1 (mod p^3)",
 )
 
 
-def _chk_pt51(ctx: PrimeContext, t: int, ps: tuple[int, ...]):
-    a, mm = ps
-    m = ctx.p**t
-
-    def js(w: Weight, lim: str = FULL) -> int:
-        return _jsum(ctx, t, a, weight=w, limit=lim, base=mm, central=True)
-
-    lhs = js(W_INV_2K1)
-    s = js(W_ONE)
-    sk = js(W_K)
-    sinv = js(W_INV_K1, FULL_MINUS_1)
-    c1 = _fr(ctx, Fr(8, mm) - 2, t)
-    c3 = _fr(ctx, Fr(8 * a * (a + 1), mm), t)
-    return [(lhs, (c1 * sk % m - s - c3 * sinv % m) % m)]
+def _rel_t51(ctx: PrimeContext, t: int, aa: Fraction | int, mm: int, S: Sums):
+    T = S(base=mm, central=True)
+    lhs, s, sk, sinv = T(W_INV_2K1), T(W_ONE), T(W_K), T(W_INV_K1, FULL_MINUS_1)
+    inv = _fr(ctx, Fr(1, mm), t)
+    return [(lhs, ((8 * inv - 2) * sk - s - 8 * _fr(ctx, aa, t) * inv * sinv) % ctx.p**t)]
 
 
 _param(
     "P-T5.1", "theorem", "a != 0, -1 and m != 0 (mod p)", _is_odd, 3,
-    ("a", "m"), _adm_a_m, _chk_pt51,
+    ("a", "m"), _adm_a_m, _theorem(_rel_t51),
     "sum_{k=0..p-1} C(2k,k) C(a,k) C(-1-a,k)/(m^k (2k-1)) == "
     "(8/m - 2) T_1 - T_0 - 8a(a+1)/m V_1 (mod p^3), with T_i the k^i-weighted "
     "full-range sums and V_1 the 1/(k+1)-weighted sum over k=0..p-2",
 )
-
-
-def _chk_pc51(ctx: PrimeContext, t: int, ps: tuple[int, ...]):
-    (mm,) = ps
-    p, m = ctx.p, ctx.p**t
-    lhs = evaluate_sum(SumSpec(C3, Fr(16 * mm), W_INV_2K1, FULL), p, t, ctx).value
-
-    def cs(w: Weight) -> int:
-        return evaluate_sum(SumSpec(C3, Fr(16 * mm), w, HALF), p, t, ctx).value
-
-    c1 = _fr(ctx, Fr(8, mm) - 2, t)
-    c3 = _fr(ctx, Fr(2, mm), t)
-    rhs = (c1 * cs(W_K) % m - cs(W_ONE) + c3 * cs(W_INV_K1) % m) % m
-    return [(lhs, rhs)]
-
-
 _param(
     "P-C5.1", "corollary", "m != 0 (mod p)", _is_odd, 3,
-    ("m",), _adm_m_unit, _chk_pc51,
+    ("m",), _adm_m_unit, _corollary(_rel_t51, Fr(-1, 2)),
     "sum_{k=0..p-1} C(2k,k)^3/((16m)^k (2k-1)) == (8/m - 2) T_1 - T_0 "
     "+ (2/m) V_1 (mod p^3), with T_i, V_1 the half-range k^i- and "
     "1/(k+1)-weighted sums of C(2k,k)^3/(16m)^k",
@@ -2087,17 +1992,12 @@ _param(
 
 def _chk_pt52(ctx: PrimeContext, t: int, ps: tuple[int, ...]):
     (mm,) = ps
-    p, m = ctx.p, ctx.p**t
-    lhs = evaluate_sum(SumSpec(C3, Fr(16 * mm), W_INV_2K1_SQ, FULL), p, t, ctx).value
-
-    def cs(w: Weight) -> int:
-        return evaluate_sum(SumSpec(C3, Fr(16 * mm), w, HALF), p, t, ctx).value
-
+    T = _sums(ctx, t, Fr(-1, 2), base=mm, central=True)
+    lhs = T(W_INV_2K1_SQ)
     c1 = _fr(ctx, 4 - Fr(16, mm), t)
     c2 = _fr(ctx, 1 + Fr(4, mm), t)
     c3 = _fr(ctx, Fr(6, mm), t)
-    rhs = (c1 * cs(W_K) % m + c2 * cs(W_ONE) % m - c3 * cs(W_INV_K1) % m) % m
-    return [(lhs, rhs)]
+    return [(lhs, (c1 * T(W_K) + c2 * T(W_ONE) - c3 * T(W_INV_K1)) % ctx.p**t)]
 
 
 _param(
@@ -2109,51 +2009,25 @@ _param(
 )
 
 
-def _chk_pt61(ctx: PrimeContext, t: int, ps: tuple[int, ...]):
-    a, mm = ps
+def _rel_t61(ctx: PrimeContext, t: int, aa: Fraction | int, mm: int, S: Sums):
     m = ctx.p**t
-
-    def js(w: Weight, lim: str = FULL) -> int:
-        return _jsum(ctx, t, a, weight=w, limit=lim, base=mm, central=True)
-
-    lhs = js(W_INV_K2, FULL_MINUS_2)
-    s = js(W_ONE)
-    sk = js(W_K)
-    sinv = js(W_INV_K1, FULL_MINUS_1)
-    den = 6 * (a - 1) * (a + 2)
-    c1 = _fr(ctx, Fr(4 - mm, den), t)
-    c2 = _fr(ctx, Fr(mm - 6, den), t)
-    c3 = _fr(ctx, Fr(2 * a * (a + 1) - mm, den), t)
-    return [(lhs, (c1 * sk % m + c2 * s % m + c3 * sinv) % m)]
+    T = S(base=mm, central=True)
+    lhs, s, sk, sinv = T(W_INV_K2, FULL_MINUS_2), T(W_ONE), T(W_K), T(W_INV_K1, FULL_MINUS_1)
+    rhs = (4 - mm) * sk + (mm - 6) * s + (2 * _fr(ctx, aa, t) - mm) * sinv
+    # all over 6(a-1)(a+2) = 6(aa-2)
+    return [(lhs, rhs % m * _fr(ctx, Fr(1, 6 * (aa - 2)), t) % m)]
 
 
 _param(
     "P-T6.1", "theorem", "a != 0, 1, -1, -2 and m != 0 (mod p)", _gt3, 3,
-    ("a", "m"), _adm_a_m_wide, _chk_pt61,
+    ("a", "m"), _adm_a_m_wide, _theorem(_rel_t61),
     "sum_{k=0..p-3} C(2k,k) C(a,k) C(-1-a,k)/(m^k (k+2)) == "
     "(4-m)/(6(a-1)(a+2)) T_1 + (m-6)/(6(a-1)(a+2)) T_0 "
     "+ (2a(a+1)-m)/(6(a-1)(a+2)) V_1 (mod p^3)",
 )
-
-
-def _chk_pc61(ctx: PrimeContext, t: int, ps: tuple[int, ...]):
-    (mm,) = ps
-    p, m = ctx.p, ctx.p**t
-
-    def cs(w: Weight) -> int:
-        return evaluate_sum(SumSpec(C3, Fr(16 * mm), w, HALF), p, t, ctx).value
-
-    lhs = cs(W_INV_K2)
-    c1 = _fr(ctx, Fr(2 * mm - 8, 27), t)
-    c2 = _fr(ctx, Fr(2 * mm - 12, 27), t)
-    c3 = _fr(ctx, Fr(2 * mm + 1, 27), t)
-    rhs = (c1 * cs(W_K) % m - c2 * cs(W_ONE) % m + c3 * cs(W_INV_K1) % m) % m
-    return [(lhs, rhs)]
-
-
 _param(
     "P-C6.1", "corollary", "m != 0 (mod p)", _gt3, 3,
-    ("m",), _adm_m_unit, _chk_pc61,
+    ("m",), _adm_m_unit, _corollary(_rel_t61, Fr(-1, 2)),
     "sum_{k=0..(p-1)/2} C(2k,k)^3/((16m)^k (k+2)) == (2m-8)/27 T_1 "
     "- (2m-12)/27 T_0 + (2m+1)/27 V_1 (mod p^3), with T_i, V_1 the "
     "half-range k^i- and 1/(k+1)-weighted sums of C(2k,k)^3/(16m)^k",

@@ -52,6 +52,12 @@ def _row_status(row: ReportRow) -> str:
     return stmt.status if stmt is not None else "unknown"
 
 
+def gates(row: ReportRow, strict_conjectures: bool = False) -> bool:
+    """Whether a row fails the run: a Fails row gates unless its statement
+    is a conjecture and strict_conjectures is off; an unknown id gates."""
+    return row.outcome == "Fails" and (strict_conjectures or _row_status(row) != "conjecture")
+
+
 @dataclass
 class VerificationReport:
     """Results of a prime-range run plus its metadata."""
@@ -84,14 +90,7 @@ class VerificationReport:
         Conjecture failures are reported but excluded unless
         strict_conjectures is set.
         """
-        out = []
-        for row in self.rows:
-            if row.outcome != "Fails":
-                continue
-            if _row_status(row) == "conjecture" and not strict_conjectures:
-                continue
-            out.append(row)
-        return out
+        return [row for row in self.rows if gates(row, strict_conjectures)]
 
     def to_json(self) -> str:
         doc = {

@@ -6,6 +6,7 @@ import fnmatch
 import hashlib
 import random
 import time
+from contextlib import nullcontext
 from dataclasses import dataclass
 from multiprocessing import Pool
 from typing import Iterable, Sequence
@@ -13,7 +14,7 @@ from typing import Iterable, Sequence
 from .context import PrimeContext, context_for
 from .errors import SupercongError, UnknownStatement
 from .registry import REGISTRY, STATUSES, Fixed, Parametric, Statement, statement_modexp
-from .report import ReportRow, VerificationReport
+from .report import ReportRow, VerificationReport, gates
 
 HOLDS = "Holds"
 FAILS = "Fails"
@@ -182,13 +183,6 @@ def _run_prime(args: tuple[int, tuple[str, ...], int]) -> list[ReportRow]:
     return rows
 
 
-def _is_gating_fail(row: ReportRow) -> bool:
-    if row.outcome != FAILS:
-        return False
-    stmt = REGISTRY.get(row.sid)
-    return stmt is None or stmt.status != "conjecture"
-
-
 def run_range(
     p_lo: int,
     p_hi: int,
@@ -211,18 +205,12 @@ def run_range(
     rows: list[ReportRow] = []
     if sids:
         work = [(p, sids, seed) for p in primes_in(p_lo, p_hi)]
-        if jobs > 1 and len(work) > 1:
-            with Pool(processes=min(jobs, len(work))) as pool:
-                for batch in pool.imap(_run_prime, work):
-                    rows.extend(batch)
-                    if fail_fast and any(_is_gating_fail(r) for r in batch):
-                        pool.terminate()
-                        break
-        else:
-            for item in work:
-                batch = _run_prime(item)
+        pooled = jobs > 1 and len(work) > 1
+        # leaving the with block terminates the pool, fail-fast included
+        with Pool(min(jobs, len(work))) if pooled else nullcontext() as pool:
+            for batch in pool.imap(_run_prime, work) if pooled else map(_run_prime, work):
                 rows.extend(batch)
-                if fail_fast and any(_is_gating_fail(r) for r in batch):
+                if fail_fast and any(map(gates, batch)):
                     break
     rows.sort(key=lambda r: (r.p, r.sid))
     from . import __version__

@@ -12,7 +12,6 @@ from supercong.quadform import (
     F7,
     F27,
     FORMS,
-    QuadRep,
     applicable,
     is_prime,
     normalize_x,
@@ -98,20 +97,12 @@ def test_known_small_representations():
 def test_normalize_x_one_mod_4():
     for p in (13, 17, 29, 37, 41, 53):
         rep = represent(p, F4)
-        fixed = normalize_x(rep, "one_mod_4")
+        fixed = normalize_x(rep)
         assert fixed.x % 4 == 1
         assert fixed.x**2 + 4 * fixed.y**2 == p
-        assert normalize_x(fixed, "one_mod_4") == fixed  # idempotent
+        assert normalize_x(fixed) == fixed  # idempotent
     with pytest.raises(WrongForm):
-        normalize_x(represent(11, F2), "one_mod_4")
-
-
-def test_normalize_x_positive():
-    rep = QuadRep(F4, -3, 1, 13)
-    fixed = normalize_x(rep, "positive")
-    assert fixed.x == 3 and normalize_x(fixed, "positive") == fixed
-    with pytest.raises(ValueError):
-        normalize_x(rep, "sideways")
+        normalize_x(represent(11, F2))
 
 
 def test_sqrt_mod():

@@ -1,12 +1,13 @@
 """Statement registry and verification engine behaviour."""
 
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from supercong import quadform
+from supercong import quadform, registry, sums
 from supercong.context import PrimeContext
 from supercong.errors import SupercongError, UnknownStatement
 from supercong.registry import (
@@ -20,6 +21,7 @@ from supercong.registry import (
     _rmix,
     _sum_lhs,
     statement_modexp,
+    sum_text,
 )
 from supercong.report import VerificationReport
 from supercong.sums import HALF, SumSpec, linear_weight
@@ -202,6 +204,8 @@ class TestRunRange:
             assert {row.outcome for row in fails} == {FAILS}
             fast = run_range(5, 30, ids=[sid, "T2.7"], fail_fast=True)
             assert {row.p for row in fast.rows} == {5}
+            pooled = run_range(5, 30, ids=[sid, "T2.7"], fail_fast=True, jobs=2)
+            assert pooled.rows == fast.rows
         finally:
             del REGISTRY[sid]
 
@@ -253,6 +257,47 @@ class TestRunRange:
             assert [row.sid for row in r.failures(strict_conjectures=True)] == [sid, sid]
         finally:
             del REGISTRY[sid]
+
+
+# Sample 0 of seed 0 at p = 101, except where adding 1 to a sum makes the
+# tuple fail its unit hypothesis: at P-C2.5's sample 0, D + 1 = 0 (mod 101).
+_PERTURBED_SAMPLE = {"P-C2.5": 1}
+
+
+@pytest.mark.parametrize("sid", [s for s, st in REGISTRY.items() if isinstance(st, Parametric)])
+def test_parametric_check_depends_on_every_sum(sid, monkeypatch):
+    """A parametric check returns pairs that hold, and adding 1 to any one
+    of the sums it requests makes some pair differ, so no check compares a
+    sum with itself or drops one it evaluates.  Every product sum it
+    requests is over a product its claim names."""
+    stmt, p = REGISTRY[sid], 101
+    params = draw_params(stmt, p, 0, _PERTURBED_SAMPLE.get(sid, 0))
+    t = statement_modexp(stmt, p)
+    ctx = PrimeContext(p, t)
+    calls = []
+
+    def perturbed(fn, off):
+        def wrapped(*args, **kwargs):
+            r = fn(*args, **kwargs)
+            calls.append(args[0])
+            return replace(r, value=r.value + 1) if len(calls) - 1 == off else r
+
+        return wrapped
+
+    def check(off):
+        calls.clear()
+        for name in ("evaluate_sum", "evaluate_jacobi_sum"):
+            monkeypatch.setattr(registry, name, perturbed(getattr(sums, name), off))
+        return stmt.check(ctx, t, params)
+
+    pairs = check(None)
+    assert calls and pairs and all(lhs == rhs for lhs, rhs in pairs)
+    for spec in calls:
+        if isinstance(spec, SumSpec):  # "sum_{k=0..(p-1)/2} C(2k,k)^3" -> "C(2k,k)^3"
+            assert sum_text(SumSpec(spec.product, Fraction(1))).split(" ", 1)[1] in stmt.claim
+    for off in range(len(calls)):
+        pairs = check(off)
+        assert pairs is not None and any(lhs != rhs for lhs, rhs in pairs), off
 
 
 def test_applicability_never_requests_missing_representations():
