@@ -105,17 +105,7 @@ def stream_arrays(kind: str, p: int, workexp: int) -> tuple[list[int], list[int]
         vs[k + 1] = v
         cum_num[k + 1] = num_acc
         cum_den[k + 1] = den_acc
-    # Invert the last cumulative denominator, then walk back through the
-    # same ratio factors to recover every inverse with one pow total.
-    us = [0] * p
-    inv = pow(cum_den[p - 1], -1, P)
-    for k in range(p - 1, -1, -1):
-        us[k] = cum_num[k] * inv % P
-        if k > 0:
-            _, dens = ratio(k - 1)
-            for f in dens:
-                _, fu = strip_p(f, p)
-                inv = inv * fu % P
+    us = [n * d % P for n, d in zip(cum_num, batch_invert(cum_den, P))]
     return vs, us
 
 

@@ -37,7 +37,7 @@ from typing import Callable, Hashable, TypeVar
 
 from . import quadform, special
 from .binomials import batch_invert, binomial_mod, jacobi_stream_arrays, stream_arrays
-from .errors import NotRepresentable
+from .errors import DenominatorNotUnit, NotRepresentable
 
 #: Entries kept by the bounded per-sample caches.
 JACOBI_CACHE = 4
@@ -250,8 +250,16 @@ class PrimeContext:
         return special.fermat_quotient(b, self.p, t).value
 
     def binom(self, n: int, k: int, t: int) -> int:
-        """C(n,k) mod p^t for the p-unit binomials in right-hand sides."""
-        return binomial_mod(n, k, self.p, t)
+        """C(n,k) mod p^t for the p-unit binomials in right-hand sides.
+
+        Raises DenominatorNotUnit when p divides C(n,k): a closed form may
+        divide by this residue, and dividing by a non-unit residue would
+        cancel p silently.
+        """
+        b = binomial_mod(n, k, self.p, t)
+        if b % self.p == 0:
+            raise DenominatorNotUnit(f"C({n},{k}) is divisible by {self.p}")
+        return b
 
     def euler_number(self, n: int) -> int:
         return special.euler_numbers_mod(n, self.p)

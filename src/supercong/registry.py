@@ -10,13 +10,25 @@ Right-hand sides are built from quadratic-form representations of the
 prime (p = x^2 + 4y^2, x^2 + 2y^2, x^2 + 3y^2, x^2 + 7y^2, 4p = x^2 +
 27y^2), a handful of distinguished central binomial coefficients, Fermat
 quotients, and Euler-number tails.
+
+Each fixed right-hand side is a closed form: a function of (ctx, t) that
+returns its exact value as a Fraction or an int, written as the paper
+writes it, e.g. Fr(3 * p - 4 * x * x, 5).  Its leaves are exact integers
+or residues known to p^t or better (R1/R3, 2^(p-1), binomials, Euler and
+U numbers).
+``_fixed`` and ``_fixed_custom`` reduce it once, mod p^t, with ``_fr``,
+which is also the one place that raises DenominatorNotUnit.  The unit
+invariant that keeps this exact: a closed form divides only by exact
+integers or by ``ctx.binom`` values, and ``ctx.binom`` raises
+DenominatorNotUnit when p divides the binomial, so no division by a
+residue can cancel a factor p unseen.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, partial
+from functools import partial
 from typing import Callable, Union
 
 from . import quadform
@@ -68,6 +80,8 @@ STATUSES = ("theorem", "lemma", "corollary", "cited", "conjecture")
 Applies = Callable[[int], bool]
 ModExp = Union[int, Callable[[int], int]]
 Side = Callable[[PrimeContext, int], int]
+# A closed form: the exact value of a side at (ctx, t), reduced by _reduced
+Value = Callable[[PrimeContext, int], Union[Fraction, int]]
 Check = Callable[[PrimeContext, int, tuple[int, ...]], "list[tuple[int, int]] | None"]
 
 
@@ -170,6 +184,11 @@ def _fr(ctx: PrimeContext, q: Fraction | int, t: int) -> int:
     return residue_from_fraction(q, ctx.p, t).value
 
 
+def _reduced(value: Value) -> Side:
+    """The side that reduces a closed form's exact value once, mod p^t."""
+    return lambda ctx, t: _fr(ctx, value(ctx, t), t)
+
+
 def _sum_lhs(spec: SumSpec) -> Side:
     def lhs(ctx: PrimeContext, t: int) -> int:
         return evaluate_sum(spec, ctx.p, t, ctx).value
@@ -185,27 +204,26 @@ def _xyq(
     cpp: Fraction | int = 0,
     c0: Fraction | int = 0,
     c0_sign: str = NONE,
-) -> Side:
+) -> Value:
     """csq*s + cp*p + c0*sign + cpp*p^2/s with s = x^2 or y^2 over form."""
 
-    def rhs(ctx: PrimeContext, t: int) -> int:
-        m = ctx.p**t
+    def rhs(ctx: PrimeContext, t: int) -> Fraction | int:
         x, y = ctx.xy(form)
         s = x * x if on == "x" else y * y
-        val = _fr(ctx, csq, t) * s + _fr(ctx, cp, t) * ctx.p
+        val = csq * s + cp * ctx.p
         if c0:
-            val += _fr(ctx, c0, t) * prefactor_sign(c0_sign, ctx.p)
+            val += c0 * prefactor_sign(c0_sign, ctx.p)
         if cpp:
-            val += _fr(ctx, cpp, t) * ctx.p % m * ctx.p % m * pow(s % m, -1, m)
-        return val % m
+            val += cpp * Fr(ctx.p**2, s)
+        return val
 
     return rhs
 
 
-def _split(form: str, main: Side, other: Side) -> Side:
+def _split(form: str, main: Value, other: Value) -> Value:
     """main when p is represented by form, other on the complement class."""
 
-    def rhs(ctx: PrimeContext, t: int) -> int:
+    def rhs(ctx: PrimeContext, t: int) -> Fraction | int:
         if quadform.applicable(ctx.p, form):
             return main(ctx, t)
         return other(ctx, t)
@@ -213,18 +231,12 @@ def _split(form: str, main: Side, other: Side) -> Side:
     return rhs
 
 
-def _const(cp: Fraction | int = 0, c0: Fraction | int = 0) -> Side:
-    def rhs(ctx: PrimeContext, t: int) -> int:
-        return (_fr(ctx, cp, t) * ctx.p + _fr(ctx, c0, t)) % ctx.p**t
-
-    return rhs
+def _const(cp: Fraction | int = 0, c0: Fraction | int = 0) -> Value:
+    return lambda ctx, t: cp * ctx.p + c0
 
 
-def _signed_p(c: Fraction | int, sign: str) -> Side:
-    def rhs(ctx: PrimeContext, t: int) -> int:
-        return _fr(ctx, c, t) * ctx.p * prefactor_sign(sign, ctx.p) % ctx.p**t
-
-    return rhs
+def _signed_p(c: Fraction | int, sign: str) -> Value:
+    return lambda ctx, t: c * ctx.p * prefactor_sign(sign, ctx.p)
 
 
 def _rmix(
@@ -232,15 +244,14 @@ def _rmix(
     cr: Fraction | int,
     cp: Fraction | int = 0,
     c0: Fraction | int = 0,
-) -> Side:
+) -> Value:
     """cr*R + cp*p + c0 where R is the R1 or R3 constant (known mod p^2)."""
 
-    def rhs(ctx: PrimeContext, t: int) -> int:
+    def rhs(ctx: PrimeContext, t: int) -> Fraction | int:
         if t > 2:
             raise ModulusTooHigh(f"R1/R3 right-hand sides are known mod p^2 only, not mod p^{t}")
-        m = ctx.p**t
-        r = (ctx.r1() if which == "r1" else ctx.r3()) % m
-        return (_fr(ctx, cr, t) * r + _fr(ctx, cp, t) * ctx.p + _fr(ctx, c0, t)) % m
+        r = ctx.r1() if which == "r1" else ctx.r3()
+        return cr * r + cp * ctx.p + c0
 
     return rhs
 
@@ -251,41 +262,19 @@ def _b3(ctx: PrimeContext, t: int) -> int:
     return ctx.binom((2 * p - 1) // 3, (p - 2) // 3, t)
 
 
-def _b3sq(cb: Fraction | int, cp: Fraction | int = 0, c0: Fraction | int = 0) -> Side:
+def _b3sq(cb: Fraction | int, cp: Fraction | int = 0, c0: Fraction | int = 0) -> Value:
     """cb*(2p+1)*B3^2 + cp*p + c0 on the p = 2 (mod 3) class."""
-
-    def rhs(ctx: PrimeContext, t: int) -> int:
-        p, m = ctx.p, ctx.p**t
-        b = _b3(ctx, t)
-        val = _fr(ctx, cb, t) * (2 * p + 1) % m * b % m * b % m
-        return (val + _fr(ctx, cp, t) * p + _fr(ctx, c0, t)) % m
-
-    return rhs
+    return lambda ctx, t: cb * (2 * ctx.p + 1) * _b3(ctx, t) ** 2 + cp * ctx.p + c0
 
 
-def _binv2(c: Fraction | int, nk: Callable[[int], tuple[int, int]]) -> Side:
+def _binv2(c: Fraction | int, nk: Callable[[int], tuple[int, int]]) -> Value:
     """c * p^2 * C(n,k)^{-2} with (n, k) = nk(p)."""
-
-    def rhs(ctx: PrimeContext, t: int) -> int:
-        p, m = ctx.p, ctx.p**t
-        n, k = nk(p)
-        b = pow(ctx.binom(n, k, t), -1, m)
-        return _fr(ctx, c, t) * p % m * p % m * b % m * b % m
-
-    return rhs
+    return lambda ctx, t: c * Fr(ctx.p, ctx.binom(*nk(ctx.p), t)) ** 2
 
 
-def _b7rhs(c: Fraction | int, pexp: int, binvert: bool) -> Side:
-    """c * p^pexp * C(floor(3p/7), floor(p/7))^(+-2)."""
-
-    def rhs(ctx: PrimeContext, t: int) -> int:
-        p, m = ctx.p, ctx.p**t
-        b = ctx.binom(3 * p // 7, p // 7, t)
-        if binvert:
-            b = pow(b, -1, m)
-        return _fr(ctx, c, t) * pow(p, pexp, m) % m * b % m * b % m
-
-    return rhs
+def _b7rhs(c: Fraction | int, pexp: int, bexp: int) -> Value:
+    """c * p^pexp * C(floor(3p/7), floor(p/7))^bexp."""
+    return lambda ctx, t: c * ctx.p**pexp * Fr(ctx.binom(3 * ctx.p // 7, ctx.p // 7, t)) ** bexp
 
 
 def _leg3(p: int) -> int:
@@ -356,16 +345,17 @@ def _fixed(
     applies: Applies,
     modexp: ModExp,
     spec: SumSpec,
-    rhs: Side,
+    rhs: Value,
     rhs_text: str,
     *,
     mod_text: str | None = None,
     note: str = "",
 ) -> None:
+    """Register spec's sum == rhs; the closed form rhs is reduced once, mod p^t."""
     if mod_text is None:
         mod_text = "p" if modexp == 1 else f"p^{modexp}"
     claim = f"{sum_text(spec)} == {rhs_text} (mod {mod_text})"
-    _add(Fixed(sid, status, claim, condition, applies, modexp, _sum_lhs(spec), rhs, note))
+    _add(Fixed(sid, status, claim, condition, applies, modexp, _sum_lhs(spec), _reduced(rhs), note))
     SUM_SPECS[sid] = spec
 
 
@@ -375,12 +365,13 @@ def _fixed_custom(
     condition: str,
     applies: Applies,
     modexp: ModExp,
-    lhs: Side,
-    rhs: Side,
+    lhs: Value,
+    rhs: Value,
     claim: str,
     note: str = "",
 ) -> None:
-    _add(Fixed(sid, status, claim, condition, applies, modexp, lhs, rhs, note))
+    """Register lhs == rhs for two closed forms, each reduced once, mod p^t."""
+    _add(Fixed(sid, status, claim, condition, applies, modexp, _reduced(lhs), _reduced(rhs), note))
 
 
 def _param(
@@ -420,7 +411,7 @@ def _rhs_rv3(ctx: PrimeContext, t: int) -> int:
     if ctx.p % 4 != 1:
         return 0
     x, _ = ctx.xy(F4)
-    return _fr(ctx, _leg3(ctx.p) * (4 * x * x - 2 * ctx.p), t)
+    return _leg3(ctx.p) * (4 * x * x - 2 * ctx.p)
 
 
 _fixed(
@@ -443,21 +434,21 @@ _fixed(
     "CJ-S7-intro-b", "conjecture", "p == 3 (mod 7)",
     lambda p: p > 2 and p % 7 == 3, 3,
     SumSpec(C3, Fr(1), W_ONE, FULL),
-    _b7rhs(-11, 2, True),
+    _b7rhs(-11, 2, -2),
     "-11 p^2 / C(floor(3p/7), floor(p/7))^2",
 )
 _fixed(
     "CJ-S7-intro-c", "conjecture", "p == 5 (mod 7)",
     lambda p: p > 2 and p % 7 == 5, 3,
     SumSpec(C3, Fr(1), W_ONE, FULL),
-    _b7rhs(Fr(-11, 16), 2, True),
+    _b7rhs(Fr(-11, 16), 2, -2),
     "-(11/16) p^2 / C(floor(3p/7), floor(p/7))^2",
 )
 _fixed(
     "CJ-S7-intro-d", "conjecture", "p == 6 (mod 7)",
     lambda p: p > 2 and p % 7 == 6, 3,
     SumSpec(C3, Fr(1), W_ONE, FULL),
-    _b7rhs(Fr(-11, 4), 2, True),
+    _b7rhs(Fr(-11, 4), 2, -2),
     "-(11/4) p^2 / C(floor(3p/7), floor(p/7))^2",
 )
 _fixed(
@@ -470,21 +461,21 @@ _fixed(
     "CJ-S9-intro-b", "conjecture", "p == 3 (mod 7)",
     lambda p: p > 2 and p % 7 == 3, 1,
     SumSpec(C3, Fr(1), W_INV_K1, HALF),
-    _b7rhs(Fr(-1, 7), 0, False),
+    _b7rhs(Fr(-1, 7), 0, 2),
     "-(1/7) C(floor(3p/7), floor(p/7))^2",
 )
 _fixed(
     "CJ-S9-intro-c", "conjecture", "p == 5 (mod 7)",
     lambda p: p > 2 and p % 7 == 5, 1,
     SumSpec(C3, Fr(1), W_INV_K1, HALF),
-    _b7rhs(Fr(-16, 7), 0, False),
+    _b7rhs(Fr(-16, 7), 0, 2),
     "-(16/7) C(floor(3p/7), floor(p/7))^2",
 )
 _fixed(
     "CJ-S9-intro-d", "conjecture", "p == 6 (mod 7)",
     lambda p: p > 2 and p % 7 == 6, 1,
     SumSpec(C3, Fr(1), W_INV_K1, HALF),
-    _b7rhs(Fr(-4, 7), 0, False),
+    _b7rhs(Fr(-4, 7), 0, 2),
     "-(4/7) C(floor(3p/7), floor(p/7))^2",
 )
 
@@ -493,11 +484,9 @@ _fixed(
 # ==============================================================================
 
 
-def _rhs_l23a(ctx: PrimeContext, t: int) -> int:
-    m = ctx.p**t
-    xt = ctx.x_one_mod_4() % m
-    val = _fr(ctx, Fr(-1, 2), t) * xt + _fr(ctx, Fr(1, 4), t) * ctx.p % m * pow(xt, -1, m)
-    return val * prefactor_sign(SIGN_QUARTER, ctx.p) % m
+def _rhs_l23a(ctx: PrimeContext, t: int) -> Fraction:
+    xt = ctx.x_one_mod_4()
+    return prefactor_sign(SIGN_QUARTER, ctx.p) * (Fr(-xt, 2) + Fr(ctx.p, 4 * xt))
 
 
 _fixed(
@@ -508,14 +497,12 @@ _fixed(
 )
 
 
-def _rhs_l23b(ctx: PrimeContext, t: int) -> int:
-    p, m = ctx.p, ctx.p**t
+def _rhs_l23b(ctx: PrimeContext, t: int) -> Fraction:
+    p = ctx.p
     b = ctx.binom((p - 1) // 2, (p - 3) // 4, t)
-    binv = pow(b, -1, m)
     q2 = ctx.fermat_quotient(2, 2)
-    inner = (b + binv - _fr(ctx, Fr(1, 2), t) * q2 % m * b) % m
     sign = -1 if (p + 1) // 4 % 2 else 1
-    return (b + inner * p) * sign % m * _fr(ctx, Fr(1, 4), t) % m
+    return Fr(sign, 4) * (b + (b + Fr(1, b) - Fr(q2 * b, 2)) * p)
 
 
 _fixed(
@@ -534,20 +521,19 @@ def _c2(ctx: PrimeContext, t: int) -> int:
     return ctx.binom((2 * ctx.p + 2) // 3, (ctx.p + 1) // 3, t)
 
 
-def _rhs_l24a(ctx: PrimeContext, t: int) -> int:
-    m = ctx.p**t
+def _rhs_l24a(ctx: PrimeContext, t: int) -> Fraction | int:
     if ctx.p % 3 == 1:
         return _c1(ctx, t)
-    return ctx.p * pow(_c2(ctx, t), -1, m) % m
+    return Fr(ctx.p, _c2(ctx, t))
 
 
-def _rhs_l24b(ctx: PrimeContext, t: int) -> int:
-    p, m = ctx.p, ctx.p**t
+def _rhs_l24b(ctx: PrimeContext, t: int) -> Fraction:
+    p = ctx.p
     if p % 3 == 1:
         c = _c1(ctx, t)
-        return (p * pow(c, -1, m) - c) % m
+        return Fr(p, c) - c
     c = _c2(ctx, t)
-    return (-(p + 1) * c - p * pow(c, -1, m)) % m
+    return -(p + 1) * c - Fr(p, c)
 
 
 _fixed(
@@ -569,31 +555,24 @@ def _c3b(ctx: PrimeContext, t: int) -> int:
     return ctx.binom((ctx.p + 1) // 2, (ctx.p + 1) // 6, t)
 
 
-def _rhs_l25a(ctx: PrimeContext, t: int) -> int:
-    p, m = ctx.p, ctx.p**t
+def _rhs_l25a(ctx: PrimeContext, t: int) -> Fraction:
+    p = ctx.p
     if p % 3 == 1:
         x, _ = ctx.xy(F3)
         sx = 1 if x % 3 == 1 else -1
-        return sx * (2 * x - p * pow(2 * x % m, -1, m)) % m
-    return 3 * p * pow(2 * _c3b(ctx, t) % m, -1, m) % m
+        return sx * (2 * x - Fr(p, 2 * x))
+    return Fr(3 * p, 2 * _c3b(ctx, t))
 
 
-def _rhs_l25b(ctx: PrimeContext, t: int) -> int:
-    p, m = ctx.p, ctx.p**t
+def _rhs_l25b(ctx: PrimeContext, t: int) -> Fraction:
+    p = ctx.p
     if p % 3 == 1:
         x, _ = ctx.xy(F3)
         sx = 1 if x % 3 == 1 else -1
-        return sx * (-x + p * pow(2 * x % m, -1, m)) % m
+        return sx * (-x + Fr(p, 2 * x))
     c = _c3b(ctx, t)
-    e2 = pow(2, p - 1, m) - 1
-    e3 = pow(3, p - 1, m) - 1
-    coeff = (
-        _fr(ctx, Fr(-1, 3), t)
-        + _fr(ctx, Fr(-1, 3), t) * p
-        + _fr(ctx, Fr(-2, 9), t) * e2
-        + _fr(ctx, Fr(1, 4), t) * e3
-    ) % m
-    return (coeff * c - 3 * p * pow(4 * c % m, -1, m)) % m
+    e2, e3 = pow(2, p - 1, ctx.P) - 1, pow(3, p - 1, ctx.P) - 1
+    return (Fr(-1 - p, 3) - Fr(2 * e2, 9) + Fr(e3, 4)) * c - Fr(3 * p, 4 * c)
 
 
 _fixed(
@@ -621,28 +600,24 @@ def _c5(ctx: PrimeContext, t: int) -> int:
     return ctx.binom((ctx.p - 1) // 2, (ctx.p - 3) // 4, t)
 
 
-def _rhs_l26a(ctx: PrimeContext, t: int) -> int:
-    p, m = ctx.p, ctx.p**t
+def _rhs_l26a(ctx: PrimeContext, t: int) -> Fraction:
+    p = ctx.p
     eps = ctx.legendre(6)
     if p % 4 == 1:
-        e2 = pow(2, p - 1, m) - 1
-        return eps * _c4(ctx, t) % m * (1 - _fr(ctx, Fr(1, 2), t) * e2) % m
-    return eps * p * pow(3 * _c5(ctx, t) % m, -1, m) % m
+        e2 = pow(2, p - 1, ctx.P) - 1
+        return eps * _c4(ctx, t) * (1 - Fr(e2, 2))
+    return eps * Fr(p, 3 * _c5(ctx, t))
 
 
-def _rhs_l26b(ctx: PrimeContext, t: int) -> int:
-    p, m = ctx.p, ctx.p**t
+def _rhs_l26b(ctx: PrimeContext, t: int) -> Fraction:
+    p = ctx.p
     eps = ctx.legendre(6)
-    e2 = pow(2, p - 1, m) - 1
-    half = _fr(ctx, Fr(1, 2), t)
+    e2 = pow(2, p - 1, ctx.P) - 1
     if p % 4 == 1:
         c = _c4(ctx, t)
-        val = -half * eps * p % m * pow(c, -1, m) % m
-        val += half * eps * c % m * (1 - half * e2) % m
-        return val % m
+        return eps * (-Fr(p, 2 * c) + c * (1 - Fr(e2, 2)) / 2)
     c = _c5(ctx, t)
-    coeff = (_fr(ctx, Fr(3, 2), t) * (1 + p) - _fr(ctx, Fr(3, 4), t) * e2) % m
-    return (eps * p * pow(6 * c % m, -1, m) + eps * coeff * c) % m
+    return eps * (Fr(p, 6 * c) + (Fr(3 * (1 + p), 2) - Fr(3 * e2, 4)) * c)
 
 
 _fixed(
@@ -826,11 +801,9 @@ _fixed(
 )
 
 
-def _rhs_s216(ctx: PrimeContext, t: int) -> int:
-    m = ctx.p**t
-    xt = ctx.x_one_mod_4() % m
-    val = (2 * xt - ctx.p * pow(2 * xt % m, -1, m)) % m
-    return val * prefactor_sign(SIGN_QUARTER, ctx.p) % m
+def _rhs_s216(ctx: PrimeContext, t: int) -> Fraction:
+    xt = ctx.x_one_mod_4()
+    return prefactor_sign(SIGN_QUARTER, ctx.p) * (2 * xt - Fr(ctx.p, 2 * xt))
 
 
 _fixed(
@@ -841,10 +814,9 @@ _fixed(
 )
 
 
-def _rhs_s217(ctx: PrimeContext, t: int) -> int:
-    p, m = ctx.p, ctx.p**t
-    sign = -1 if (p - 3) // 4 % 2 else 1
-    return sign * p * pow(_c5(ctx, t), -1, m) % m
+def _rhs_s217(ctx: PrimeContext, t: int) -> Fraction:
+    sign = -1 if (ctx.p - 3) // 4 % 2 else 1
+    return sign * Fr(ctx.p, _c5(ctx, t))
 
 
 _fixed(
@@ -856,14 +828,12 @@ _fixed(
 
 
 def _lhs_s218(ctx: PrimeContext, t: int) -> int:
-    b = _c4(ctx, t)
-    return b * b % ctx.p**t
+    return _c4(ctx, t) ** 2
 
 
 def _rhs_s218(ctx: PrimeContext, t: int) -> int:
-    m = ctx.p**t
     x, _ = ctx.xy(F4)
-    return pow(2, ctx.p - 1, m) * _fr(ctx, 4 * x * x - 2 * ctx.p, t) % m
+    return pow(2, ctx.p - 1, ctx.P) * (4 * x * x - 2 * ctx.p)
 
 
 _fixed_custom(
@@ -940,12 +910,11 @@ _fixed(
 
 
 def _rhs_cj222(ctx: PrimeContext, t: int) -> int:
-    m = ctx.p**t
     sign = -1 if ctx.p // 4 % 2 else 1
     if ctx.p % 4 == 1:
         _, y = ctx.xy(F4)
-        return sign * (-32 * y * y + 2 * ctx.p) % m
-    return sign * (-4 * (ctx.r1() % m) - 2 * ctx.p) % m
+        return sign * (-32 * y * y + 2 * ctx.p)
+    return sign * (-4 * ctx.r1() - 2 * ctx.p)
 
 
 _fixed(
@@ -1040,25 +1009,22 @@ _fixed(
 )
 
 
-def _rhs_cj22(ctx: PrimeContext, t: int) -> int:
-    p, m = ctx.p, ctx.p**t
-    u = ctx.u_number(p - 3)
-    return (_leg3(p) * p + _fr(ctx, Fr(5, 2), t) * pow(p, 3, m) % m * u) % m
+def _u_tail(c: Fraction) -> Value:
+    """(p|3) p + c p^3 U(p-3)."""
+    return lambda ctx, t: _leg3(ctx.p) * ctx.p + c * ctx.p**3 * ctx.u_number(ctx.p - 3)
 
 
 _fixed(
     "CJ-2.22", "conjecture", "p > 3", _gt3, 4,
     SumSpec(C2B42, Fr(-144), linear_weight(1, 5), FULL),
-    _rhs_cj22,
+    _u_tail(Fr(5, 2)),
     "(p|3) p + (5/2) p^3 U(p-3)",
 )
 
 
-def _rhs_cj23(ctx: PrimeContext, t: int) -> int:
-    p, m = ctx.p, ctx.p**t
-    e = ctx.euler_number(p - 3)
-    val = prefactor_sign(SIGN_HALF, p) * p - _fr(ctx, Fr(745, 447), t) * pow(p, 3, m) % m * e
-    return val % m
+def _rhs_cj23(ctx: PrimeContext, t: int) -> Fraction:
+    p = ctx.p
+    return prefactor_sign(SIGN_HALF, p) * p - Fr(745, 447) * p**3 * ctx.euler_number(p - 3)
 
 
 _fixed(
@@ -1071,16 +1037,10 @@ _fixed(
 )
 
 
-def _rhs_cj24(ctx: PrimeContext, t: int) -> int:
-    p, m = ctx.p, ctx.p**t
-    u = ctx.u_number(p - 3)
-    return (_leg3(p) * p + _fr(ctx, Fr(5, 3), t) * pow(p, 3, m) % m * u) % m
-
-
 _fixed(
     "CJ-2.24", "conjecture", "p > 3", _gt3, 4,
     SumSpec(C2B31, Fr(-192), linear_weight(1, 5), FULL),
-    _rhs_cj24,
+    _u_tail(Fr(5, 3)),
     "(p|3) p + (5/3) p^3 U(p-3)",
 )
 
@@ -1664,9 +1624,11 @@ _fixed(
 # Parametric families over sampled p-adic parameters
 # ==============================================================================
 #
-# A theorem over a sampled a is a relation of aa = a(a+1) and of its sums at
-# a; each corollary is its theorem's relation at a fixed a of
-# identities.PRODUCT_FORMS.
+# Every check is a relation of aa = a(a+1), of one sampled x and of the sums
+# at a: _theorem(rel) draws a with x, _corollary(rel, a) fixes a to one of
+# identities.PRODUCT_FORMS.  Unlike the fixed closed forms, relations stay
+# in modular arithmetic: they run once per sample, where a Fraction
+# expression costs about twice as much.
 
 # S(mult=, base=, central=) -> T(weight, limit=FULL): one sample's sums at a
 Sums = Callable[..., Callable[..., int]]
@@ -1715,7 +1677,7 @@ def _sums(
 
 
 def _theorem(rel: Relation) -> Check:
-    """The check of a theorem over sampled (a, x)."""
+    """The check of a statement over sampled (a, x)."""
 
     def check(ctx: PrimeContext, t: int, ps: tuple[int, ...]):
         a, x = ps
@@ -1725,7 +1687,8 @@ def _theorem(rel: Relation) -> Check:
 
 
 def _corollary(rel: Relation, a: Fraction) -> Check:
-    """The check of a corollary over sampled x: its theorem's relation at a."""
+    """The check of a statement over sampled x at a fixed a: a corollary
+    is its theorem's relation at a, and P-T5.2 is stated at a = -1/2 only."""
     aa = a * (a + 1)
     return lambda ctx, t, ps: rel(ctx, t, aa, ps[0], partial(_sums, ctx, t, a))
 
@@ -1758,14 +1721,13 @@ def _adm_a_m_wide(p: int, ps: tuple[int, ...]) -> bool:
     return a % p not in (0, 1, p - 1, p - 2) and mm % p != 0
 
 
-def _chk_pl22(ctx: PrimeContext, t: int, ps: tuple[int, ...]):
-    a, tt = ps
-    s0 = _sums(ctx, t, a, mult=-tt)(W_ONE)
-    return [(s0 * s0 % ctx.p**t, _sums(ctx, t, a, mult=-tt * (tt + 1), central=True)(W_ONE))]
+def _rel_l22(ctx: PrimeContext, t: int, aa: Fraction | int, tt: int, S: Sums):
+    s0 = S(mult=-tt)(W_ONE)
+    return [(s0 * s0 % ctx.p**t, S(mult=-tt * (tt + 1), central=True)(W_ONE))]
 
 
 _param(
-    "P-L2.2", "lemma", "none", _is_odd, 2, ("a", "t"), _adm_none, _chk_pl22,
+    "P-L2.2", "lemma", "none", _is_odd, 2, ("a", "t"), _adm_none, _theorem(_rel_l22),
     "(sum_{k=0..p-1} C(a,k) C(-1-a,k) (-t)^k)^2 == "
     "sum_{k=0..p-1} C(2k,k) C(a,k) C(-1-a,k) (-t(t+1))^k (mod p^2)",
 )
@@ -1789,19 +1751,18 @@ _param(
 )
 
 
-def _chk_peq22(ctx: PrimeContext, t: int, ps: tuple[int, ...]):
-    a, tt = ps
+def _rel_eq22(ctx: PrimeContext, t: int, aa: Fraction | int, tt: int, S: Sums):
     m = ctx.p**t
-    T = _sums(ctx, t, a, mult=-tt)
+    T = S(mult=-tt)
     s0, s1 = T(W_ONE), T(W_K)
-    n1 = _sums(ctx, t, a, mult=-tt * (tt + 1), central=True)(W_K)
+    n1 = S(mult=-tt * (tt + 1), central=True)(W_K)
     c = _fr(ctx, Fr(2 * tt + 1, tt + 1), t)
     return [(2 * s0 * s1 % m, c * n1 % m)]
 
 
 _param(
     "P-eq2.2", "lemma", "t(t+1) != 0 (mod p)", _is_odd, 2,
-    ("a", "t"), _adm_t_unit, _chk_peq22,
+    ("a", "t"), _adm_t_unit, _theorem(_rel_eq22),
     "2 S0 S1 == (2t+1)/(t+1) sum_{k=0..p-1} k C(2k,k) C(a,k) C(-1-a,k) "
     "(-t(t+1))^k (mod p^2), S_i = sum_{k=0..p-1} k^i C(a,k) C(-1-a,k) (-t)^k",
 )
@@ -1890,38 +1851,24 @@ _param(
 )
 
 
-def _t31(ctx: PrimeContext, t: int, aa: Fraction | int, mm: int, T: Callable[..., int]):
-    """The first and third congruences of P-T3.1 over its sums T, the two P-C3.1 states."""
+def _rel_t31(ctx: PrimeContext, t: int, aa: Fraction | int, mm: int, S: Sums):
     p, m = ctx.p, ctx.p**t
-    s, sk, sk2, sinv = T(W_ONE), T(W_K), T(W_K2), T(W_INV_K1, FULL_MINUS_1)
-    A = _fr(ctx, aa, t)
-    pairs = [(_fr(ctx, Fr(mm - 4, 2), t) * sk2 % m, (sk - 2 * A * s + A * sinv) % m)]
+    T = S(base=mm, central=True)
+    s, sk, sk2, sinv, sk3 = T(W_ONE), T(W_K), T(W_K2), T(W_INV_K1, FULL_MINUS_1), T(W_K3)
+    A, half = _fr(ctx, aa, t), _fr(ctx, Fr(mm - 4, 2), t)
+    pairs = [
+        (half * sk2 % m, (sk - 2 * A * s + A * sinv) % m),
+        (half * sk3 % m, (3 * sk2 - (2 * A - 1) * sk - A * s) % m),
+    ]
     if (mm - 4) % p:
         rhs = ((2 - 4 * A) * (mm - 4) + 12) * sk - 2 * A * (mm + 8) * s + 12 * A * sinv
-        pairs.append((T(W_K3), rhs % m * _fr(ctx, Fr(1, (mm - 4) ** 2), t) % m))
-    return pairs
-
-
-def _rel_t31(ctx: PrimeContext, t: int, aa: Fraction | int, mm: int, S: Sums):
-    return _t31(ctx, t, aa, mm, S(base=mm, central=True))
-
-
-def _chk_pt31(ctx: PrimeContext, t: int, ps: tuple[int, ...]):
-    a, mm = ps
-    aa, m = a * (a + 1), ctx.p**t
-    # the second congruence reads T_0..T_3 again; the cache evaluates each once
-    T = cache(_sums(ctx, t, a, base=mm, central=True))
-    pairs = _t31(ctx, t, aa, mm, T)
-    pairs.insert(1, (
-        _fr(ctx, Fr(mm - 4, 2), t) * T(W_K3) % m,
-        (3 * T(W_K2) - (2 * aa - 1) * T(W_K) - aa * T(W_ONE)) % m,
-    ))
+        pairs.append((sk3, rhs % m * _fr(ctx, Fr(1, (mm - 4) ** 2), t) % m))
     return pairs
 
 
 _param(
     "P-T3.1", "theorem", "a != 0, -1 and m != 0 (mod p)", _is_odd, 3,
-    ("a", "m"), _adm_a_m, _chk_pt31,
+    ("a", "m"), _adm_a_m, _theorem(_rel_t31),
     "with T_i = sum k^i C(2k,k) C(a,k) C(-1-a,k) / m^k (full range) and "
     "V = sum_{k=0..p-2} C(2k,k) C(a,k) C(-1-a,k) / (m^k (k+1)): "
     "(m-4)/2 T_2 == T_1 - 2a(a+1) T_0 + a(a+1) V, "
@@ -1990,9 +1937,8 @@ _param(
 )
 
 
-def _chk_pt52(ctx: PrimeContext, t: int, ps: tuple[int, ...]):
-    (mm,) = ps
-    T = _sums(ctx, t, Fr(-1, 2), base=mm, central=True)
+def _rel_t52(ctx: PrimeContext, t: int, aa: Fraction | int, mm: int, S: Sums):
+    T = S(base=mm, central=True)
     lhs = T(W_INV_2K1_SQ)
     c1 = _fr(ctx, 4 - Fr(16, mm), t)
     c2 = _fr(ctx, 1 + Fr(4, mm), t)
@@ -2002,7 +1948,7 @@ def _chk_pt52(ctx: PrimeContext, t: int, ps: tuple[int, ...]):
 
 _param(
     "P-T5.2", "theorem", "m != 0 (mod p)", _is_odd, 3,
-    ("m",), _adm_m_unit, _chk_pt52,
+    ("m",), _adm_m_unit, _corollary(_rel_t52, Fr(-1, 2)),
     "sum_{k=0..p-1} C(2k,k)^3/((16m)^k (2k-1)^2) == (4 - 16/m) T_1 "
     "+ (1 + 4/m) T_0 - (6/m) V_1 (mod p^3), with T_i, V_1 the half-range "
     "k^i- and 1/(k+1)-weighted sums of C(2k,k)^3/(16m)^k",

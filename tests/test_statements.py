@@ -12,11 +12,13 @@ from supercong.context import PrimeContext
 from supercong.errors import SupercongError, UnknownStatement
 from supercong.registry import (
     C2,
+    C3,
     REGISTRY,
     STATUSES,
     SUM_SPECS,
     Fixed,
     Parametric,
+    _binv2,
     _fr,
     _rmix,
     _sum_lhs,
@@ -24,7 +26,7 @@ from supercong.registry import (
     sum_text,
 )
 from supercong.report import VerificationReport
-from supercong.sums import HALF, SumSpec, linear_weight
+from supercong.sums import FULL, HALF, SumSpec, linear_weight
 from supercong.statements import (
     FAILS,
     HOLDS,
@@ -211,9 +213,10 @@ class TestRunRange:
 
     def test_engine_errors_stay_in_their_cell(self):
         """A linear weight whose denominator p divides, a right-hand-side
-        constant whose denominator p divides and an R1 right-hand side asked
-        for mod p^3 each become Skipped rows naming the error type; every
-        other cell of the sweep still runs."""
+        constant whose denominator p divides, a right-hand side divided by
+        the non-unit C(p,1) and an R1 right-hand side asked for mod p^3 each
+        become Skipped rows naming the error type; every other cell of the
+        sweep still runs."""
         lhs = _sum_lhs(SumSpec(C2, Fraction(16), linear_weight(Fraction(1, 7), 1), HALF))
         REGISTRY["X-DEN"] = Fixed(
             "X-DEN", "theorem", "S == S (mod p^2)", "p > 3", lambda p: p > 3, 2, lhs, lhs,
@@ -229,18 +232,25 @@ class TestRunRange:
             "X-R1", "theorem", "0 == R1 (mod p^3)", "p = 3 mod 4",
             lambda p: p % 4 == 3, 3, lambda ctx, t: 0, _rmix("r1", 1),
         )
+        REGISTRY["X-BIN"] = Fixed(
+            "X-BIN", "theorem", "0 == p^2 / C(p,1)^2 (mod p^2)", "p > 3",
+            lambda p: p > 3, 2, lambda ctx, t: 0, _binv2(1, lambda p: (p, 1)),
+        )
         try:
-            r = run_range(5, 30, ids=["X-DEN", "X-FR", "X-R1", "T2.7"])
+            r = run_range(5, 30, ids=["X-DEN", "X-FR", "X-R1", "X-BIN", "T2.7"])
         finally:
-            del REGISTRY["X-DEN"], REGISTRY["X-FR"], REGISTRY["X-R1"]
+            del REGISTRY["X-DEN"], REGISTRY["X-FR"], REGISTRY["X-R1"], REGISTRY["X-BIN"]
         skipped = {(row.p, row.sid): row.detail for row in r.rows if row.outcome == SKIPPED}
+        primes = primes_in(5, 30)
         assert set(skipped) == {(7, "X-DEN"), (7, "X-FR")} | {
             (p, "X-R1") for p in (7, 11, 19, 23)
-        }
+        } | {(p, "X-BIN") for p in primes}
         assert skipped[7, "X-DEN"].startswith("DenominatorNotUnit: ")
         assert skipped[7, "X-FR"].startswith("DenominatorNotUnit: ")
         assert skipped[11, "X-R1"].startswith("ModulusTooHigh: ")
-        assert len(r.rows) == 4 * len(primes_in(5, 30))
+        for p in primes:
+            assert skipped[p, "X-BIN"].startswith("DenominatorNotUnit: ")
+        assert len(r.rows) == 5 * len(primes)
         assert {row.outcome for row in r.rows if row.sid == "T2.7"} == {HOLDS}
         for sid in ("X-DEN", "X-FR"):
             assert {row.outcome for row in r.rows if row.sid == sid and row.p != 7} == {HOLDS}
@@ -269,7 +279,9 @@ def test_parametric_check_depends_on_every_sum(sid, monkeypatch):
     """A parametric check returns pairs that hold, and adding 1 to any one
     of the sums it requests makes some pair differ, so no check compares a
     sum with itself or drops one it evaluates.  Every product sum it
-    requests is over a product its claim names."""
+    requests is over a product its claim names, and a sum at a = -1/2
+    (over C(2k,k)^2 or C(2k,k)^3) stops at (p-1)/2 unless its weight is
+    1/(2k-1)^e, whose pole term keeps it at p-1."""
     stmt, p = REGISTRY[sid], 101
     params = draw_params(stmt, p, 0, _PERTURBED_SAMPLE.get(sid, 0))
     t = statement_modexp(stmt, p)
@@ -295,6 +307,9 @@ def test_parametric_check_depends_on_every_sum(sid, monkeypatch):
     for spec in calls:
         if isinstance(spec, SumSpec):  # "sum_{k=0..(p-1)/2} C(2k,k)^3" -> "C(2k,k)^3"
             assert sum_text(SumSpec(spec.product, Fraction(1))).split(" ", 1)[1] in stmt.claim
+            if spec.product in (C2, C3):
+                pole = spec.weight.tag in ("inv_2k1", "inv_2k1_sq")
+                assert spec.limit == (FULL if pole else HALF), spec
     for off in range(len(calls)):
         pairs = check(off)
         assert pairs is not None and any(lhs != rhs for lhs, rhs in pairs), off
