@@ -94,14 +94,18 @@ def stream_arrays(kind: str, p: int, workexp: int) -> tuple[list[int], list[int]
     den_acc = 1
     for k in range(p - 1):
         nums, dens = ratio(k)
+        # strip_p only where p divides the factor: at most once per
+        # linear factor in p consecutive k
         for f in nums:
-            fv, fu = strip_p(f, p)
-            v += fv
-            num_acc = num_acc * fu % P
+            if f % p == 0:
+                fv, f = strip_p(f, p)
+                v += fv
+            num_acc = num_acc * f % P
         for f in dens:
-            fv, fu = strip_p(f, p)
-            v -= fv
-            den_acc = den_acc * fu % P
+            if f % p == 0:
+                fv, f = strip_p(f, p)
+                v -= fv
+            den_acc = den_acc * f % P
         vs[k + 1] = v
         cum_num[k + 1] = num_acc
         cum_den[k + 1] = den_acc
@@ -177,10 +181,13 @@ def jacobi_stream_arrays(
         top2 = a + k + 1
         if top1 == 0 or top2 == 0:
             break
-        v1, u1 = strip_p(top1, p)
-        v2, u2 = strip_p(top2, p)
-        v += v1 + v2
-        u = u * -u1 % P * u2 % P * inv_sq[k] % P
+        if top1 % p == 0:
+            fv, top1 = strip_p(top1, p)
+            v += fv
+        if top2 % p == 0:
+            fv, top2 = strip_p(top2, p)
+            v += fv
+        u = u * -top1 % P * top2 % P * inv_sq[k] % P
         vs[k + 1] = v
         us[k + 1] = u
     return vs, us

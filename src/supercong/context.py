@@ -22,12 +22,26 @@ stages (see ``supercong.sums``):
   0 and the pole is listed separately as (k, d, unit) with w_k = p^-d unit;
   the evaluator adds that term exactly from the stream.
 
+Root and views.  A verification run builds one *root* context per prime,
+at the largest modulus exponent any statement needs.  ``at(t)`` narrows it
+to exponent t: it returns a *view*, a context at p^t that is cached on the
+root and takes its streams from the root, reduced mod p^t, so that the four
+binomial streams are built once per prime.  A view shares only the root's
+stream dict; it holds no reference to the root itself, so no context is in
+a reference cycle and each is freed as soon as its prime is done.
+Everything else a view keeps on its own, mod p^t: inverse table, weight
+arrays, products, Jacobi streams and term arrays.  A residue mod p^2 fits
+in one 30-bit CPython digit for p < 32768 where one mod p^4 needs two, so
+a mod-p^2 parametric statement runs all its per-sample work on the smaller
+integers of its view.  Fixed statements stay on the root: their 17
+(product, base) groups are shared across the exponents 2, 3 and 4.
+
 Stream kinds, products and weight arrays are finite per prime and kept for
 the life of the context.  Jacobi streams and term arrays depend on sampled
 parameters, so they live in small LRU caches: a sampled a is used by one
-checker call, ``JACOBI_CACHE`` streams cover all of its reuse, and
-``TERM_CACHE`` holds every fixed (product, base) group of a prime (at most
-17) with room for the arrays of one parametric sample.
+checker call, and ``JACOBI_CACHE`` streams cover all of its reuse.  A root
+builds term arrays only for the fixed groups, at most 17, and a view only
+for the sample at hand, which needs fewer; so ``TERM_CACHE`` is 17.
 """
 
 from __future__ import annotations
@@ -41,7 +55,7 @@ from .errors import DenominatorNotUnit, NotRepresentable
 
 #: Entries kept by the bounded per-sample caches.
 JACOBI_CACHE = 4
-TERM_CACHE = 32
+TERM_CACHE = 17
 
 Stream = tuple[list[int], list[int]]
 #: A product of stream kinds, or (a, central) for a Jacobi stream.
@@ -78,6 +92,10 @@ class PrimeContext:
         self.P = p**workexp
         self.pow_p = [p**i for i in range(workexp + 1)]
         self._streams: dict[str, Stream] = {}
+        # Where streams are built: at workexp for a root; a view (see
+        # ``at``) reduces the streams of its root.
+        self._root_streams, self._root_exp = self._streams, workexp
+        self._views: dict[int, PrimeContext] = {}
         self._products: dict[tuple[str, ...], Stream] = {}
         self._jacobi = BoundedCache(JACOBI_CACHE)
         self._jacobi_central = BoundedCache(JACOBI_CACHE)
@@ -89,9 +107,28 @@ class PrimeContext:
 
     # -- streams ---------------------------------------------------------
 
+    def at(self, t: int) -> PrimeContext:
+        """This context at exponent t <= workexp: itself at t == workexp,
+        else a view cached here that takes its streams from the root."""
+        if t == self.workexp:
+            return self
+        if not 1 <= t < self.workexp:
+            raise ValueError(f"context exponent {self.workexp} cannot narrow to {t}")
+        view = self._views.get(t)
+        if view is None:
+            view = self._views[t] = PrimeContext(self.p, t)
+            view._root_streams, view._root_exp = self._root_streams, self._root_exp
+        return view
+
     def stream(self, kind: str) -> Stream:
         if kind not in self._streams:
-            self._streams[kind] = stream_arrays(kind, self.p, self.workexp)
+            root = self._root_streams
+            if kind not in root:
+                root[kind] = stream_arrays(kind, self.p, self._root_exp)
+            if root is not self._streams:
+                vs, us = root[kind]
+                P = self.P
+                self._streams[kind] = (vs, [u % P for u in us])
         return self._streams[kind]
 
     def product(self, kinds: tuple[str, ...]) -> Stream:

@@ -1881,7 +1881,8 @@ _param(
     ("m",), _adm_m_unit, _corollary(_rel_t31, Fr(-1, 2)),
     "with T_i = sum_{k=0..(p-1)/2} k^i C(2k,k)^3 / (16m)^k and "
     "V the 1/(k+1)-weighted half-range sum: "
-    "(m-4)/2 T_2 == T_1 + T_0/2 - V/4, and for m != 4: "
+    "(m-4)/2 T_2 == T_1 + T_0/2 - V/4, (m-4)/2 T_3 == 3 T_2 + (3/2) T_1 + T_0/4, "
+    "and for m != 4: "
     "T_3 == 3m/(m-4)^2 T_1 + (m+8)/(2(m-4)^2) T_0 - 3/(m-4)^2 V (mod p^3)",
 )
 

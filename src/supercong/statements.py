@@ -8,7 +8,6 @@ import random
 import time
 from contextlib import nullcontext
 from dataclasses import dataclass
-from multiprocessing import Pool
 from typing import Iterable, Sequence
 
 from .context import PrimeContext, context_for
@@ -152,7 +151,8 @@ def evaluate_statement(
 
     A shared PrimeContext for p may be passed in to reuse cached streams;
     it must reach the statement's modulus exponent.  Without one, a
-    context at that exponent is built.
+    context at that exponent is built.  A parametric statement runs on
+    the context's view at its exponent (``PrimeContext.at``).
     """
     stmt = REGISTRY.get(sid)
     if stmt is None:
@@ -162,7 +162,7 @@ def evaluate_statement(
     t = statement_modexp(stmt, p)
     ctx = context_for(ctx, p, t)
     if isinstance(stmt, Parametric):
-        return _check_parametric(stmt, ctx, t, seed)
+        return _check_parametric(stmt, ctx.at(t), t, seed)
     return _check_fixed(stmt, ctx, t)
 
 
@@ -206,6 +206,9 @@ def run_range(
     if sids:
         work = [(p, sids, seed) for p in primes_in(p_lo, p_hi)]
         pooled = jobs > 1 and len(work) > 1
+        if pooled:
+            # imported here: multiprocessing costs about 2 MiB of RSS
+            from multiprocessing import Pool
         # leaving the with block terminates the pool, fail-fast included
         with Pool(min(jobs, len(work))) if pooled else nullcontext() as pool:
             for batch in pool.imap(_run_prime, work) if pooled else map(_run_prime, work):

@@ -14,6 +14,7 @@ from supercong.binomials import (
     batch_invert,
     binomial_mod,
     exact_binomial,
+    jacobi_stream_arrays,
     rational_binomial,
     stream_arrays,
     v_p_binomial,
@@ -78,6 +79,25 @@ def test_consecutive_ratios_against_exact_for_k_up_to_200():
         for k in range(201):
             n = EXACT[kind](k)
             assert us[k] * p ** vs[k] % m == n % m, (kind, k)
+
+
+@pytest.mark.parametrize("t", (2, 4))
+@pytest.mark.parametrize("p", (11, 101))
+def test_jacobi_stream_matches_rational_binomials(p, t):
+    """Every term of the Jacobi stream equals C(a,k) C(-1-a,k) mod p^t,
+    with the exact valuation where the term is nonzero.  The values of a
+    put a multiple of p (or of p^2) in a - k or a + k + 1 for some k, or
+    hit a wall where the stream is exactly zero from there on."""
+    m = p**t
+    inv_sq = [pow(k + 1, -2, m) for k in range(p - 1)]
+    for a in (3 + p, 2 * p - 5, p * p + 7, p * p - 1, -2 * p + 3, 0, 5, -1, -4, 123457):
+        vs, us = jacobi_stream_arrays(a, p, t, inv_sq)
+        for k in range(p):
+            exact = rational_binomial(a, k) * rational_binomial(-1 - a, k)
+            assert exact.denominator == 1
+            assert us[k] * p ** vs[k] % m == exact.numerator % m, (a, k)
+            if exact:
+                assert vs[k] == exact_vp(exact.numerator, p), (a, k)
 
 
 def test_exact_binomial_and_valuation():

@@ -1,7 +1,10 @@
 """Statement registry and verification engine behaviour."""
 
+import io
+import json
 from dataclasses import replace
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 from hypothesis import given, settings
@@ -25,11 +28,12 @@ from supercong.registry import (
     statement_modexp,
     sum_text,
 )
-from supercong.report import VerificationReport
+from supercong.report import LEGACY_GUARD, ReportRow, VerificationReport
 from supercong.sums import FULL, HALF, SumSpec, linear_weight
 from supercong.statements import (
     FAILS,
     HOLDS,
+    MAX_MODEXP,
     NOT_APPLICABLE,
     SAMPLES_PER_PRIME,
     SKIPPED,
@@ -163,6 +167,19 @@ class TestEvaluateStatement:
         v = evaluate_statement("T2.7", 7, ctx=PrimeContext(7, 2))
         assert (v.outcome, v.lhs, v.rhs, v.modulus) == (HOLDS, 36, 36, 49)
 
+    @pytest.mark.parametrize("order", list(permutations(("P-T2.1", "P-T3.1", "S-L1"))))
+    def test_one_root_context_serves_every_exponent(self, order):
+        """A root at p^4 gives the verdicts of fresh contexts to a mod-p^2
+        and a mod-p^3 parametric statement, through its views, and to a
+        mod-p^4 fixed statement, in any order."""
+        p = 211
+        root = PrimeContext(p, MAX_MODEXP)
+        for sid in order:
+            got = evaluate_statement(sid, p, ctx=root)
+            assert got == evaluate_statement(sid, p), sid
+            assert got.outcome == HOLDS, sid
+        assert sorted(root._views) == [2, 3]
+
 
 class TestRunRange:
     def test_rejects_bad_ranges(self):
@@ -187,6 +204,54 @@ class TestRunRange:
     def test_json_round_trip(self):
         r = run_range(5, 40, ids=["T2.*"])
         assert VerificationReport.from_json(r.to_json()) == r
+
+    def test_json_is_the_json_module_dump(self):
+        """to_json writes the rows itself; the text equals json.dump of the
+        whole document for a full sweep, an empty report, and rows with
+        null fields and with quotes, escapes and non-ASCII in strings."""
+
+        def dumped(r: VerificationReport) -> str:
+            doc = {
+                "p_lo": r.p_lo,
+                "p_hi": r.p_hi,
+                "seed": r.seed,
+                "guard": LEGACY_GUARD,
+                "version": r.version,
+                "elapsed": r.elapsed,
+                "rows": [
+                    {
+                        "p": row.p,
+                        "id": row.sid,
+                        "outcome": row.outcome,
+                        "lhs": row.lhs,
+                        "rhs": row.rhs,
+                        "modulus": row.modulus,
+                        "detail": row.detail,
+                    }
+                    for row in r.rows
+                ],
+                "summary": r.summary(),
+                "counts": r.counts(),
+            }
+            buf = io.StringIO()
+            json.dump(doc, buf, indent=2)
+            return buf.getvalue()
+
+        odd = 'say "x" \\ y\n\t\u00e9\u2603\U0001d11e\x7f'
+        reports = [
+            run_range(5, 150),
+            VerificationReport(5, 7, 0, "0.1", 0.5),
+            VerificationReport(
+                5, 11, 3, odd, 1e-7,
+                [
+                    ReportRow(5, "T2.1", SKIPPED, detail=odd),
+                    ReportRow(7, 'X"\\', FAILS, -3, 10**40, 49, ""),
+                    ReportRow(11, "P-T2.1", HOLDS, None, None, 121, "10 samples"),
+                ],
+            ),
+        ]
+        for r in reports:
+            assert r.to_json() == dumped(r)
 
     def test_summary_counts_match_rows(self):
         r = run_range(5, 40, statuses={"lemma"})

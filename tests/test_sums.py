@@ -5,11 +5,13 @@ Fraction) so a wrong shape table inside the package cannot hide by being
 used on both sides of the comparison.
 """
 
+import gc
 import math
 import os
 import random
 import subprocess
 import sys
+import weakref
 from fractions import Fraction
 from pathlib import Path
 
@@ -18,6 +20,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import supercong
+from supercong import context
+from supercong.binomials import KINDS, stream_arrays
 from supercong.context import JACOBI_CACHE, TERM_CACHE, PrimeContext
 from supercong.errors import BaseNotUnit, DenominatorNotUnit, NegativeValuation, SupercongError
 from supercong.registry import REGISTRY, SUM_SPECS, statement_modexp
@@ -329,6 +333,52 @@ def test_sampled_caches_stay_bounded():
     assert len(ctx._jacobi) == len(ctx._jacobi_central) == JACOBI_CACHE
     assert len(ctx._terms) == TERM_CACHE
     assert len(ctx._products) == 1 and len(ctx._weights) == 2
+
+
+def test_views_reduce_the_root_streams():
+    """A view at t < workexp holds each stream as stream_arrays builds it
+    at t, while the prime builds each stream kind only once, at the
+    root's exponent; narrowing is cached and the root is its own view."""
+    p = 101
+    built = []
+
+    def counted(kind, p, workexp):
+        built.append((kind, workexp))
+        return stream_arrays(kind, p, workexp)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(context, "stream_arrays", counted)
+        root = PrimeContext(p, MAX_MODEXP)
+        for t in (1, 2, 3):
+            view = root.at(t)
+            assert view is root.at(t) and view.at(t) is view
+            assert (view.p, view.workexp, view.P) == (p, t, p**t)
+            for kind in KINDS:
+                assert view.stream(kind) == stream_arrays(kind, p, t), (kind, t)
+    assert root.at(MAX_MODEXP) is root
+    assert sorted(built) == [(kind, MAX_MODEXP) for kind in sorted(KINDS)]
+    for t in (0, MAX_MODEXP + 1):
+        with pytest.raises(ValueError):
+            root.at(t)
+
+
+def test_contexts_free_without_the_cycle_collector():
+    """A root and its views, after serving sums at every exponent, are
+    freed by reference counting alone: no view refers back to its root."""
+    p = 101
+    spec = SumSpec(("B22", "B22"), Fraction(16), W_INV_K1)
+    gc.disable()
+    try:
+        root = PrimeContext(p, MAX_MODEXP)
+        views = [root.at(t) for t in (1, 2, 3)]
+        for ctx in (root, *views):
+            evaluate_sum(spec, p, ctx.workexp, ctx)
+            evaluate_jacobi_sum(7, p, ctx.workexp, weight=W_K, central=True, ctx=ctx)
+        refs = [weakref.ref(ctx) for ctx in (root, *views)]
+        del root, views, ctx
+        assert [ref() for ref in refs] == [None] * 4
+    finally:
+        gc.enable()
 
 
 def outcome(spec, p, t, ctx):
