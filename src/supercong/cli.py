@@ -85,15 +85,12 @@ def cmd_eval(args: argparse.Namespace) -> int:
     p = args.p
     if not quadform.is_prime(p) or p == 2:
         raise ValueError(f"p must be an odd prime, got {p}")
-    t = args.t if args.t is not None else statement_modexp(stmt, p)
-    ctx = context_for(None, p, t)
-    lhs = stmt.lhs(ctx, t)
-    modulus = p**t
+    ctx = context_for(None, p, args.t if args.t is not None else statement_modexp(stmt, p))
+    lhs = stmt.lhs(ctx)
     if stmt.applies(p):
-        rhs = stmt.rhs(ctx, t)
-        print(f"lhs={lhs} rhs={rhs} mod {modulus}")
+        print(f"lhs={lhs} rhs={stmt.rhs(ctx)} mod {ctx.P}")
     else:
-        print(f"lhs={lhs} mod {modulus} (statement requires {stmt.condition})")
+        print(f"lhs={lhs} mod {ctx.P} (statement requires {stmt.condition})")
     return 0
 
 
@@ -219,7 +216,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.func(args)
     except (SupercongError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        kind = f"{type(exc).__name__}: " if isinstance(exc, SupercongError) else ""
+        print(f"error: {kind}{exc}", file=sys.stderr)
         return 2
 
 

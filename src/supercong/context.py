@@ -25,23 +25,23 @@ stages (see ``supercong.sums``):
 Root and views.  A verification run builds one *root* context per prime,
 at the largest modulus exponent any statement needs.  ``at(t)`` narrows it
 to exponent t: it returns a *view*, a context at p^t that is cached on the
-root and takes its streams from the root, reduced mod p^t, so that the four
-binomial streams are built once per prime.  A view shares only the root's
-stream dict; it holds no reference to the root itself, so no context is in
-a reference cycle and each is freed as soon as its prime is done.
-Everything else a view keeps on its own, mod p^t: inverse table, weight
-arrays, products, Jacobi streams and term arrays.  A residue mod p^2 fits
-in one 30-bit CPython digit for p < 32768 where one mod p^4 needs two, so
-a mod-p^2 parametric statement runs all its per-sample work on the smaller
-integers of its view.  Fixed statements stay on the root: their 17
-(product, base) groups are shared across the exponents 2, 3 and 4.
+root.  Every statement runs on the view at its own exponent, so ``ctx.P``
+is its modulus.  A view reduces the root's streams mod p^t, so the four
+binomial streams are built once per prime, and shares the root's quadratic
+form representations, which do not depend on t.  It holds those two dicts,
+never the root, so no context is in a reference cycle and each is freed
+as soon as its prime is done.  Everything else a view keeps on its own,
+mod p^t: inverse table, weights, products, Jacobi streams and term arrays.
+A residue mod p^2 fits in one 30-bit CPython digit for p < 32768 where one
+mod p^4 needs two, so most statements run on the smaller integers.
 
 Stream kinds, products and weight arrays are finite per prime and kept for
 the life of the context.  Jacobi streams and term arrays depend on sampled
 parameters, so they live in small LRU caches: a sampled a is used by one
-checker call, and ``JACOBI_CACHE`` streams cover all of its reuse.  A root
-builds term arrays only for the fixed groups, at most 17, and a view only
-for the sample at hand, which needs fewer; so ``TERM_CACHE`` is 17.
+checker call, and ``JACOBI_CACHE`` streams cover all of its reuse.  The
+fixed statements at one exponent use at most 17 (product, base) groups
+and a sample fewer arrays, so ``TERM_CACHE`` is 17; a sample's arrays may
+evict a group a later id uses again, which rebuilds 2% of a run's arrays.
 """
 
 from __future__ import annotations
@@ -51,7 +51,7 @@ from typing import Callable, Hashable, TypeVar
 
 from . import quadform, special
 from .binomials import batch_invert, binomial_mod, jacobi_stream_arrays, stream_arrays
-from .errors import DenominatorNotUnit, NotRepresentable
+from .errors import DenominatorNotUnit, ModulusTooHigh, NotRepresentable
 
 #: Entries kept by the bounded per-sample caches.
 JACOBI_CACHE = 4
@@ -108,8 +108,8 @@ class PrimeContext:
     # -- streams ---------------------------------------------------------
 
     def at(self, t: int) -> PrimeContext:
-        """This context at exponent t <= workexp: itself at t == workexp,
-        else a view cached here that takes its streams from the root."""
+        """This context at exponent t <= workexp: itself at t == workexp, else
+        a view cached here that shares the root's streams and representations."""
         if t == self.workexp:
             return self
         if not 1 <= t < self.workexp:
@@ -118,6 +118,7 @@ class PrimeContext:
         if view is None:
             view = self._views[t] = PrimeContext(self.p, t)
             view._root_streams, view._root_exp = self._root_streams, self._root_exp
+            view._reps = self._reps
         return view
 
     def stream(self, kind: str) -> Stream:
@@ -276,24 +277,29 @@ class PrimeContext:
         return special.legendre(a, self.p)
 
     def r1(self) -> int:
-        """R1(p) mod p^2, the only modulus it is known to."""
+        """R1(p) mod p^2; ModulusTooHigh above p^2, the only modulus it is known to."""
+        if self.workexp > 2:
+            raise ModulusTooHigh(f"R1 is known mod p^2 only, not mod p^{self.workexp}")
         return special.r1(self.p).value
 
     def r3(self) -> int:
-        """R3(p) mod p^2, the only modulus it is known to."""
+        """R3(p) mod p^2; ModulusTooHigh above p^2, the only modulus it is known to."""
+        if self.workexp > 2:
+            raise ModulusTooHigh(f"R3 is known mod p^2 only, not mod p^{self.workexp}")
         return special.r3(self.p).value
 
-    def fermat_quotient(self, b: int, t: int) -> int:
-        return special.fermat_quotient(b, self.p, t).value
+    def fermat_quotient(self, b: int) -> int:
+        """q_b = (b^(p-1) - 1)/p mod P."""
+        return special.fermat_quotient(b, self.p, self.workexp + 1).value
 
-    def binom(self, n: int, k: int, t: int) -> int:
-        """C(n,k) mod p^t for the p-unit binomials in right-hand sides.
+    def binom(self, n: int, k: int) -> int:
+        """C(n,k) mod P for the p-unit binomials in right-hand sides.
 
         Raises DenominatorNotUnit when p divides C(n,k): a closed form may
         divide by this residue, and dividing by a non-unit residue would
         cancel p silently.
         """
-        b = binomial_mod(n, k, self.p, t)
+        b = binomial_mod(n, k, self.p, self.workexp)
         if b % self.p == 0:
             raise DenominatorNotUnit(f"C({n},{k}) is divisible by {self.p}")
         return b

@@ -11,17 +11,18 @@ prime (p = x^2 + 4y^2, x^2 + 2y^2, x^2 + 3y^2, x^2 + 7y^2, 4p = x^2 +
 27y^2), a handful of distinguished central binomial coefficients, Fermat
 quotients, and Euler-number tails.
 
-Each fixed right-hand side is a closed form: a function of (ctx, t) that
-returns its exact value as a Fraction or an int, written as the paper
-writes it, e.g. Fr(3 * p - 4 * x * x, 5).  Its leaves are exact integers
-or residues known to p^t or better (R1/R3, 2^(p-1), binomials, Euler and
-U numbers).
-``_fixed`` and ``_fixed_custom`` reduce it once, mod p^t, with ``_fr``,
-which is also the one place that raises DenominatorNotUnit.  The unit
-invariant that keeps this exact: a closed form divides only by exact
-integers or by ``ctx.binom`` values, and ``ctx.binom`` raises
-DenominatorNotUnit when p divides the binomial, so no division by a
-residue can cancel a factor p unseen.
+Every statement runs on a context at its own modulus exponent t, so
+``ctx.P`` = p^t is its modulus.  Each fixed right-hand side is a closed
+form: a function of ctx that returns its exact value as a Fraction or an
+int, written as the paper writes it, e.g. Fr(3 * p - 4 * x * x, 5).  Its
+leaves are exact integers or residues mod ``ctx.P`` (2^(p-1), binomials,
+Fermat quotients, Euler and U numbers), or R1/R3, which are known mod p^2
+only and raise ModulusTooHigh above it.  ``_fixed`` and ``_fixed_custom``
+reduce it once, mod ``ctx.P``, with ``_fr``, which is also the one place
+that raises DenominatorNotUnit.  The unit invariant that keeps this
+exact: a closed form divides only by exact integers or by ``ctx.binom``
+values, and ``ctx.binom`` raises DenominatorNotUnit when p divides the
+binomial, so no division by a residue can cancel a factor p unseen.
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ from typing import Callable, Union
 from . import quadform
 from .binomials import B22, B31, B42, B63
 from .context import PrimeContext
-from .errors import ModulusTooHigh
 from .identities import PRODUCT_FORMS
 from .padic import residue_from_fraction
 from .quadform import F2, F3, F4, F7, F27
@@ -79,15 +79,15 @@ STATUSES = ("theorem", "lemma", "corollary", "cited", "conjecture")
 
 Applies = Callable[[int], bool]
 ModExp = Union[int, Callable[[int], int]]
-Side = Callable[[PrimeContext, int], int]
-# A closed form: the exact value of a side at (ctx, t), reduced by _reduced
-Value = Callable[[PrimeContext, int], Union[Fraction, int]]
-Check = Callable[[PrimeContext, int, tuple[int, ...]], "list[tuple[int, int]] | None"]
+Side = Callable[[PrimeContext], int]
+# A closed form: the exact value of a side at ctx, reduced by _reduced
+Value = Callable[[PrimeContext], Union[Fraction, int]]
+Check = Callable[[PrimeContext, tuple[int, ...]], "list[tuple[int, int]] | None"]
 
 
 @dataclass(frozen=True)
 class Fixed:
-    """One congruence: lhs(ctx, t) == rhs(ctx, t) mod p^t when applies(p)."""
+    """One congruence: lhs(ctx) == rhs(ctx) mod ctx.P when applies(p)."""
 
     sid: str
     status: str
@@ -179,19 +179,19 @@ def _not_2_3_7(p: int) -> bool:
 # -- right-hand side builders ------------------------------------------------
 
 
-def _fr(ctx: PrimeContext, q: Fraction | int, t: int) -> int:
-    """Exact rational constant mod p^t; DenominatorNotUnit if p divides its denominator."""
-    return residue_from_fraction(q, ctx.p, t).value
+def _fr(ctx: PrimeContext, q: Fraction | int) -> int:
+    """Exact rational constant mod P; DenominatorNotUnit if p divides its denominator."""
+    return residue_from_fraction(q, ctx.p, ctx.workexp).value
 
 
 def _reduced(value: Value) -> Side:
-    """The side that reduces a closed form's exact value once, mod p^t."""
-    return lambda ctx, t: _fr(ctx, value(ctx, t), t)
+    """The side that reduces a closed form's exact value once, mod P."""
+    return lambda ctx: _fr(ctx, value(ctx))
 
 
 def _sum_lhs(spec: SumSpec) -> Side:
-    def lhs(ctx: PrimeContext, t: int) -> int:
-        return evaluate_sum(spec, ctx.p, t, ctx).value
+    def lhs(ctx: PrimeContext) -> int:
+        return evaluate_sum(spec, ctx.p, ctx.workexp, ctx).value
 
     return lhs
 
@@ -207,7 +207,7 @@ def _xyq(
 ) -> Value:
     """csq*s + cp*p + c0*sign + cpp*p^2/s with s = x^2 or y^2 over form."""
 
-    def rhs(ctx: PrimeContext, t: int) -> Fraction | int:
+    def rhs(ctx: PrimeContext) -> Fraction | int:
         x, y = ctx.xy(form)
         s = x * x if on == "x" else y * y
         val = csq * s + cp * ctx.p
@@ -223,20 +223,20 @@ def _xyq(
 def _split(form: str, main: Value, other: Value) -> Value:
     """main when p is represented by form, other on the complement class."""
 
-    def rhs(ctx: PrimeContext, t: int) -> Fraction | int:
+    def rhs(ctx: PrimeContext) -> Fraction | int:
         if quadform.applicable(ctx.p, form):
-            return main(ctx, t)
-        return other(ctx, t)
+            return main(ctx)
+        return other(ctx)
 
     return rhs
 
 
 def _const(cp: Fraction | int = 0, c0: Fraction | int = 0) -> Value:
-    return lambda ctx, t: cp * ctx.p + c0
+    return lambda ctx: cp * ctx.p + c0
 
 
 def _signed_p(c: Fraction | int, sign: str) -> Value:
-    return lambda ctx, t: c * ctx.p * prefactor_sign(sign, ctx.p)
+    return lambda ctx: c * ctx.p * prefactor_sign(sign, ctx.p)
 
 
 def _rmix(
@@ -247,34 +247,32 @@ def _rmix(
 ) -> Value:
     """cr*R + cp*p + c0 where R is the R1 or R3 constant (known mod p^2)."""
 
-    def rhs(ctx: PrimeContext, t: int) -> Fraction | int:
-        if t > 2:
-            raise ModulusTooHigh(f"R1/R3 right-hand sides are known mod p^2 only, not mod p^{t}")
+    def rhs(ctx: PrimeContext) -> Fraction | int:
         r = ctx.r1() if which == "r1" else ctx.r3()
         return cr * r + cp * ctx.p + c0
 
     return rhs
 
 
-def _b3(ctx: PrimeContext, t: int) -> int:
+def _b3(ctx: PrimeContext) -> int:
     """C(floor(2p/3), floor(p/3)) for p = 2 (mod 3), a p-unit."""
     p = ctx.p
-    return ctx.binom((2 * p - 1) // 3, (p - 2) // 3, t)
+    return ctx.binom((2 * p - 1) // 3, (p - 2) // 3)
 
 
 def _b3sq(cb: Fraction | int, cp: Fraction | int = 0, c0: Fraction | int = 0) -> Value:
     """cb*(2p+1)*B3^2 + cp*p + c0 on the p = 2 (mod 3) class."""
-    return lambda ctx, t: cb * (2 * ctx.p + 1) * _b3(ctx, t) ** 2 + cp * ctx.p + c0
+    return lambda ctx: cb * (2 * ctx.p + 1) * _b3(ctx) ** 2 + cp * ctx.p + c0
 
 
 def _binv2(c: Fraction | int, nk: Callable[[int], tuple[int, int]]) -> Value:
     """c * p^2 * C(n,k)^{-2} with (n, k) = nk(p)."""
-    return lambda ctx, t: c * Fr(ctx.p, ctx.binom(*nk(ctx.p), t)) ** 2
+    return lambda ctx: c * Fr(ctx.p, ctx.binom(*nk(ctx.p))) ** 2
 
 
 def _b7rhs(c: Fraction | int, pexp: int, bexp: int) -> Value:
     """c * p^pexp * C(floor(3p/7), floor(p/7))^bexp."""
-    return lambda ctx, t: c * ctx.p**pexp * Fr(ctx.binom(3 * ctx.p // 7, ctx.p // 7, t)) ** bexp
+    return lambda ctx: c * ctx.p**pexp * Fr(ctx.binom(3 * ctx.p // 7, ctx.p // 7)) ** bexp
 
 
 def _leg3(p: int) -> int:
@@ -351,7 +349,7 @@ def _fixed(
     mod_text: str | None = None,
     note: str = "",
 ) -> None:
-    """Register spec's sum == rhs; the closed form rhs is reduced once, mod p^t."""
+    """Register spec's sum == rhs; the closed form rhs is reduced once, mod P."""
     if mod_text is None:
         mod_text = "p" if modexp == 1 else f"p^{modexp}"
     claim = f"{sum_text(spec)} == {rhs_text} (mod {mod_text})"
@@ -370,7 +368,7 @@ def _fixed_custom(
     claim: str,
     note: str = "",
 ) -> None:
-    """Register lhs == rhs for two closed forms, each reduced once, mod p^t."""
+    """Register lhs == rhs for two closed forms, each reduced once, mod P."""
     _add(Fixed(sid, status, claim, condition, applies, modexp, _reduced(lhs), _reduced(rhs), note))
 
 
@@ -407,7 +405,7 @@ _fixed(
 )
 
 
-def _rhs_rv3(ctx: PrimeContext, t: int) -> int:
+def _rhs_rv3(ctx: PrimeContext) -> int:
     if ctx.p % 4 != 1:
         return 0
     x, _ = ctx.xy(F4)
@@ -484,7 +482,7 @@ _fixed(
 # ==============================================================================
 
 
-def _rhs_l23a(ctx: PrimeContext, t: int) -> Fraction:
+def _rhs_l23a(ctx: PrimeContext) -> Fraction:
     xt = ctx.x_one_mod_4()
     return prefactor_sign(SIGN_QUARTER, ctx.p) * (Fr(-xt, 2) + Fr(ctx.p, 4 * xt))
 
@@ -497,10 +495,10 @@ _fixed(
 )
 
 
-def _rhs_l23b(ctx: PrimeContext, t: int) -> Fraction:
+def _rhs_l23b(ctx: PrimeContext) -> Fraction:
     p = ctx.p
-    b = ctx.binom((p - 1) // 2, (p - 3) // 4, t)
-    q2 = ctx.fermat_quotient(2, 2)
+    b = ctx.binom((p - 1) // 2, (p - 3) // 4)
+    q2 = ctx.fermat_quotient(2)
     sign = -1 if (p + 1) // 4 % 2 else 1
     return Fr(sign, 4) * (b + (b + Fr(1, b) - Fr(q2 * b, 2)) * p)
 
@@ -513,26 +511,26 @@ _fixed(
 )
 
 
-def _c1(ctx: PrimeContext, t: int) -> int:
-    return ctx.binom((2 * ctx.p - 2) // 3, (ctx.p - 1) // 3, t)
+def _c1(ctx: PrimeContext) -> int:
+    return ctx.binom((2 * ctx.p - 2) // 3, (ctx.p - 1) // 3)
 
 
-def _c2(ctx: PrimeContext, t: int) -> int:
-    return ctx.binom((2 * ctx.p + 2) // 3, (ctx.p + 1) // 3, t)
+def _c2(ctx: PrimeContext) -> int:
+    return ctx.binom((2 * ctx.p + 2) // 3, (ctx.p + 1) // 3)
 
 
-def _rhs_l24a(ctx: PrimeContext, t: int) -> Fraction | int:
+def _rhs_l24a(ctx: PrimeContext) -> Fraction | int:
     if ctx.p % 3 == 1:
-        return _c1(ctx, t)
-    return Fr(ctx.p, _c2(ctx, t))
+        return _c1(ctx)
+    return Fr(ctx.p, _c2(ctx))
 
 
-def _rhs_l24b(ctx: PrimeContext, t: int) -> Fraction:
+def _rhs_l24b(ctx: PrimeContext) -> Fraction:
     p = ctx.p
     if p % 3 == 1:
-        c = _c1(ctx, t)
+        c = _c1(ctx)
         return Fr(p, c) - c
-    c = _c2(ctx, t)
+    c = _c2(ctx)
     return -(p + 1) * c - Fr(p, c)
 
 
@@ -551,26 +549,26 @@ _fixed(
 )
 
 
-def _c3b(ctx: PrimeContext, t: int) -> int:
-    return ctx.binom((ctx.p + 1) // 2, (ctx.p + 1) // 6, t)
+def _c3b(ctx: PrimeContext) -> int:
+    return ctx.binom((ctx.p + 1) // 2, (ctx.p + 1) // 6)
 
 
-def _rhs_l25a(ctx: PrimeContext, t: int) -> Fraction:
+def _rhs_l25a(ctx: PrimeContext) -> Fraction:
     p = ctx.p
     if p % 3 == 1:
         x, _ = ctx.xy(F3)
         sx = 1 if x % 3 == 1 else -1
         return sx * (2 * x - Fr(p, 2 * x))
-    return Fr(3 * p, 2 * _c3b(ctx, t))
+    return Fr(3 * p, 2 * _c3b(ctx))
 
 
-def _rhs_l25b(ctx: PrimeContext, t: int) -> Fraction:
+def _rhs_l25b(ctx: PrimeContext) -> Fraction:
     p = ctx.p
     if p % 3 == 1:
         x, _ = ctx.xy(F3)
         sx = 1 if x % 3 == 1 else -1
         return sx * (-x + Fr(p, 2 * x))
-    c = _c3b(ctx, t)
+    c = _c3b(ctx)
     e2, e3 = pow(2, p - 1, ctx.P) - 1, pow(3, p - 1, ctx.P) - 1
     return (Fr(-1 - p, 3) - Fr(2 * e2, 9) + Fr(e3, 4)) * c - Fr(3 * p, 4 * c)
 
@@ -592,31 +590,31 @@ _fixed(
 )
 
 
-def _c4(ctx: PrimeContext, t: int) -> int:
-    return ctx.binom((ctx.p - 1) // 2, (ctx.p - 1) // 4, t)
+def _c4(ctx: PrimeContext) -> int:
+    return ctx.binom((ctx.p - 1) // 2, (ctx.p - 1) // 4)
 
 
-def _c5(ctx: PrimeContext, t: int) -> int:
-    return ctx.binom((ctx.p - 1) // 2, (ctx.p - 3) // 4, t)
+def _c5(ctx: PrimeContext) -> int:
+    return ctx.binom((ctx.p - 1) // 2, (ctx.p - 3) // 4)
 
 
-def _rhs_l26a(ctx: PrimeContext, t: int) -> Fraction:
+def _rhs_l26a(ctx: PrimeContext) -> Fraction:
     p = ctx.p
     eps = ctx.legendre(6)
     if p % 4 == 1:
         e2 = pow(2, p - 1, ctx.P) - 1
-        return eps * _c4(ctx, t) * (1 - Fr(e2, 2))
-    return eps * Fr(p, 3 * _c5(ctx, t))
+        return eps * _c4(ctx) * (1 - Fr(e2, 2))
+    return eps * Fr(p, 3 * _c5(ctx))
 
 
-def _rhs_l26b(ctx: PrimeContext, t: int) -> Fraction:
+def _rhs_l26b(ctx: PrimeContext) -> Fraction:
     p = ctx.p
     eps = ctx.legendre(6)
     e2 = pow(2, p - 1, ctx.P) - 1
     if p % 4 == 1:
-        c = _c4(ctx, t)
+        c = _c4(ctx)
         return eps * (-Fr(p, 2 * c) + c * (1 - Fr(e2, 2)) / 2)
-    c = _c5(ctx, t)
+    c = _c5(ctx)
     return eps * (Fr(p, 6 * c) + (Fr(3 * (1 + p), 2) - Fr(3 * e2, 4)) * c)
 
 
@@ -801,7 +799,7 @@ _fixed(
 )
 
 
-def _rhs_s216(ctx: PrimeContext, t: int) -> Fraction:
+def _rhs_s216(ctx: PrimeContext) -> Fraction:
     xt = ctx.x_one_mod_4()
     return prefactor_sign(SIGN_QUARTER, ctx.p) * (2 * xt - Fr(ctx.p, 2 * xt))
 
@@ -814,9 +812,9 @@ _fixed(
 )
 
 
-def _rhs_s217(ctx: PrimeContext, t: int) -> Fraction:
+def _rhs_s217(ctx: PrimeContext) -> Fraction:
     sign = -1 if (ctx.p - 3) // 4 % 2 else 1
-    return sign * Fr(ctx.p, _c5(ctx, t))
+    return sign * Fr(ctx.p, _c5(ctx))
 
 
 _fixed(
@@ -827,11 +825,11 @@ _fixed(
 )
 
 
-def _lhs_s218(ctx: PrimeContext, t: int) -> int:
-    return _c4(ctx, t) ** 2
+def _lhs_s218(ctx: PrimeContext) -> int:
+    return _c4(ctx) ** 2
 
 
-def _rhs_s218(ctx: PrimeContext, t: int) -> int:
+def _rhs_s218(ctx: PrimeContext) -> int:
     x, _ = ctx.xy(F4)
     return pow(2, ctx.p - 1, ctx.P) * (4 * x * x - 2 * ctx.p)
 
@@ -909,7 +907,7 @@ _fixed(
 )
 
 
-def _rhs_cj222(ctx: PrimeContext, t: int) -> int:
+def _rhs_cj222(ctx: PrimeContext) -> int:
     sign = -1 if ctx.p // 4 % 2 else 1
     if ctx.p % 4 == 1:
         _, y = ctx.xy(F4)
@@ -1011,7 +1009,7 @@ _fixed(
 
 def _u_tail(c: Fraction) -> Value:
     """(p|3) p + c p^3 U(p-3)."""
-    return lambda ctx, t: _leg3(ctx.p) * ctx.p + c * ctx.p**3 * ctx.u_number(ctx.p - 3)
+    return lambda ctx: _leg3(ctx.p) * ctx.p + c * ctx.p**3 * ctx.u_number(ctx.p - 3)
 
 
 _fixed(
@@ -1022,7 +1020,7 @@ _fixed(
 )
 
 
-def _rhs_cj23(ctx: PrimeContext, t: int) -> Fraction:
+def _rhs_cj23(ctx: PrimeContext) -> Fraction:
     p = ctx.p
     return prefactor_sign(SIGN_HALF, p) * p - Fr(745, 447) * p**3 * ctx.euler_number(p - 3)
 
@@ -1632,37 +1630,37 @@ _fixed(
 
 # S(mult=, base=, central=) -> T(weight, limit=FULL): one sample's sums at a
 Sums = Callable[..., Callable[..., int]]
-# (ctx, t, aa, x, S) -> the pairs a Check returns
+# (ctx, aa, x, S) -> the pairs a Check returns
 Relation = Callable[
-    [PrimeContext, int, Union[Fraction, int], int, Sums], "list[tuple[int, int]] | None"
+    [PrimeContext, Union[Fraction, int], int, Sums], "list[tuple[int, int]] | None"
 ]
 
 
-def _sums(
+def _jacobi_sums(
+    ctx: PrimeContext, a: int, *, mult: int = 1, base: int | None = None, central: bool = False
+) -> Callable[..., int]:
+    """T(weight, limit=FULL): the sums of one sample at an integer a over one
+    stream, sum_k w(k) C(a,k) C(-1-a,k) [C(2k,k)] mult^k / base^k mod P."""
+    return lambda weight, limit=FULL: evaluate_jacobi_sum(
+        a, ctx.p, ctx.workexp, weight=weight, limit=limit, mult=mult, base=base,
+        central=central, ctx=ctx,
+    ).value
+
+
+def _product_sums(
+    form: tuple[tuple[str, ...], int],
     ctx: PrimeContext,
-    t: int,
-    a: Fraction | int,
     *,
     mult: int = 1,
     base: int | None = None,
     central: bool = False,
 ) -> Callable[..., int]:
-    """T(weight, limit=FULL): the sums of one sample at a over one stream.
-
-    T is sum_k w(k) C(a,k) C(-1-a,k) [C(2k,k)] mult^k / base^k mod p^t, over
-    the theorem's range.  An integer a goes to evaluate_jacobi_sum.  At a
-    fixed a, C(a,k) C(-1-a,k) = prod(kinds at k) / b^k with (kinds, b) =
-    PRODUCT_FORMS[a], so T is a product sum at base b*base/mult.  At
-    a = -1/2 both binomials are C(2k,k)/(-4)^k, which p divides for
-    (p-1)/2 < k < p, so every sum stops at (p-1)/2 except the 1/(2k-1)^e
-    sums, whose pole term at 2k - 1 = p keeps them at p-1.
-    """
-    p = ctx.p
-    form = PRODUCT_FORMS.get(a)
-    if form is None:
-        return lambda weight, limit=FULL: evaluate_jacobi_sum(
-            a, p, t, weight=weight, limit=limit, mult=mult, base=base, central=central, ctx=ctx,
-        ).value
+    """The sums of _jacobi_sums at a fixed a, where (kinds, b) = form =
+    PRODUCT_FORMS[a] and C(a,k) C(-1-a,k) = prod(kinds at k) / b^k: each is
+    a product sum at base b*base/mult.  At a = -1/2 both binomials are
+    C(2k,k)/(-4)^k, which p divides for (p-1)/2 < k < p, so every sum
+    stops at (p-1)/2 except the 1/(2k-1)^e sums, whose pole term at
+    2k - 1 = p keeps them at p-1."""
     kinds, b = form
     half = kinds == (B22, B22)  # a = -1/2
     product = (B22, *kinds) if central else kinds
@@ -1671,7 +1669,7 @@ def _sums(
     def T(weight: Weight, limit: str = FULL) -> int:
         if half:
             limit = FULL if weight.tag in ("inv_2k1", "inv_2k1_sq") else HALF
-        return evaluate_sum(SumSpec(product, m, weight, limit), p, t, ctx).value
+        return evaluate_sum(SumSpec(product, m, weight, limit), ctx.p, ctx.workexp, ctx).value
 
     return T
 
@@ -1679,9 +1677,9 @@ def _sums(
 def _theorem(rel: Relation) -> Check:
     """The check of a statement over sampled (a, x)."""
 
-    def check(ctx: PrimeContext, t: int, ps: tuple[int, ...]):
+    def check(ctx: PrimeContext, ps: tuple[int, ...]):
         a, x = ps
-        return rel(ctx, t, a * (a + 1), x, partial(_sums, ctx, t, a))
+        return rel(ctx, a * (a + 1), x, partial(_jacobi_sums, ctx, a))
 
     return check
 
@@ -1689,8 +1687,8 @@ def _theorem(rel: Relation) -> Check:
 def _corollary(rel: Relation, a: Fraction) -> Check:
     """The check of a statement over sampled x at a fixed a: a corollary
     is its theorem's relation at a, and P-T5.2 is stated at a = -1/2 only."""
-    aa = a * (a + 1)
-    return lambda ctx, t, ps: rel(ctx, t, aa, ps[0], partial(_sums, ctx, t, a))
+    aa, form = a * (a + 1), PRODUCT_FORMS[a]
+    return lambda ctx, ps: rel(ctx, aa, ps[0], partial(_product_sums, form, ctx))
 
 
 def _adm_none(p: int, ps: tuple[int, ...]) -> bool:
@@ -1721,9 +1719,9 @@ def _adm_a_m_wide(p: int, ps: tuple[int, ...]) -> bool:
     return a % p not in (0, 1, p - 1, p - 2) and mm % p != 0
 
 
-def _rel_l22(ctx: PrimeContext, t: int, aa: Fraction | int, tt: int, S: Sums):
+def _rel_l22(ctx: PrimeContext, aa: Fraction | int, tt: int, S: Sums):
     s0 = S(mult=-tt)(W_ONE)
-    return [(s0 * s0 % ctx.p**t, S(mult=-tt * (tt + 1), central=True)(W_ONE))]
+    return [(s0 * s0 % ctx.P, S(mult=-tt * (tt + 1), central=True)(W_ONE))]
 
 
 _param(
@@ -1733,12 +1731,12 @@ _param(
 )
 
 
-def _rel_t21(ctx: PrimeContext, t: int, aa: Fraction | int, tt: int, S: Sums):
-    m = ctx.p**t
+def _rel_t21(ctx: PrimeContext, aa: Fraction | int, tt: int, S: Sums):
+    m = ctx.P
     lhs = S(mult=-tt * (tt + 1), central=True)(W_INV_K1, FULL_MINUS_1)
     T = S(mult=-tt)
     s0, s1 = T(W_ONE), T(W_K)
-    c = _fr(ctx, Fr(tt + 1, tt * aa), t)
+    c = _fr(ctx, Fr(tt + 1, tt * aa))
     return [(lhs, (s0 * s0 - c * s1 % m * s1) % m)]
 
 
@@ -1751,12 +1749,12 @@ _param(
 )
 
 
-def _rel_eq22(ctx: PrimeContext, t: int, aa: Fraction | int, tt: int, S: Sums):
-    m = ctx.p**t
+def _rel_eq22(ctx: PrimeContext, aa: Fraction | int, tt: int, S: Sums):
+    m = ctx.P
     T = S(mult=-tt)
     s0, s1 = T(W_ONE), T(W_K)
     n1 = S(mult=-tt * (tt + 1), central=True)(W_K)
-    c = _fr(ctx, Fr(2 * tt + 1, tt + 1), t)
+    c = _fr(ctx, Fr(2 * tt + 1, tt + 1))
     return [(2 * s0 * s1 % m, c * n1 % m)]
 
 
@@ -1768,15 +1766,15 @@ _param(
 )
 
 
-def _rel_t22(ctx: PrimeContext, t: int, aa: Fraction | int, tt: int, S: Sums):
-    p, m = ctx.p, ctx.p**t
+def _rel_t22(ctx: PrimeContext, aa: Fraction | int, tt: int, S: Sums):
+    p, m = ctx.p, ctx.P
     T = S(mult=-tt * (tt + 1), central=True)
     d = T(W_ONE)
     if d % p == 0:
         return None
     n = T(W_K)
     lhs = T(W_INV_K1, FULL_MINUS_1)
-    c = _fr(ctx, Fr((2 * tt + 1) ** 2, 4 * tt * (tt + 1) * aa), t)
+    c = _fr(ctx, Fr((2 * tt + 1) ** 2, 4 * tt * (tt + 1) * aa))
     return [(lhs, (d - c * n % m * n % m * pow(d, -1, m)) % m)]
 
 
@@ -1851,18 +1849,18 @@ _param(
 )
 
 
-def _rel_t31(ctx: PrimeContext, t: int, aa: Fraction | int, mm: int, S: Sums):
-    p, m = ctx.p, ctx.p**t
+def _rel_t31(ctx: PrimeContext, aa: Fraction | int, mm: int, S: Sums):
+    p, m = ctx.p, ctx.P
     T = S(base=mm, central=True)
     s, sk, sk2, sinv, sk3 = T(W_ONE), T(W_K), T(W_K2), T(W_INV_K1, FULL_MINUS_1), T(W_K3)
-    A, half = _fr(ctx, aa, t), _fr(ctx, Fr(mm - 4, 2), t)
+    A, half = _fr(ctx, aa), _fr(ctx, Fr(mm - 4, 2))
     pairs = [
         (half * sk2 % m, (sk - 2 * A * s + A * sinv) % m),
         (half * sk3 % m, (3 * sk2 - (2 * A - 1) * sk - A * s) % m),
     ]
     if (mm - 4) % p:
         rhs = ((2 - 4 * A) * (mm - 4) + 12) * sk - 2 * A * (mm + 8) * s + 12 * A * sinv
-        pairs.append((sk3, rhs % m * _fr(ctx, Fr(1, (mm - 4) ** 2), t) % m))
+        pairs.append((sk3, rhs % m * _fr(ctx, Fr(1, (mm - 4) ** 2)) % m))
     return pairs
 
 
@@ -1887,12 +1885,12 @@ _param(
 )
 
 
-def _rel_t41(ctx: PrimeContext, t: int, aa: Fraction | int, mm: int, S: Sums):
-    m = ctx.p**t
+def _rel_t41(ctx: PrimeContext, aa: Fraction | int, mm: int, S: Sums):
+    m = ctx.P
     T = S(base=mm, central=True)
     s, sk = T(W_ONE), T(W_K)
     sinv, sinv2, sinv3 = (T(w, FULL_MINUS_1) for w in (W_INV_K1, W_INV_K1_SQ, W_INV_K1_CU))
-    A, B = _fr(ctx, aa, t), _fr(ctx, Fr(1, aa), t)
+    A, B = _fr(ctx, aa), _fr(ctx, Fr(1, aa))
     rhs1 = (mm - 4) * sk + 2 * s + (4 * A - 2) * sinv
     rhs2 = -mm + (2 * mm - 8 - (mm - 4) * B) * sk + (mm - 2 * B) * s + (8 * A - 2 + 2 * B) * sinv
     return [(2 * A * sinv2 % m, rhs1 % m), (2 * A * sinv3 % m, rhs2 % m)]
@@ -1915,11 +1913,11 @@ _param(
 )
 
 
-def _rel_t51(ctx: PrimeContext, t: int, aa: Fraction | int, mm: int, S: Sums):
+def _rel_t51(ctx: PrimeContext, aa: Fraction | int, mm: int, S: Sums):
     T = S(base=mm, central=True)
     lhs, s, sk, sinv = T(W_INV_2K1), T(W_ONE), T(W_K), T(W_INV_K1, FULL_MINUS_1)
-    inv = _fr(ctx, Fr(1, mm), t)
-    return [(lhs, ((8 * inv - 2) * sk - s - 8 * _fr(ctx, aa, t) * inv * sinv) % ctx.p**t)]
+    inv = _fr(ctx, Fr(1, mm))
+    return [(lhs, ((8 * inv - 2) * sk - s - 8 * _fr(ctx, aa) * inv * sinv) % ctx.P)]
 
 
 _param(
@@ -1938,13 +1936,13 @@ _param(
 )
 
 
-def _rel_t52(ctx: PrimeContext, t: int, aa: Fraction | int, mm: int, S: Sums):
+def _rel_t52(ctx: PrimeContext, aa: Fraction | int, mm: int, S: Sums):
     T = S(base=mm, central=True)
     lhs = T(W_INV_2K1_SQ)
-    c1 = _fr(ctx, 4 - Fr(16, mm), t)
-    c2 = _fr(ctx, 1 + Fr(4, mm), t)
-    c3 = _fr(ctx, Fr(6, mm), t)
-    return [(lhs, (c1 * T(W_K) + c2 * T(W_ONE) - c3 * T(W_INV_K1)) % ctx.p**t)]
+    c1 = _fr(ctx, 4 - Fr(16, mm))
+    c2 = _fr(ctx, 1 + Fr(4, mm))
+    c3 = _fr(ctx, Fr(6, mm))
+    return [(lhs, (c1 * T(W_K) + c2 * T(W_ONE) - c3 * T(W_INV_K1)) % ctx.P)]
 
 
 _param(
@@ -1956,13 +1954,13 @@ _param(
 )
 
 
-def _rel_t61(ctx: PrimeContext, t: int, aa: Fraction | int, mm: int, S: Sums):
-    m = ctx.p**t
+def _rel_t61(ctx: PrimeContext, aa: Fraction | int, mm: int, S: Sums):
+    m = ctx.P
     T = S(base=mm, central=True)
     lhs, s, sk, sinv = T(W_INV_K2, FULL_MINUS_2), T(W_ONE), T(W_K), T(W_INV_K1, FULL_MINUS_1)
-    rhs = (4 - mm) * sk + (mm - 6) * s + (2 * _fr(ctx, aa, t) - mm) * sinv
+    rhs = (4 - mm) * sk + (mm - 6) * s + (2 * _fr(ctx, aa) - mm) * sinv
     # all over 6(a-1)(a+2) = 6(aa-2)
-    return [(lhs, rhs % m * _fr(ctx, Fr(1, 6 * (aa - 2)), t) % m)]
+    return [(lhs, rhs % m * _fr(ctx, Fr(1, 6 * (aa - 2))) % m)]
 
 
 _param(

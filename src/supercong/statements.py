@@ -101,18 +101,14 @@ def draw_params(stmt: Parametric, p: int, seed: int, index: int) -> tuple[int, .
     return None
 
 
-def _check_fixed(stmt: Fixed, ctx: PrimeContext, t: int) -> Verdict:
-    lhs = stmt.lhs(ctx, t)
-    rhs = stmt.rhs(ctx, t)
-    modulus = ctx.p**t
-    if lhs == rhs:
-        return Verdict(HOLDS, lhs, rhs, modulus)
-    return Verdict(FAILS, lhs, rhs, modulus)
+def _check_fixed(stmt: Fixed, ctx: PrimeContext) -> Verdict:
+    lhs = stmt.lhs(ctx)
+    rhs = stmt.rhs(ctx)
+    return Verdict(HOLDS if lhs == rhs else FAILS, lhs, rhs, ctx.P)
 
 
-def _check_parametric(stmt: Parametric, ctx: PrimeContext, t: int, seed: int) -> Verdict:
-    p = ctx.p
-    modulus = p**t
+def _check_parametric(stmt: Parametric, ctx: PrimeContext, seed: int) -> Verdict:
+    p, modulus = ctx.p, ctx.P
     checked = 0
     skipped = 0
     for i in range(SAMPLES_PER_PRIME):
@@ -120,7 +116,7 @@ def _check_parametric(stmt: Parametric, ctx: PrimeContext, t: int, seed: int) ->
         if params is None:
             skipped += 1
             continue
-        pairs = stmt.check(ctx, t, params)
+        pairs = stmt.check(ctx, params)
         if pairs is None:
             skipped += 1
             continue
@@ -150,9 +146,9 @@ def evaluate_statement(
     """Check one registered statement at one prime.
 
     A shared PrimeContext for p may be passed in to reuse cached streams;
-    it must reach the statement's modulus exponent.  Without one, a
-    context at that exponent is built.  A parametric statement runs on
-    the context's view at its exponent (``PrimeContext.at``).
+    it must reach the statement's modulus exponent t.  Without one, a
+    context at t is built.  The statement runs on the context's view at t
+    (``PrimeContext.at``), whose modulus is p^t.
     """
     stmt = REGISTRY.get(sid)
     if stmt is None:
@@ -160,10 +156,10 @@ def evaluate_statement(
     if not stmt.applies(p):
         return Verdict(NOT_APPLICABLE, detail=f"requires {stmt.condition}")
     t = statement_modexp(stmt, p)
-    ctx = context_for(ctx, p, t)
+    ctx = context_for(ctx, p, t).at(t)
     if isinstance(stmt, Parametric):
-        return _check_parametric(stmt, ctx.at(t), t, seed)
-    return _check_fixed(stmt, ctx, t)
+        return _check_parametric(stmt, ctx, seed)
+    return _check_fixed(stmt, ctx)
 
 
 def _verdict_row(p: int, sid: str, v: Verdict) -> ReportRow:

@@ -1,11 +1,14 @@
 """Command-line interface: formats, exit codes, golden outputs."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import supercong
 from supercong.cli import main
 from supercong.registry import REGISTRY, Fixed
 from supercong.report import VerificationReport
@@ -106,7 +109,7 @@ def test_verify_rejects_unknown_status_choice(capsys):
 def injected(sid: str, status: str) -> Fixed:
     return Fixed(
         sid, status, "0 == 1 (mod p^2)", "p > 3",
-        lambda p: p > 3, 2, lambda ctx, t: 0, lambda ctx, t: 1,
+        lambda p: p > 3, 2, lambda ctx: 0, lambda ctx: 1,
     )
 
 
@@ -180,6 +183,18 @@ def test_eval_errors(capsys):
     assert err.count("error:") == 3
 
 
+def test_eval_above_p2_of_an_r1_form_names_the_error(capsys):
+    """CJ-R2.2-2 at p = 3 (mod 4) is -4 R1(p) - 2p up to sign, and R1 is
+    known mod p^2 only: asked for mod p^3 it fails loudly instead of
+    printing a residue of the wrong modulus."""
+    assert main(["eval", "CJ-R2.2-2", "7", "3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ModulusTooHigh: "), captured.err
+    assert main(["eval", "CJ-R2.2-2", "7"]) == 0
+    assert capsys.readouterr().out == "lhs=1 rhs=1 mod 49\n"
+
+
 def test_eval_rejects_modulus_exponent_below_one(capsys):
     fixed = [sid for sid, stmt in REGISTRY.items() if isinstance(stmt, Fixed)]
     for sid in fixed:
@@ -236,3 +251,19 @@ def test_module_entry_point_runs():
     )
     assert proc.returncode == 0
     assert proc.stdout == f"{CSV_HEADER}\n7,T2.7,Holds,36,36,49\n"
+
+
+def test_sweep_under_python_O_matches_the_plain_run():
+    """A whole verify sweep gives the same report when python -O strips
+    assertions, so no verdict rests on an assert."""
+    src = str(Path(supercong.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    argv = ["-m", "supercong", "verify", "--primes", "5..40", "--status", "all", "--format", "json"]
+    docs = []
+    for flags in ([], ["-O"]):
+        proc = subprocess.run([sys.executable, *flags, *argv], env=env, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        doc = json.loads(proc.stdout)
+        del doc["elapsed"]
+        docs.append(doc)
+    assert docs[0]["rows"] and docs[0] == docs[1]

@@ -6,7 +6,8 @@ from fractions import Fraction
 
 import pytest
 
-from supercong.errors import NotCoprime, WrongClass
+from supercong.context import PrimeContext
+from supercong.errors import ModulusTooHigh, NotCoprime, WrongClass
 from supercong.special import (
     euler_numbers_exact,
     euler_numbers_mod,
@@ -88,6 +89,23 @@ def test_fermat_quotient_consistency():
         t = rng.randrange(2, 5)
         q = fermat_quotient(b, p, t)
         assert (p * q.value + 1) % p**t == pow(b, p - 1, p**t)
+
+
+def test_context_constants_are_known_at_the_context_exponent():
+    """A context's Fermat quotients and binomials are residues mod its own
+    P = p^t; R1 and R3, known mod p^2 only, raise ModulusTooHigh above it."""
+    p = 11  # 3 (mod 4) and 2 (mod 3): both R1 and R3 exist
+    for t in (1, 2, 3, 4):
+        ctx = PrimeContext(p, t)
+        assert ctx.fermat_quotient(2) == (2 ** (p - 1) - 1) // p % p**t
+        assert ctx.binom(20, 7) == math.comb(20, 7) % p**t
+        if t <= 2:
+            assert (ctx.r1(), ctx.r3()) == (r1(p).value, r3(p).value)
+        else:
+            with pytest.raises(ModulusTooHigh):
+                ctx.r1()
+            with pytest.raises(ModulusTooHigh):
+                ctx.r3()
 
 
 def test_fermat_quotient_input_validation():

@@ -169,16 +169,35 @@ class TestEvaluateStatement:
 
     @pytest.mark.parametrize("order", list(permutations(("P-T2.1", "P-T3.1", "S-L1"))))
     def test_one_root_context_serves_every_exponent(self, order):
-        """A root at p^4 gives the verdicts of fresh contexts to a mod-p^2
-        and a mod-p^3 parametric statement, through its views, and to a
-        mod-p^4 fixed statement, in any order."""
-        p = 211
+        """A root at p^4 gives the verdicts of fresh contexts, through its
+        views, to a mod-p^2 and a mod-p^3 parametric statement and to fixed
+        statements mod p, p^2, p^3 and p^4, in any order."""
+        p = 73  # 1 (mod 12) and 3 (mod 7): every id below applies
+        fixed = ["CJ-S9-intro-b", "T2.7", "CJ-R2.2-1"]  # mod p, p^2, p^3, in registry order
+        for sids in ([*fixed, *order], [*order, *reversed(fixed)]):
+            root = PrimeContext(p, MAX_MODEXP)
+            for sid in sids:
+                got = evaluate_statement(sid, p, ctx=root)
+                assert got == evaluate_statement(sid, p), sid
+                assert got.outcome == HOLDS, sid
+                assert got.modulus == p ** statement_modexp(REGISTRY[sid], p), sid
+            assert sorted(root._views) == [1, 2, 3]
+
+    @pytest.mark.parametrize("p", [89, 97, 101, 103, 107])
+    def test_shared_root_gives_fresh_context_verdicts(self, p):
+        """Every registered statement, run in registry order on one root
+        context, gives the verdict (or the typed error) it gives on a
+        context of its own."""
+
+        def outcome(sid, ctx=None):
+            try:
+                return evaluate_statement(sid, p, ctx=ctx)
+            except SupercongError as exc:
+                return type(exc), str(exc)
+
         root = PrimeContext(p, MAX_MODEXP)
-        for sid in order:
-            got = evaluate_statement(sid, p, ctx=root)
-            assert got == evaluate_statement(sid, p), sid
-            assert got.outcome == HOLDS, sid
-        assert sorted(root._views) == [2, 3]
+        for sid in REGISTRY:
+            assert outcome(sid, root) == outcome(sid), sid
 
 
 class TestRunRange:
@@ -262,7 +281,7 @@ class TestRunRange:
         sid = "X-FALSE"
         REGISTRY[sid] = Fixed(
             sid, "theorem", "0 == 1 (mod p^2)", "p > 3",
-            lambda p: p > 3, 2, lambda ctx, t: 0, lambda ctx, t: 1,
+            lambda p: p > 3, 2, lambda ctx: 0, lambda ctx: 1,
         )
         try:
             r = run_range(5, 30, ids=[sid, "T2.7"])
@@ -287,19 +306,19 @@ class TestRunRange:
             "X-DEN", "theorem", "S == S (mod p^2)", "p > 3", lambda p: p > 3, 2, lhs, lhs,
         )
 
-        def seventh(ctx, t):
-            return _fr(ctx, Fraction(1, 7), t)
+        def seventh(ctx):
+            return _fr(ctx, Fraction(1, 7))
 
         REGISTRY["X-FR"] = Fixed(
             "X-FR", "theorem", "1/7 == 1/7 (mod p^2)", "p > 3", lambda p: p > 3, 2, seventh, seventh,
         )
         REGISTRY["X-R1"] = Fixed(
             "X-R1", "theorem", "0 == R1 (mod p^3)", "p = 3 mod 4",
-            lambda p: p % 4 == 3, 3, lambda ctx, t: 0, _rmix("r1", 1),
+            lambda p: p % 4 == 3, 3, lambda ctx: 0, _rmix("r1", 1),
         )
         REGISTRY["X-BIN"] = Fixed(
             "X-BIN", "theorem", "0 == p^2 / C(p,1)^2 (mod p^2)", "p > 3",
-            lambda p: p > 3, 2, lambda ctx, t: 0, _binv2(1, lambda p: (p, 1)),
+            lambda p: p > 3, 2, lambda ctx: 0, _binv2(1, lambda p: (p, 1)),
         )
         try:
             r = run_range(5, 30, ids=["X-DEN", "X-FR", "X-R1", "X-BIN", "T2.7"])
@@ -324,7 +343,7 @@ class TestRunRange:
         sid = "XJ-FALSE"
         REGISTRY[sid] = Fixed(
             sid, "conjecture", "0 == 1 (mod p^2)", "p > 3",
-            lambda p: p > 3, 2, lambda ctx, t: 0, lambda ctx, t: 1,
+            lambda p: p > 3, 2, lambda ctx: 0, lambda ctx: 1,
         )
         try:
             r = run_range(5, 10, ids=[sid])
@@ -365,7 +384,7 @@ def test_parametric_check_depends_on_every_sum(sid, monkeypatch):
         calls.clear()
         for name in ("evaluate_sum", "evaluate_jacobi_sum"):
             monkeypatch.setattr(registry, name, perturbed(getattr(sums, name), off))
-        return stmt.check(ctx, t, params)
+        return stmt.check(ctx, params)
 
     pairs = check(None)
     assert calls and pairs and all(lhs == rhs for lhs, rhs in pairs)
