@@ -40,8 +40,9 @@ the life of the context.  Jacobi streams and term arrays depend on sampled
 parameters, so they live in small LRU caches: a sampled a is used by one
 checker call, and ``JACOBI_CACHE`` streams cover all of its reuse.  The
 fixed statements at one exponent use at most 17 (product, base) groups
-and a sample fewer arrays, so ``TERM_CACHE`` is 17; a sample's arrays may
-evict a group a later id uses again, which rebuilds 2% of a run's arrays.
+and a sample fewer arrays, so ``TERM_CACHE`` is 17.  A run takes a prime's
+fixed ids before its parametric ones, so a sample's arrays evict only
+groups that no later id uses, and no array is built twice on one context.
 """
 
 from __future__ import annotations

@@ -2,13 +2,15 @@
 
 import random
 from fractions import Fraction
+from operator import mul
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from supercong import identities
-from supercong.binomials import exact_binomial, rational_binomial
+from supercong.binomials import EXACT, exact_binomial, rational_binomial
+from supercong.cli import main
 from supercong.identities import (
     check_convolution_identity,
     check_convolution_recurrence,
@@ -128,27 +130,129 @@ rationals = st.one_of(
 )
 
 
+# -- Fraction oracles: one Fraction per row entry, sides in Fraction arithmetic
+
+
+def fraction_row(a, n, start=0):
+    """[C(a,start), ..., C(a,n)] as Fractions, by the falling-factorial step."""
+    a = Fraction(a)
+    r, s = a.numerator, a.denominator
+    row = [Fraction(1)] if start == 0 else []
+    num = den = 1
+    for k in range(n):
+        num *= r - k * s
+        den *= s * (k + 1)
+        if k + 1 >= start:
+            row.append(Fraction(num, den))
+    return row
+
+
+def fraction_jacobi_row(a, n, start=0):
+    return list(map(mul, fraction_row(a, n, start), fraction_row(-1 - Fraction(a), n, start)))
+
+
+def fraction_lhs_sum(jac, n):
+    return sum(k * (n + 1 - k) * jac[k] * jac[n + 1 - k] for k in range(1, n + 1))
+
+
+def fraction_recurrence_sides(n, a):
+    a = Fraction(a)
+    jac = fraction_jacobi_row(a, n + 1)
+    s = [fraction_lhs_sum(jac, m) for m in (n, n - 1, n - 2)]
+    lhs = (n**3 - n) * s[0]
+    rhs = 2 * (n**3 - (2 * a * a + 2 * a + 1) * n + a * (a + 1)) * s[1] - (
+        n**3 - (2 * a + 1) ** 2 * n
+    ) * s[2]
+    return lhs, rhs
+
+
+def fraction_product_sides(k_max):
+    """(C(a,k)C(-1-a,k), closed form at k) per entry, in the order of the check."""
+    half = fraction_row(Fraction(-1, 2), k_max)
+    out = [(half[k], Fraction(exact_binomial(2 * k, k), (-4) ** k)) for k in range(k_max + 1)]
+    for a, (kinds, base) in identities.PRODUCT_FORMS.items():
+        jac = fraction_jacobi_row(a, k_max)
+        for k in range(k_max + 1):
+            closed = Fraction(EXACT[kinds[0]](k) * EXACT[kinds[1]](k), base**k)
+            out.append((jac[k], closed))
+    return out
+
+
+def fraction_series_square_sides(a, order):
+    a = Fraction(a)
+    jac = fraction_jacobi_row(a, order)
+    lin = [(-1) ** k * k * x for k, x in enumerate(jac)]
+    lhs = [sum(lin[i] * lin[m - i] for i in range(m + 1)) for m in range(order + 1)]
+    coef = [exact_binomial(2 * k, k + 1) * x for k, x in enumerate(jac)]
+    inner = [
+        sum((-1) ** k * exact_binomial(k, i - k) * coef[k] for k in range((i + 1) // 2, i + 1))
+        for i in range(order)
+    ]
+    rhs = [Fraction(0)]
+    q = 0
+    for x in inner:
+        q = x - q
+        rhs.append(a * (a + 1) * q)
+    return lhs, rhs
+
+
+def fraction_shift_sides(a, k):
+    a = Fraction(a)
+    jac_k, jac_next = fraction_jacobi_row(a, k + 1, start=k)
+    lhs = (k + 1) ** 2 * jac_next * exact_binomial(2 * k + 2, k + 1)
+    rhs = (
+        4 * k * k + 2 * k - 4 * a * (a + 1) + 2 * a * (a + 1) / Fraction(k + 1)
+    ) * jac_k * exact_binomial(2 * k, k)
+    return lhs, rhs
+
+
+def over(den, *sides):
+    """Integer sides (ints or lists of ints) as Fractions over ``den``."""
+    return tuple(
+        [Fraction(x, den) for x in side] if isinstance(side, list) else Fraction(side, den)
+        for side in sides
+    )
+
+
 @settings(max_examples=100, deadline=None)
 @given(a=rationals, n=st.integers(min_value=0, max_value=15), data=st.data())
 def test_rows_and_sides_match_fraction_oracles(a, n, data):
     start = data.draw(st.integers(min_value=0, max_value=n))
-    row = identities._binomial_row(a, n, start)
-    assert row == [rational_binomial(a, k) for k in range(start, n + 1)]
+    row, den = identities._binomial_row(a, n, start)
+    expected = [rational_binomial(a, k) for k in range(start, n + 1)]
+    assert [Fraction(x, den) for x in row] == expected == fraction_row(a, n, start)
     if a.denominator == 1:
-        assert all(type(x) is int for x in row)
+        assert den == 1
+    jac, den = identities._jacobi_row(a, n, start)
+    expected = [rational_binomial(a, k) * rational_binomial(-1 - a, k) for k in range(start, n + 1)]
+    assert [Fraction(x, den) for x in jac] == expected == fraction_jacobi_row(a, n, start)
+
     assert convolution_lhs(a, n) == oracle_lhs(a, n)
     assert convolution_rhs(a, n) == oracle_rhs(a, n)
+    if n >= 2:
+        lhs, rhs, den = identities._recurrence_sides(n, a)
+        assert over(den, lhs, rhs) == fraction_recurrence_sides(n, a)
+    lhs, rhs, den = identities._series_square_sides(a, n)
+    assert over(den, lhs, rhs) == fraction_series_square_sides(a, n)
+    lhs, rhs, den = identities._shift_sides(a, n)
+    assert over(den, lhs, rhs) == fraction_shift_sides(a, n)
+
+
+def test_product_sides_match_fraction_oracle():
+    sides = [over(den * power, lhs, rhs) for lhs, rhs, den, power in identities._product_sides(40)]
+    assert sides == fraction_product_sides(40)
 
 
 def _c2_off_by_one(row_fn):
-    """The row helper with C(a,2) one too large: C(a,2) + 1 and C(-1-a,2) + 1
-    always change the product C(a,2)C(-1-a,2), by a^2 + a + 2 != 0."""
+    """The row helper with C(a,2)'s numerator one too large.  With N and M the
+    numerators of C(a,2) and C(-1-a,2) over D, (N+1)(M+1) - NM = N + M + 1 =
+    D(a^2 + a + 1) + 1 > 0, so C(a,2)C(-1-a,2) always changes."""
 
     def broken(a, n, start=0):
-        row = row_fn(a, n, start)
+        row, den = row_fn(a, n, start)
         if start <= 2 <= n:
             row[2 - start] += 1
-        return row
+        return row, den
 
     return broken
 
@@ -168,3 +272,13 @@ def test_checks_fail_on_a_wrong_binomial(monkeypatch, check):
     assert check() is True
     monkeypatch.setattr(identities, "_binomial_row", _c2_off_by_one(identities._binomial_row))
     assert check() is False
+
+
+def test_cli_reports_failing_suites(monkeypatch, capsys):
+    argv = ["identities", "--nmax", "6", "--kmax", "20", "--order", "6"]
+    monkeypatch.setattr(identities, "_binomial_row", _c2_off_by_one(identities._binomial_row))
+    assert main(argv) == 1
+    out = capsys.readouterr().out
+    # the shift suite reads C(a,2) only at k = 1 or 2, which seed 0 never draws
+    for name in ("convolution", "recurrence", "products", "series-square"):
+        assert f"{name}: FAIL" in out

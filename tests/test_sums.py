@@ -12,6 +12,7 @@ import random
 import subprocess
 import sys
 import weakref
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -25,7 +26,7 @@ from supercong.binomials import KINDS, stream_arrays
 from supercong.context import JACOBI_CACHE, TERM_CACHE, PrimeContext
 from supercong.errors import BaseNotUnit, DenominatorNotUnit, NegativeValuation, SupercongError
 from supercong.registry import REGISTRY, SUM_SPECS, statement_modexp
-from supercong.statements import MAX_MODEXP
+from supercong.statements import MAX_MODEXP, run_range
 from supercong.sums import (
     FULL,
     HALF,
@@ -333,6 +334,25 @@ def test_sampled_caches_stay_bounded():
     assert len(ctx._jacobi) == len(ctx._jacobi_central) == JACOBI_CACHE
     assert len(ctx._terms) == TERM_CACHE
     assert len(ctx._products) == 1 and len(ctx._weights) == 2
+
+
+def test_a_run_builds_each_cached_array_once():
+    """At p = 211 with every id, no bounded cache of any context builds a key
+    twice: the prime's fixed ids run before its samples, whose arrays would
+    otherwise evict (product, base) groups that later fixed ids share."""
+    builds = Counter()
+    get_or_build = context.BoundedCache.get_or_build
+
+    def counted(cache, key, build):
+        if key not in cache:
+            builds[id(cache), key] += 1
+        return get_or_build(cache, key, build)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(context.BoundedCache, "get_or_build", counted)
+        run_range(211, 211, statuses=None)
+    assert len(builds) > 400
+    assert [key for key, n in builds.items() if n > 1] == []
 
 
 def test_views_reduce_the_root_streams():
