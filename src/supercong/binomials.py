@@ -1,9 +1,10 @@
 """Binomial-coefficient building blocks with p-adic valuation tracking.
 
-Four streaming families cover every product that occurs in the registered
-sums: C(2k,k), C(3k,k), C(4k,2k), C(6k,3k) for k = 0..p-1.  Each family is
-generated from its exact consecutive-term ratio; the ratios are derived from
-factorial quotients and unit-tested against ``exact_binomial``.
+Four streaming families cover every product in the fixed sums: C(2k,k),
+C(3k,k), C(4k,2k), C(6k,3k) for k = 0..p-1; the Jacobi stream
+C(a,k)C(-1-a,k) at a p-integral a covers every parametric sum.  Each is
+generated from its exact consecutive-term ratio; the ratios are derived
+from factorial quotients and unit-tested against exact binomials.
 
 One-shot ``binomial_mod`` handles the special binomials in right-hand sides
 (valuation by carry counting, unit by p-free factorial products).
@@ -15,6 +16,7 @@ import math
 from fractions import Fraction
 from typing import Callable, Sequence
 
+from .errors import DenominatorNotUnit
 from .padic import strip_p
 
 #: Stream kind tags.
@@ -161,33 +163,39 @@ def binomial_mod(n: int, k: int, p: int, t: int) -> int:
 
 
 def jacobi_stream_arrays(
-    a: int, p: int, workexp: int, inv_sq: Sequence[int]
+    a: Fraction | int, p: int, workexp: int, inv_sq: Sequence[int]
 ) -> tuple[list[int], list[int]]:
-    """Valuations/units of J_k = C(a,k) C(-1-a,k) for k = 0..p-1, a exact int.
+    """Valuations/units of J_k = C(a,k) C(-1-a,k) for k = 0..p-1.
 
-    Ratio: J_{k+1}/J_k = -(a-k)(a+k+1)/(k+1)^2, with inv_sq[k] = (k+1)^-2
-    mod p^workexp (the (k+1)^2 are p-free for k <= p-2).  When a hits an
-    integer wall (a = k or a = -k-1) the stream is exactly zero from there
-    on; those entries carry u = 0 and their valuations are meaningless.
+    a = r/s is an int or a Fraction whose denominator p does not divide
+    (DenominatorNotUnit otherwise).  J_{k+1}/J_k = (k(k+1) - a(a+1))/(k+1)^2,
+    so each step multiplies in one integer factor k(k+1)s^2 - r(r+s),
+    stripped of p only when p divides it, and the unit s^-2 inv_sq[k], with
+    inv_sq[k] = (k+1)^-2 mod p^workexp (p-free for k <= p-2).  A zero factor
+    is an integer wall (a = k or a = -k-1): the stream is exactly zero from
+    there on; those entries carry u = 0 and their valuations are meaningless.
     """
+    r, s = a.as_integer_ratio()
+    if s % p == 0:
+        raise DenominatorNotUnit(f"a = {a} has denominator divisible by p={p}")
     P = p**workexp
+    if s != 1:
+        scale = pow(s * s, -1, P)
+        inv_sq = [i * scale % P for i in inv_sq]
+    ss, rr = s * s, r * (r + s)
     vs = [0] * p
     us = [0] * p
     us[0] = 1
     v = 0
     u = 1
     for k in range(p - 1):
-        top1 = a - k
-        top2 = a + k + 1
-        if top1 == 0 or top2 == 0:
+        f = k * (k + 1) * ss - rr
+        if f == 0:
             break
-        if top1 % p == 0:
-            fv, top1 = strip_p(top1, p)
+        if f % p == 0:
+            fv, f = strip_p(f, p)
             v += fv
-        if top2 % p == 0:
-            fv, top2 = strip_p(top2, p)
-            v += fv
-        u = u * -top1 % P * top2 % P * inv_sq[k] % P
+        u = u * f % P * inv_sq[k] % P
         vs[k + 1] = v
         us[k + 1] = u
     return vs, us

@@ -126,7 +126,7 @@ def cmd_identities(args: argparse.Namespace) -> int:
     square_as = [rational() for _ in range(20)]
     ok = all(identities.check_series_square(a, args.order) for a in square_as)
     suites.append(("series-square", ok))
-    shift_pairs = [(rational(), rng.randrange(0, 200)) for _ in range(args.kmax)]
+    shift_pairs = [(rational(), rng.randrange(0, args.kmax)) for _ in range(args.kmax)]
     ok = all(identities.check_shift_identity(a, k) for a, k in shift_pairs)
     suites.append(("shift", ok))
 

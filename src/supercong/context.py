@@ -14,8 +14,8 @@ stages (see ``supercong.sums``):
 * ``terms(source, zv, zu)`` is the term array t_k = u_k zu^k p^(v_k + k zv)
   mod P.  ``source`` names the stream: a tuple of stream kinds (a product,
   taken in sorted order) or ``(a, central)`` for the Jacobi stream
-  C(a,k)C(-1-a,k), times C(2k,k) when ``central``.  The cache key is the
-  source with zv and zu, i.e. every input of the array.
+  C(a,k)C(-1-a,k) at a p-integral a, times C(2k,k) when ``central``.  The
+  cache key is the source with zv and zu, i.e. every input of the array.
 * ``weight(a0, a1, exp, inverted)`` is the weight array w_k = (a0 + a1 k)^exp
   (plain ints) or its inverse mod P, built from the ``inv`` table.  At a pole
   of an inverse weight (p divides a0 + a1 k, e.g. 2k - 1 = p) the array holds
@@ -35,28 +35,29 @@ mod p^t: inverse table, weights, products, Jacobi streams and term arrays.
 A residue mod p^2 fits in one 30-bit CPython digit for p < 32768 where one
 mod p^4 needs two, so most statements run on the smaller integers.
 
-Stream kinds, products and weight arrays are finite per prime and kept for
-the life of the context.  Jacobi streams and term arrays depend on sampled
-parameters, so they live in small LRU caches: a sampled a is used by one
-checker call, and ``JACOBI_CACHE`` streams cover all of its reuse.  The
-fixed statements at one exponent use at most 17 (product, base) groups
-and a sample fewer arrays, so ``TERM_CACHE`` is 17.  A run takes a prime's
-fixed ids before its parametric ones, so a sample's arrays evict only
-groups that no later id uses, and no array is built twice on one context.
+Caches are kept by lifetime.  What is finite per prime lives as long as
+the context: stream kinds, products, weights, product term arrays (each
+belongs to one of the fixed statements' (product, base) groups) and
+Jacobi streams at a fixed rational a (the corollaries' four points).  What
+belongs to one sample lives in LRU caches of ``JACOBI_CACHE`` entries:
+streams at a sampled int a, and every Jacobi term array, whose multiplier
+is sampled even at a fixed a.  A sample reads at most two of each and
+evicts nothing a fixed statement reads, so the order of the ids does not
+matter; only a draw that repeats an earlier one (mod p^2, so at the
+smallest primes) may find that sample's arrays evicted.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
+from fractions import Fraction
 from typing import Callable, Hashable, TypeVar
 
 from . import quadform, special
 from .binomials import batch_invert, binomial_mod, jacobi_stream_arrays, stream_arrays
 from .errors import DenominatorNotUnit, ModulusTooHigh, NotRepresentable
 
-#: Entries kept by the bounded per-sample caches.
+#: Entries kept by each per-sample LRU cache: twice what one sample reads.
 JACOBI_CACHE = 4
-TERM_CACHE = 17
 
 Stream = tuple[list[int], list[int]]
 #: A product of stream kinds, or (a, central) for a Jacobi stream.
@@ -67,20 +68,21 @@ Weights = tuple[list[int], tuple[tuple[int, int, int], ...]]
 V = TypeVar("V")
 
 
-class BoundedCache(OrderedDict):
-    """Least-recently-used mapping holding at most ``size`` entries."""
+class Cache(dict):
+    """Values built on first use: kept for the life of the cache, or, given a
+    size, least-recently-used with at most ``size`` entries."""
 
-    def __init__(self, size: int):
+    def __init__(self, size: int | None = None):
         super().__init__()
         self.size = size
 
     def get_or_build(self, key: Hashable, build: Callable[[], V]) -> V:
         if key in self:
-            self.move_to_end(key)
-            return self[key]
+            value = self[key] = self.pop(key)  # now the most recent
+            return value
         value = self[key] = build()
-        if len(self) > self.size:
-            self.popitem(last=False)
+        if self.size is not None and len(self) > self.size:
+            del self[next(iter(self))]
         return value
 
 
@@ -97,11 +99,11 @@ class PrimeContext:
         # ``at``) reduces the streams of its root.
         self._root_streams, self._root_exp = self._streams, workexp
         self._views: dict[int, PrimeContext] = {}
-        self._products: dict[tuple[str, ...], Stream] = {}
-        self._jacobi = BoundedCache(JACOBI_CACHE)
-        self._jacobi_central = BoundedCache(JACOBI_CACHE)
-        self._terms = BoundedCache(TERM_CACHE)
-        self._weights: dict[tuple[int, int, int, bool], Weights] = {}
+        self._products = Cache()
+        # Jacobi streams by (a, central), and term arrays by lifetime
+        self._fixed_a, self._sampled_a = Cache(), Cache(JACOBI_CACHE)
+        self._group_terms, self._sample_terms = Cache(), Cache(JACOBI_CACHE)
+        self._weights = Cache()
         self._inv: list[int] | None = None
         self._inv_sq: list[int] | None = None
         self._reps: dict[str, quadform.QuadRep | None] = {}
@@ -136,7 +138,8 @@ class PrimeContext:
     def product(self, kinds: tuple[str, ...]) -> Stream:
         """Elementwise product of one to three stream families."""
         key = tuple(sorted(kinds))
-        if key not in self._products:
+
+        def build() -> Stream:
             P = self.P
             vs, us = self.stream(key[0])
             vs, us = list(vs), list(us)
@@ -145,17 +148,21 @@ class PrimeContext:
                 for k in range(self.p):
                     vs[k] += v2[k]
                     us[k] = us[k] * u2[k] % P
-            self._products[key] = (vs, us)
-        return self._products[key]
+            return vs, us
 
-    def jacobi(self, a: int) -> Stream:
-        """C(a,k)C(-1-a,k) arrays for an exact integer a."""
-        return self._jacobi.get_or_build(
-            a, lambda: jacobi_stream_arrays(a, self.p, self.workexp, self.inv_sq())
+        return self._products.get_or_build(key, build)
+
+    def _jacobi_cache(self, a: Fraction | int) -> Cache:
+        return self._fixed_a if isinstance(a, Fraction) else self._sampled_a
+
+    def jacobi(self, a: Fraction | int) -> Stream:
+        """C(a,k)C(-1-a,k) arrays for a p-integral a."""
+        return self._jacobi_cache(a).get_or_build(
+            (a, False), lambda: jacobi_stream_arrays(a, self.p, self.workexp, self.inv_sq())
         )
 
-    def jacobi_central(self, a: int) -> Stream:
-        """C(a,k)C(-1-a,k)C(2k,k) arrays for an exact integer a."""
+    def jacobi_central(self, a: Fraction | int) -> Stream:
+        """C(a,k)C(-1-a,k)C(2k,k) arrays for a p-integral a."""
 
         def build() -> Stream:
             vs, us = self.jacobi(a)
@@ -166,7 +173,7 @@ class PrimeContext:
                 [u * c % P for u, c in zip(us, cu)],
             )
 
-        return self._jacobi_central.get_or_build(a, build)
+        return self._jacobi_cache(a).get_or_build((a, True), build)
 
     def arrays(self, source: Source) -> Stream:
         """The stream a term array is built from (see the module docstring)."""
@@ -179,8 +186,9 @@ class PrimeContext:
 
     def terms(self, source: Source, zv: int, zu: int) -> list[int]:
         """t_k = u_k * zu^k * p^(v_k + k*zv) mod P for k = 0..p-1."""
+        cache = self._sample_terms
         if isinstance(source[0], str):
-            source = tuple(sorted(source))
+            source, cache = tuple(sorted(source)), self._group_terms
 
         def build() -> list[int]:
             vs, us = self.arrays(source)
@@ -196,7 +204,7 @@ class PrimeContext:
                 z = z * zu % P
             return out
 
-        return self._terms.get_or_build((source, zv, zu), build)
+        return cache.get_or_build((source, zv, zu), build)
 
     def weight(self, a0: int, a1: int, exp: int, inverted: bool) -> Weights:
         """w_k = (a0 + a1*k)^exp, or its inverse mod P, for k = 0..p-1.
@@ -205,8 +213,8 @@ class PrimeContext:
         (p divides a0 + a1*k), and the poles come back as (k, d, unit)
         with w_k = p^-d * unit.
         """
-        key = (a0, a1, exp, inverted)
-        if key not in self._weights:
+
+        def build() -> Weights:
             p, P = self.p, self.P
             ws = [0] * p
             poles = []
@@ -228,8 +236,9 @@ class PrimeContext:
                     poles.append((k, d * exp, unit))
                 else:
                     ws[k] = unit
-            self._weights[key] = (ws, tuple(poles))
-        return self._weights[key]
+            return ws, tuple(poles)
+
+        return self._weights.get_or_build((a0, a1, exp, inverted), build)
 
     # -- inverses --------------------------------------------------------
 

@@ -120,7 +120,9 @@ def check_convolution_recurrence(n: int, a: Fraction | int) -> bool:
     return lhs == rhs
 
 
-#: a -> (stream kinds, base) with C(a,k)C(-1-a,k) = prod(streams at k)/base^k.
+#: a -> (stream kinds, base) with C(a,k)C(-1-a,k) = prod(streams at k)/base^k
+#: at the corollaries' four fixed a: checked by ``check_product_identities``,
+#: and the tests' oracle for the engine's Jacobi sums at these a.
 PRODUCT_FORMS: dict[Fraction, tuple[tuple[str, str], int]] = {
     Fraction(-1, 2): (("B22", "B22"), 16),
     Fraction(-1, 3): (("B22", "B31"), 27),

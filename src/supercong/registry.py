@@ -35,7 +35,6 @@ from typing import Callable, Union
 from . import quadform
 from .binomials import B22, B31, B42, B63
 from .context import PrimeContext
-from .identities import PRODUCT_FORMS
 from .padic import residue_from_fraction
 from .quadform import F2, F3, F4, F7, F27
 from .sums import (
@@ -1622,10 +1621,10 @@ _fixed(
 # Parametric families over sampled p-adic parameters
 # ==============================================================================
 #
-# Every check is a relation of aa = a(a+1), of one sampled x and of the sums
-# at a: _theorem(rel) draws a with x, _corollary(rel, a) fixes a to one of
-# identities.PRODUCT_FORMS.  Unlike the fixed closed forms, relations stay
-# in modular arithmetic: they run once per sample, where a Fraction
+# Every check is a relation of aa = a(a+1), of one sampled x and of the
+# Jacobi sums at a: _theorem(rel) draws a with x, _corollary(rel, a) fixes a
+# to -1/2, -1/3, -1/4 or -1/6.  Unlike the fixed closed forms, relations
+# stay in modular arithmetic: they run once per sample, where a Fraction
 # expression costs about twice as much.
 
 # S(mult=, base=, central=) -> T(weight, limit=FULL): one sample's sums at a
@@ -1637,39 +1636,24 @@ Relation = Callable[
 
 
 def _jacobi_sums(
-    ctx: PrimeContext, a: int, *, mult: int = 1, base: int | None = None, central: bool = False
-) -> Callable[..., int]:
-    """T(weight, limit=FULL): the sums of one sample at an integer a over one
-    stream, sum_k w(k) C(a,k) C(-1-a,k) [C(2k,k)] mult^k / base^k mod P."""
-    return lambda weight, limit=FULL: evaluate_jacobi_sum(
-        a, ctx.p, ctx.workexp, weight=weight, limit=limit, mult=mult, base=base,
-        central=central, ctx=ctx,
-    ).value
-
-
-def _product_sums(
-    form: tuple[tuple[str, ...], int],
-    ctx: PrimeContext,
-    *,
-    mult: int = 1,
-    base: int | None = None,
+    ctx: PrimeContext, a: Fraction | int, *, mult: int = 1, base: int | None = None,
     central: bool = False,
 ) -> Callable[..., int]:
-    """The sums of _jacobi_sums at a fixed a, where (kinds, b) = form =
-    PRODUCT_FORMS[a] and C(a,k) C(-1-a,k) = prod(kinds at k) / b^k: each is
-    a product sum at base b*base/mult.  At a = -1/2 both binomials are
-    C(2k,k)/(-4)^k, which p divides for (p-1)/2 < k < p, so every sum
-    stops at (p-1)/2 except the 1/(2k-1)^e sums, whose pole term at
-    2k - 1 = p keeps them at p-1."""
-    kinds, b = form
-    half = kinds == (B22, B22)  # a = -1/2
-    product = (B22, *kinds) if central else kinds
-    m = Fr(b * (base or 1), mult)
+    """T(weight, limit=FULL): the sums of one sample at a sampled int a or a
+    fixed rational a over one stream, sum_k w(k) C(a,k) C(-1-a,k) [C(2k,k)]
+    mult^k / base^k mod P.  At a = -1/2 both binomials are C(2k,k)/(-4)^k,
+    which p divides for (p-1)/2 < k < p, so every sum stops at (p-1)/2
+    except the 1/(2k-1)^e sums, whose pole term at 2k - 1 = p keeps them
+    at p-1."""
+    half = a == Fr(-1, 2)
 
     def T(weight: Weight, limit: str = FULL) -> int:
         if half:
             limit = FULL if weight.tag in ("inv_2k1", "inv_2k1_sq") else HALF
-        return evaluate_sum(SumSpec(product, m, weight, limit), ctx.p, ctx.workexp, ctx).value
+        return evaluate_jacobi_sum(
+            a, ctx.p, ctx.workexp, weight=weight, limit=limit, mult=mult, base=base,
+            central=central, ctx=ctx,
+        ).value
 
     return T
 
@@ -1687,8 +1671,8 @@ def _theorem(rel: Relation) -> Check:
 def _corollary(rel: Relation, a: Fraction) -> Check:
     """The check of a statement over sampled x at a fixed a: a corollary
     is its theorem's relation at a, and P-T5.2 is stated at a = -1/2 only."""
-    aa, form = a * (a + 1), PRODUCT_FORMS[a]
-    return lambda ctx, ps: rel(ctx, aa, ps[0], partial(_product_sums, form, ctx))
+    aa = a * (a + 1)
+    return lambda ctx, ps: rel(ctx, aa, ps[0], partial(_jacobi_sums, ctx, a))
 
 
 def _adm_none(p: int, ps: tuple[int, ...]) -> bool:

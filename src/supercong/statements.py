@@ -170,9 +170,7 @@ def _run_prime(args: tuple[int, tuple[str, ...], int]) -> list[ReportRow]:
     p, sids, seed = args
     ctx = PrimeContext(p, MAX_MODEXP)
     rows = []
-    # fixed ids first: a parametric sample's term arrays would evict the
-    # (product, base) groups that later fixed ids share (see context.py)
-    for sid in sorted(sids, key=lambda sid: (isinstance(REGISTRY[sid], Parametric), sid)):
+    for sid in sids:
         try:
             v = evaluate_statement(sid, p, seed=seed, ctx=ctx)
         except SupercongError as exc:

@@ -3,8 +3,9 @@
 A sum is described by a :class:`SumSpec`: a product of central binomial
 families, a rational base m (terms are divided by m^k), a term weight,
 a truncation limit, and an optional global sign.  Jacobi sums take the
-stream C(a,k)C(-1-a,k) [* C(2k,k)] and a multiplier mult^k / base^k
-instead of the product and base.
+stream C(a,k)C(-1-a,k) [* C(2k,k)], at a sampled int a or a fixed rational
+a, and a multiplier mult^k / base^k instead of the product and base: every
+parametric sum, theorem and corollary alike, is one of them.
 
 Evaluation has two stages, both cached on the :class:`PrimeContext`:
 
@@ -25,17 +26,20 @@ Inverse weights have poles where p divides their base (k + 1 = p, 2k - 1
 = p, ...).  The weight array holds 0 there, and each pole at or below the
 bound adds its term exactly from the stream: valuation v_k + k*zv - d for
 a weight p^-d * unit.  A negative valuation means the sum is not a p-adic
-integer and raises :class:`NegativeValuation`.  For a 1/(2k-1)^e sum over
-a product, the stream valuation at 2k = p + 1 is at least the number of
-C(2k,k) and C(6k,3k) factors; a pole term under ``SumSpec.pole_floor``,
-that number less e, raises :class:`PoleFloorViolated`, a check that
+integer and raises :class:`NegativeValuation`.  A 1/(2k-1)^e weight has
+its pole at 2k = p + 1, where the stream's valuation has a floor: over a
+product, one for each C(2k,k) or C(6k,3k) factor (C(3k,k) and C(4k,2k)
+give none); over the Jacobi stream at a = r/s, one for C(2k,k) when
+central, plus two when p | 2r + s, since the stream's step factor at
+j = (p-1)/2, ((ps)^2 - (2r+s)^2)/4, is then divisible by p^2.  A pole term
+under that floor less e raises :class:`PoleFloorViolated`, a check that
 ``python -O`` keeps.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
 from operator import mul
@@ -108,27 +112,13 @@ def linear_weight(c0: Fraction | int, c1: Fraction | int) -> Weight:
 
 @dataclass(frozen=True)
 class SumSpec:
-    """A truncated sum sum_k w(k) * prod(binomials at k) / m^k.
-
-    pole_floor is derived: for a 1/(2k-1)^e weight, each C(2k,k) or
-    C(6k,3k) factor contributes one power of p at 2k = p + 1 while C(3k,k)
-    and C(4k,2k) contribute none, so the pole term's valuation is at least
-    that count less e.  It is None for the other weights.
-    """
+    """A truncated sum sum_k w(k) * prod(binomials at k) / m^k."""
 
     product: tuple[str, ...]
     m: Fraction
     weight: Weight = W_ONE
     limit: str = HALF
     prefactor: str = NONE
-    pole_floor: int | None = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        floor = None
-        if self.weight.tag in ("inv_2k1", "inv_2k1_sq"):
-            gain = sum(1 for kind in self.product if kind in ("B22", "B63"))
-            floor = gain - _WEIGHT_SHAPE[self.weight.tag][2]
-        object.__setattr__(self, "pole_floor", floor)
 
 
 def limit_bound(limit: str, p: int) -> int:
@@ -174,13 +164,13 @@ def _weighted_sum(
     zu: int,
     weight: Weight,
     bound: int,
-    floor: int | None = None,
+    gain: int = 0,
 ) -> int:
     """sum_{k=0..bound} w(k) * term_k * z^k, exact mod P, with z = p^zv * zu.
 
-    source names the stream (see ``PrimeContext.terms``); floor, when
-    given, is the least stream valuation less the weight's pole order
-    that a pole term may have.
+    source names the stream (see ``PrimeContext.terms``); gain is the
+    stream's valuation floor at 2k = p + 1, where a 1/(2k-1)^e weight has
+    its pole (see the module docstring).
     """
     p, P = ctx.p, ctx.P
     if weight.tag == "linear":
@@ -193,7 +183,9 @@ def _weighted_sum(
         s0 = _weighted_sum(ctx, source, zv, zu, W_ONE, bound)
         s1 = _weighted_sum(ctx, source, zv, zu, W_K, bound)
         return (a0 * s0 + a1 * s1) * pow(clear, -1, P) % P
-    ws, poles = ctx.weight(*_WEIGHT_SHAPE[weight.tag])
+    a0, a1, exp, inverted = _WEIGHT_SHAPE[weight.tag]
+    ws, poles = ctx.weight(a0, a1, exp, inverted)
+    floor = gain - exp if weight.tag in ("inv_2k1", "inv_2k1_sq") else None
     n = bound + 1
     acc = sum(map(mul, islice(ws, n), islice(ctx.terms(source, zv, zu), n)))
     for k, d, unit in poles:
@@ -223,14 +215,15 @@ def evaluate_sum(
     ctx = context_for(ctx, p, t)
     zu = _unit_inverse(Fraction(spec.m), p, ctx.P)
     bound = limit_bound(spec.limit, p)
-    acc = _weighted_sum(ctx, spec.product, 0, zu, spec.weight, bound, spec.pole_floor)
+    gain = sum(kind in ("B22", "B63") for kind in spec.product)
+    acc = _weighted_sum(ctx, spec.product, 0, zu, spec.weight, bound, gain)
     if prefactor_sign(spec.prefactor, p) < 0:
         acc = -acc % ctx.P
     return Residue(p, t, acc)
 
 
 def evaluate_jacobi_sum(
-    a: int,
+    a: Fraction | int,
     p: int,
     t: int,
     *,
@@ -243,9 +236,10 @@ def evaluate_jacobi_sum(
 ) -> Residue:
     """Sum of w(k) * C(a,k)C(-1-a,k) [* C(2k,k)] * mult^k [/ base^k] mod p^t.
 
-    a and mult are exact integers; mult may be divisible by p (the tail
-    of the series then vanishes on its own) or zero (only k = 0 remains).
-    base, when given, must be a p-adic unit.
+    a is an int or a Fraction whose denominator p does not divide
+    (DenominatorNotUnit otherwise).  mult is an exact integer; it may be
+    divisible by p (the tail of the series then vanishes on its own) or
+    zero (only k = 0 remains).  base, when given, must be a p-adic unit.
     """
     ctx = context_for(ctx, p, t)
     P, T = ctx.P, ctx.workexp
@@ -259,8 +253,10 @@ def evaluate_jacobi_sum(
         zu %= P
     if base is not None:
         zu = zu * _unit_inverse(Fraction(base), p, P) % P
+    r, s = a.as_integer_ratio()
+    gain = central + 2 * ((2 * r + s) % p == 0)
     bound = limit_bound(limit, p)
-    return Residue(p, t, _weighted_sum(ctx, (a, central), zv, zu, weight, bound))
+    return Residue(p, t, _weighted_sum(ctx, (a, central), zv, zu, weight, bound, gain))
 
 
 # -- exact rational oracles (for tests and cross-checks) -------------------
@@ -290,7 +286,7 @@ def evaluate_sum_exact(spec: SumSpec, p: int) -> Fraction:
 
 
 def evaluate_jacobi_sum_exact(
-    a: int,
+    a: Fraction | int,
     p: int,
     *,
     weight: Weight = W_ONE,

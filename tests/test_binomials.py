@@ -20,6 +20,7 @@ from supercong.binomials import (
     v_p_binomial,
 )
 from supercong.context import PrimeContext
+from supercong.identities import PRODUCT_FORMS
 from supercong.padic import residue_from_fraction
 
 # Independent oracles: literal closed forms, no shared table with the package.
@@ -85,17 +86,21 @@ def test_consecutive_ratios_against_exact_for_k_up_to_200():
 @pytest.mark.parametrize("p", (11, 101))
 def test_jacobi_stream_matches_rational_binomials(p, t):
     """Every term of the Jacobi stream equals C(a,k) C(-1-a,k) mod p^t,
-    with the exact valuation where the term is nonzero.  The values of a
-    put a multiple of p (or of p^2) in a - k or a + k + 1 for some k, or
-    hit a wall where the stream is exactly zero from there on."""
+    with the exact valuation where the term is nonzero.  The integer a put
+    a multiple of p (or of p^2) in a - k or a + k + 1 for some k, or hit a
+    wall where the stream is exactly zero from there on.  The rational a
+    are the four points of PRODUCT_FORMS and two r/s with p | 2r + s and
+    p^2 | 2r + s, where the factor at k = (p-1)/2 holds p^2 or p^4."""
     m = p**t
     inv_sq = [pow(k + 1, -2, m) for k in range(p - 1)]
-    for a in (3 + p, 2 * p - 5, p * p + 7, p * p - 1, -2 * p + 3, 0, 5, -1, -4, 123457):
+    ints = (3 + p, 2 * p - 5, p * p + 7, p * p - 1, -2 * p + 3, 0, 5, -1, -4, 123457)
+    rationals = (*PRODUCT_FORMS, Fraction((p - 3) // 2, 3), Fraction((p * p - 3) // 2, 3))
+    for a in ints + rationals:
         vs, us = jacobi_stream_arrays(a, p, t, inv_sq)
         for k in range(p):
             exact = rational_binomial(a, k) * rational_binomial(-1 - a, k)
-            assert exact.denominator == 1
-            assert us[k] * p ** vs[k] % m == exact.numerator % m, (a, k)
+            assert exact.denominator == 1 or a in rationals
+            assert us[k] * p ** vs[k] % m == residue_from_fraction(exact, p, t).value, (a, k)
             if exact:
                 assert vs[k] == exact_vp(exact.numerator, p), (a, k)
 

@@ -279,6 +279,6 @@ def test_cli_reports_failing_suites(monkeypatch, capsys):
     monkeypatch.setattr(identities, "_binomial_row", _c2_off_by_one(identities._binomial_row))
     assert main(argv) == 1
     out = capsys.readouterr().out
-    # the shift suite reads C(a,2) only at k = 1 or 2, which seed 0 never draws
-    for name in ("convolution", "recurrence", "products", "series-square"):
+    # the shift suite reads C(a,2) only at k = 1 or 2, which its k < 20 draws include
+    for name in ("convolution", "recurrence", "products", "series-square", "shift"):
         assert f"{name}: FAIL" in out

@@ -2,20 +2,32 @@
 
 import importlib
 import importlib.util
+import sys
 from pathlib import Path
 
 import supercong
 from supercong import special
 from supercong.context import PrimeContext
 
-TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+
+
+def _load_bench(name):
+    """bench/<name>.py as a module, loaded without writing bytecode there
+    (its dataclasses need it in sys.modules while it executes)."""
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", BENCH / f"{name}.py")
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    dont_write, sys.dont_write_bytecode = sys.dont_write_bytecode, True
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.dont_write_bytecode = dont_write
+        del sys.modules[spec.name]
+    return module
 
 
 def _load_tracing():
-    spec = importlib.util.spec_from_file_location("bench_tracing", TRACING)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+    return _load_bench("tracing")
 
 
 def test_every_public_name_resolves():
@@ -37,6 +49,31 @@ def test_every_traced_name_resolves():
     for span, (modname, clsname, attr) in tracing.METHODS.items():
         cls = getattr(importlib.import_module(f"supercong.{modname}"), clsname)
         assert attr in vars(cls), span
+
+
+def test_traced_engine_unit_records_every_required_span(tmp_path):
+    """The tracer installed over a smoke-size engine unit (the 5..30 sweep
+    through cli.main at one job, then fixed and P-* run_range at 101 and
+    103) records
+    a call to every span the benchmark requires of the engine.  Its count
+    hooks read the wrapped functions' parameters by name, so a renamed
+    parameter fails here rather than in a traced benchmark run."""
+    tracer = _load_tracing().Tracer()
+    required = _load_bench("run").REQUIRED["engine"]
+    fixed = [sid for sid, s in supercong.REGISTRY.items() if not isinstance(s, supercong.Parametric)]
+    argv = ["verify", "--primes", "5..30", "--status", "all", "--format", "json", "--jobs", "1"]
+    tracer.install(supercong)
+    try:
+        supercong.cli.main(argv + ["--out", str(tmp_path / "sweep.json")])
+        for p in (101, 103):
+            for ids in (fixed, ["P-*"]):
+                supercong.run_range(p, p, ids=ids)
+    finally:
+        tracer.uninstall()
+    calls, _, _ = tracer.totals()
+    assert [span for span in required if not calls[span]] == []
+    assert tracer.counts["sums.evaluate_jacobi_sum.terms"] > 0
+    assert tracer.counts["context.jacobi.distinct"] > 0
 
 
 def test_euler_and_u_numbers_go_through_traced_functions(monkeypatch):

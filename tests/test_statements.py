@@ -13,9 +13,10 @@ from hypothesis import strategies as st
 from supercong import quadform, registry, sums
 from supercong.context import PrimeContext
 from supercong.errors import SupercongError, UnknownStatement
+from supercong.binomials import B22
+from supercong.identities import PRODUCT_FORMS
 from supercong.registry import (
     C2,
-    C3,
     REGISTRY,
     STATUSES,
     SUM_SPECS,
@@ -362,38 +363,40 @@ _PERTURBED_SAMPLE = {"P-C2.5": 1}
 def test_parametric_check_depends_on_every_sum(sid, monkeypatch):
     """A parametric check returns pairs that hold, and adding 1 to any one
     of the sums it requests makes some pair differ, so no check compares a
-    sum with itself or drops one it evaluates.  Every product sum it
-    requests is over a product its claim names, and a sum at a = -1/2
-    (over C(2k,k)^2 or C(2k,k)^3) stops at (p-1)/2 unless its weight is
-    1/(2k-1)^e, whose pole term keeps it at p-1."""
+    sum with itself or drops one it evaluates.  Every sum is a Jacobi sum;
+    at a corollary's fixed a it is over the product of PRODUCT_FORMS[a]
+    (times C(2k,k) when central), which its claim names, and at a = -1/2
+    (over C(2k,k)^2 or C(2k,k)^3) it stops at (p-1)/2 unless its weight
+    is 1/(2k-1)^e, whose pole term keeps it at p-1."""
     stmt, p = REGISTRY[sid], 101
     params = draw_params(stmt, p, 0, _PERTURBED_SAMPLE.get(sid, 0))
     t = statement_modexp(stmt, p)
     ctx = PrimeContext(p, t)
     calls = []
 
-    def perturbed(fn, off):
+    def perturbed(off):
         def wrapped(*args, **kwargs):
-            r = fn(*args, **kwargs)
-            calls.append(args[0])
+            r = sums.evaluate_jacobi_sum(*args, **kwargs)
+            calls.append((args[0], kwargs))
             return replace(r, value=r.value + 1) if len(calls) - 1 == off else r
 
         return wrapped
 
     def check(off):
         calls.clear()
-        for name in ("evaluate_sum", "evaluate_jacobi_sum"):
-            monkeypatch.setattr(registry, name, perturbed(getattr(sums, name), off))
+        monkeypatch.setattr(registry, "evaluate_jacobi_sum", perturbed(off))
         return stmt.check(ctx, params)
 
     pairs = check(None)
     assert calls and pairs and all(lhs == rhs for lhs, rhs in pairs)
-    for spec in calls:
-        if isinstance(spec, SumSpec):  # "sum_{k=0..(p-1)/2} C(2k,k)^3" -> "C(2k,k)^3"
-            assert sum_text(SumSpec(spec.product, Fraction(1))).split(" ", 1)[1] in stmt.claim
-            if spec.product in (C2, C3):
-                pole = spec.weight.tag in ("inv_2k1", "inv_2k1_sq")
-                assert spec.limit == (FULL if pole else HALF), spec
+    for a, kw in calls:
+        if isinstance(a, Fraction):  # "sum_{k=0..(p-1)/2} C(2k,k)^3" -> "C(2k,k)^3"
+            kinds, _ = PRODUCT_FORMS[a]
+            product = (B22, *kinds) if kw["central"] else kinds
+            assert sum_text(SumSpec(product, Fraction(1))).split(" ", 1)[1] in stmt.claim
+            if a == Fraction(-1, 2):
+                pole = kw["weight"].tag in ("inv_2k1", "inv_2k1_sq")
+                assert kw["limit"] == (FULL if pole else HALF), kw
     for off in range(len(calls)):
         pairs = check(off)
         assert pairs is not None and any(lhs != rhs for lhs, rhs in pairs), off

@@ -23,10 +23,11 @@ from hypothesis import strategies as st
 import supercong
 from supercong import context
 from supercong.binomials import KINDS, stream_arrays
-from supercong.context import JACOBI_CACHE, TERM_CACHE, PrimeContext
+from supercong.context import JACOBI_CACHE, PrimeContext
 from supercong.errors import BaseNotUnit, DenominatorNotUnit, NegativeValuation, SupercongError
+from supercong.identities import PRODUCT_FORMS
 from supercong.registry import REGISTRY, SUM_SPECS, statement_modexp
-from supercong.statements import MAX_MODEXP, run_range
+from supercong.statements import MAX_MODEXP, evaluate_statement
 from supercong.sums import (
     FULL,
     HALF,
@@ -278,10 +279,13 @@ def test_jacobi_sum_matches_falling_factorial_oracle(p):
     flag, each sum evaluated on a fresh context and, in shuffled order,
     on one shared context whose term cache sees every (a, central, z).
     a = 3 hits an integer wall; the full limits include the 1/(2k-1) pole
-    at 2k = p + 1 and the k + c = p poles."""
+    at 2k = p + 1 and the k + c = p poles.  The rational a are the four
+    points of PRODUCT_FORMS and two r/s with p | 2r + s and p^2 | 2r + s,
+    whose pole terms carry two or four more powers of p."""
     rng = random.Random(40 + p)
     t = 2
     avals = (3, rng.randrange(p, p * p), -rng.randrange(1, p * p))
+    avals += (*PRODUCT_FORMS, Fraction((p - 3) // 2, 3), Fraction((p * p - 3) // 2, 3))
     unit = next(n for n in (3, -4, 7) if n % p)
     cases = [
         (a, tag, limit, mult, central, rng.choice((None, Fraction(-64), Fraction(7, 3))))
@@ -320,39 +324,89 @@ def test_jacobi_sum_matches_falling_factorial_oracle(p):
     assert 0 < non_integral < len(cases) // 2
 
 
+def _value_or_error(evaluate):
+    try:
+        return evaluate().value
+    except SupercongError as exc:
+        return type(exc)
+
+
+@pytest.mark.parametrize("t", (2, 3))
+@pytest.mark.parametrize("p", (11, 13, 101))
+def test_fixed_a_jacobi_sums_match_product_sums(p, t):
+    """At each a of PRODUCT_FORMS, C(a,k) C(-1-a,k) = prod(kinds at k)/b^k,
+    so every Jacobi sum at a, with C(2k,k) or without, equals the product
+    sum over kinds (and B22) at base b * base / mult: every weight, poles
+    included, and every limit, with the same typed error where the sum is
+    not p-integral."""
+    ctx = PrimeContext(p, t)
+    values = 0
+    for a, (kinds, b) in PRODUCT_FORMS.items():
+        for central in (False, True):
+            product = ("B22", *kinds) if central else kinds
+            for mult, base in ((1, None), (-6, 7)):
+                m = Fraction(b * (base or 1), mult)
+                for tag in WEIGHTS:
+                    for limit in LIMITS:
+                        spec = SumSpec(product, m, Weight(tag), limit)
+                        kw = dict(weight=Weight(tag), limit=limit, mult=mult, base=base)
+                        want = _value_or_error(lambda: evaluate_sum(spec, p, t, ctx))
+                        got = _value_or_error(
+                            lambda: evaluate_jacobi_sum(a, p, t, central=central, ctx=ctx, **kw)
+                        )
+                        assert got == want, (a, central, mult, tag, limit)
+                        values += isinstance(want, int)
+    assert values > 0.9 * len(PRODUCT_FORMS) * 2 * 2 * len(WEIGHTS) * len(LIMITS)
+
+
 # -- caches ----------------------------------------------------------------------
 
 
 def test_sampled_caches_stay_bounded():
-    """100 distinct a, each with its own base, leave at most the LRU sizes."""
+    """100 distinct sampled a and multipliers, each with its own base, leave
+    the per-sample caches at their LRU size; what is finite per prime (the
+    fixed-a stream, products, product term arrays, weights) is kept."""
     p = 101
     ctx = PrimeContext(p, 8)
     for a in range(100):
         for central in (False, True):
             evaluate_jacobi_sum(7 * a + 2, p, 2, weight=W_K, base=a + 1, central=central, ctx=ctx)
+        evaluate_jacobi_sum(Fraction(-1, 2), p, 2, weight=W_K, mult=a + 1, ctx=ctx)
         evaluate_sum(SumSpec(("B22", "B22", "B22"), Fraction(16 * (a + 1)), W_INV_K1), p, 2, ctx)
-    assert len(ctx._jacobi) == len(ctx._jacobi_central) == JACOBI_CACHE
-    assert len(ctx._terms) == TERM_CACHE
+    assert len(ctx._sampled_a) == len(ctx._sample_terms) == JACOBI_CACHE
+    assert list(ctx._fixed_a) == [(Fraction(-1, 2), False)]
+    assert len(ctx._group_terms) == 100
     assert len(ctx._products) == 1 and len(ctx._weights) == 2
 
 
 def test_a_run_builds_each_cached_array_once():
-    """At p = 211 with every id, no bounded cache of any context builds a key
-    twice: the prime's fixed ids run before its samples, whose arrays would
-    otherwise evict (product, base) groups that later fixed ids share."""
-    builds = Counter()
-    get_or_build = context.BoundedCache.get_or_build
+    """At p = 211 with every id on one root context, in sorted order and in a
+    seeded shuffle, no cache of any context builds a key twice: a sample's
+    arrays live in caches of their own and never evict an array that a
+    later id reads."""
+    p = 211
+    shuffled = sorted(REGISTRY)
+    random.Random(14).shuffle(shuffled)
+    for sids in (sorted(REGISTRY), shuffled):
+        builds = Counter()
+        ctx = PrimeContext(p, MAX_MODEXP)
+        with pytest.MonkeyPatch.context() as mp:
+            for cls in vars(context).values():
+                if isinstance(cls, type) and "get_or_build" in vars(cls):
 
-    def counted(cache, key, build):
-        if key not in cache:
-            builds[id(cache), key] += 1
-        return get_or_build(cache, key, build)
+                    def counted(cache, key, build, _get_or_build=cls.get_or_build):
+                        if key not in cache:
+                            builds[id(cache), key] += 1
+                        return _get_or_build(cache, key, build)
 
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(context.BoundedCache, "get_or_build", counted)
-        run_range(211, 211, statuses=None)
-    assert len(builds) > 400
-    assert [key for key, n in builds.items() if n > 1] == []
+                    mp.setattr(cls, "get_or_build", counted)
+            for sid in sids:
+                try:
+                    evaluate_statement(sid, p, ctx=ctx)
+                except SupercongError:
+                    pass
+        assert len(builds) > 400
+        assert [key for key, n in builds.items() if n > 1] == [], sids[:3]
 
 
 def test_views_reduce_the_root_streams():
@@ -508,12 +562,19 @@ def test_linear_weight_denominator_divisible_by_p_is_typed():
     assert evaluate_sum(spec, 11, 2).value == reduce_fraction(oracle_sum(spec, 11), 11, 2)
 
 
+def test_jacobi_sum_at_a_with_p_in_its_denominator_is_typed():
+    with pytest.raises(DenominatorNotUnit):
+        evaluate_jacobi_sum(Fraction(1, 7), 7, 2)
+    with pytest.raises(DenominatorNotUnit):
+        evaluate_jacobi_sum(Fraction(1, 7), 7, 2, weight=Weight("inv_2k1"), central=True)
+
+
 POLE_FLOOR_SCRIPT = """
 import sys
 from fractions import Fraction
 from supercong.context import PrimeContext
 from supercong.errors import PoleFloorViolated
-from supercong.sums import FULL, W_INV_2K1, SumSpec, evaluate_sum
+from supercong.sums import FULL, W_INV_2K1, SumSpec, evaluate_jacobi_sum, evaluate_sum
 
 if __debug__:
     sys.exit("assertions are enabled")
@@ -523,15 +584,24 @@ vs, _ = ctx.product(("B22", "B22"))
 vs[(p + 1) // 2] = 0  # two C(2k,k) factors guarantee p^2 at 2k = p + 1
 try:
     evaluate_sum(SumSpec(("B22", "B22"), Fraction(16), W_INV_2K1, FULL), p, 2, ctx)
+    sys.exit("no PoleFloorViolated from the product stream")
 except PoleFloorViolated:
-    sys.exit(0)
-sys.exit("no PoleFloorViolated")
+    pass
+a = Fraction(-1, 2)
+vs, _ = ctx.jacobi_central(a)
+vs[(p + 1) // 2] = 2  # C(2k,k) and p | 2a + 1 guarantee p^3 at 2k = p + 1
+try:
+    evaluate_jacobi_sum(a, p, 3, weight=W_INV_2K1, central=True, ctx=ctx)
+    sys.exit("no PoleFloorViolated from the Jacobi stream")
+except PoleFloorViolated:
+    pass
 """
 
 
 def test_pole_floor_is_checked_under_python_O():
-    """A stream whose pole term falls under the SumSpec floor raises a typed
-    error, also when python -O strips assertions."""
+    """A product stream and a central Jacobi stream at a = -1/2 whose pole
+    terms fall under their floors raise a typed error, also when python -O
+    strips assertions."""
     src = str(Path(supercong.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
     proc = subprocess.run(
