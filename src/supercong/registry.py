@@ -1,23 +1,29 @@
 """Registry of congruence statements over binomial-product sums.
 
 Each entry couples a left-hand side (usually a truncated sum of binomial
-coefficient products) with an exact recipe for its closed-form right-hand
-side and an applicability predicate on the prime.  Fixed statements check
-one congruence per prime; parametric statements check a family of
-congruences at deterministically sampled parameter tuples.
+coefficient products) with an exact right-hand side and the primes it
+applies to.  Fixed statements check one congruence per prime; parametric
+statements check a family of congruences at deterministically sampled
+parameter tuples.
 
-Right-hand sides are built from quadratic-form representations of the
-prime (p = x^2 + 4y^2, x^2 + 2y^2, x^2 + 3y^2, x^2 + 7y^2, 4p = x^2 +
-27y^2), a handful of distinguished central binomial coefficients, Fermat
-quotients, and Euler-number tails.
+Claims are data, so ``list --claims`` prints the values the engine
+checks.  A ``Cond`` is both the predicate on p and its text, and a
+``ByClass`` modulus exponent prints itself too.  A fixed right-hand side
+is a ``Lin``, a linear form over a few atoms, or a ``Split`` of two
+forms by the class of p; each gives its exact value at a context and its
+claim text.  The atoms are x^2, y^2, p^2/x^2 and p^2/y^2 over a
+quadratic form of the prime (p = x^2 + 4y^2, x^2 + 2y^2, x^2 + 3y^2,
+x^2 + 7y^2, 4p = x^2 + 27y^2), p, R1 and R3, the signs (-1)^((p-1)/2)
+and (-1)^((p-1)/4), squares of distinguished binomials, (p|3) p, and the
+Euler and U tails p^3 E(p-3) and p^3 U(p-3).  The closed forms that are
+not linear in them are ``Closed``: a function of ctx with its own text.
 
 Every statement runs on a context at its own modulus exponent t, so
-``ctx.P`` = p^t is its modulus.  Each fixed right-hand side is a closed
-form: a function of ctx that returns its exact value as a Fraction or an
-int, written as the paper writes it, e.g. Fr(3 * p - 4 * x * x, 5).  Its
-leaves are exact integers or residues mod ``ctx.P`` (2^(p-1), binomials,
-Fermat quotients, Euler and U numbers), or R1/R3, which are known mod p^2
-only and raise ModulusTooHigh above it.  ``_fixed`` and ``_fixed_custom``
+``ctx.P`` = p^t is its modulus.  A right-hand side's value is exact, a
+Fraction or an int, e.g. (3/5)p - (1/5)x^2.  Its leaves are exact
+integers or residues mod ``ctx.P`` (2^(p-1), binomials, Fermat
+quotients, Euler and U numbers), or R1/R3, which are known mod p^2 only
+and raise ModulusTooHigh above it.  ``_fixed`` and ``_fixed_custom``
 reduce it once, mod ``ctx.P``, with ``_fr``, which is also the one place
 that raises DenominatorNotUnit.  The unit invariant that keeps this
 exact: a closed form divides only by exact integers or by ``ctx.binom``
@@ -128,155 +134,255 @@ REGISTRY: dict[str, Statement] = {}
 SUM_SPECS: dict[str, SumSpec] = {}
 
 
-# -- prime-class predicates --------------------------------------------------
+# -- conditions and moduli -----------------------------------------------------
+
+_FORM_TEXT = {
+    F4: "p = x^2 + 4y^2",
+    F2: "p = x^2 + 2y^2",
+    F3: "p = x^2 + 3y^2",
+    F7: "p = x^2 + 7y^2",
+    F27: "4p = x^2 + 27y^2",
+}
 
 
-def _is_odd(p: int) -> bool:
-    return p > 2
+def _ints(ns: tuple[int, ...]) -> str:
+    return ", ".join(map(str, ns))
 
 
-def _gt3(p: int) -> bool:
-    return p > 3
+# The claim objects below are plain slotted classes because the registry
+# builds them at import, which bench/run.py times as setup_s: each costs
+# microseconds to define, where a frozen dataclass costs over a millisecond.
 
 
-def _gt5(p: int) -> bool:
-    return p > 5
+class Cond:
+    """The odd primes p > above with p mod ``mod`` in ``residues``, less
+    the excluded ones.  Called, it is the predicate; str() is its text."""
+
+    __slots__ = ("mod", "residues", "above", "excluded")
+
+    def __init__(
+        self, mod: int = 1, residues: tuple[int, ...] = (0,), above: int = 2,
+        excluded: tuple[int, ...] = (),
+    ):
+        self.mod, self.residues, self.above, self.excluded = mod, residues, above, excluded
+
+    def __call__(self, p: int) -> bool:
+        return p > self.above and p % self.mod in self.residues and p not in self.excluded
+
+    def __str__(self) -> str:
+        parts = []
+        if self.mod > 1:
+            parts.append(f"p == {_ints(self.residues)} (mod {self.mod})")
+        if self.above > 2:
+            parts.append(f"p > {self.above}")
+        if self.excluded:
+            parts.append(f"p != {_ints(self.excluded)}")
+        return " and ".join(parts) or "p odd"
 
 
-def _gt7(p: int) -> bool:
-    return p > 7
+class ByClass:
+    """Modulus exponent hi on the primes a form represents, lo elsewhere."""
+
+    __slots__ = ("form", "hi", "lo")
+
+    def __init__(self, form: str, hi: int, lo: int):
+        self.form, self.hi, self.lo = form, hi, lo
+
+    def __call__(self, p: int) -> int:
+        return self.hi if quadform.applicable(p, self.form) else self.lo
+
+    def __str__(self) -> str:
+        return f"p^{self.hi} if {_FORM_TEXT[self.form]} else p^{self.lo}"
 
 
-def _f7cl(p: int) -> bool:
-    return p > 2 and p % 7 in (1, 2, 4)
+# -- right-hand sides -----------------------------------------------------------
+
+Coef = Union[Fraction, int]
 
 
-def _f3cl(p: int) -> bool:
-    return p % 3 == 1
+class Atom:
+    """A quantity right-hand sides are linear in: its claim text, its exact
+    value at ctx and the form its x and y are read over.  A coefficient
+    prints before the text, after a space when the text is word-like; a
+    coefficient 1/d prints as ``over`` with d filled in, when given."""
+
+    __slots__ = ("text", "value", "form", "word", "over")
+
+    def __init__(
+        self, text: str, value: Value, form: str | None = None, word: bool = False, over: str = "",
+    ):
+        self.text, self.value, self.form, self.word, self.over = text, value, form, word, over
+
+    def term(self, n: int, d: int) -> str:
+        """The text of n/d times this atom, for n > 0."""
+        c = f"{n}/{d}" if d > 1 else str(n)
+        if not self.text:
+            return c
+        if self.over and n == 1 and d > 1:
+            return self.over.format(d)
+        coef = "" if c == "1" else c if d == 1 else f"({c})"
+        return coef + (" " if coef and self.word else "") + self.text
 
 
-def _f2cl(p: int) -> bool:
-    return p > 2 and p % 8 in (1, 3)
+class Lin:
+    """sum c_i atom_i, in the order the terms are written: value(ctx) is
+    its exact value and str() its claim text.  Lins add, subtract and
+    scale by rationals, and a rational alone is a constant term."""
+
+    __slots__ = ("terms",)
+
+    def __init__(self, terms: tuple[tuple[Coef, Atom], ...] = ()):
+        self.terms = terms
+
+    def __add__(self, other: Lin | Coef) -> Lin:
+        return Lin(self.terms + _lin(other).terms)
+
+    def __radd__(self, other: Coef) -> Lin:
+        return _lin(other) + self
+
+    def __sub__(self, other: Lin | Coef) -> Lin:
+        return self + -_lin(other)
+
+    def __rsub__(self, other: Coef) -> Lin:
+        return _lin(other) + -self
+
+    def __rmul__(self, c: Coef) -> Lin:
+        return Lin(tuple([(c if k == 1 else c * k, atom) for k, atom in self.terms]))
+
+    def __neg__(self) -> Lin:
+        return Lin(tuple([(-k, atom) for k, atom in self.terms]))
+
+    @property
+    def form(self) -> str | None:
+        return next((atom.form for _, atom in self.terms if atom.form), None)
+
+    def value(self, ctx: PrimeContext) -> Coef:
+        return sum(c * atom.value(ctx) for c, atom in self.terms)
+
+    def body(self) -> str:
+        """The terms' text, without the form they are read over."""
+        text = ""
+        for c, atom in self.terms:
+            n = c.numerator
+            term = atom.term(abs(n), c.denominator)
+            if text:
+                text += f" {'-' if n < 0 else '+'} {term}"
+            else:
+                text = f"-{term}" if n < 0 else term
+        return text or "0"
+
+    def __str__(self) -> str:
+        form = self.form
+        return self.body() + (f" with {_FORM_TEXT[form]}" if form else "")
 
 
-def _f4cl(p: int) -> bool:
-    return p % 4 == 1
+def _lin(x: Lin | Coef) -> Lin:
+    return x if isinstance(x, Lin) else Lin(((x, _ONE),))
 
 
-def _m43(p: int) -> bool:
-    return p > 2 and p % 4 == 3
+class Split:
+    """main on the primes its form represents, other on the rest."""
+
+    __slots__ = ("main", "other")
+
+    def __init__(self, main: Lin, other: Lin):
+        self.main, self.other = main, other
+
+    @property
+    def form(self) -> str:
+        return self.main.form
+
+    def value(self, ctx: PrimeContext) -> Coef:
+        part = self.main if quadform.applicable(ctx.p, self.form) else self.other
+        return part.value(ctx)
+
+    def __str__(self) -> str:
+        return f"{self.main.body()} if {_FORM_TEXT[self.form]} else {self.other.body()}"
 
 
-def _not_2_7(p: int) -> bool:
-    return p > 2 and p != 7
+class Closed:
+    """A closed form that is not linear in the atoms, with its claim text."""
 
+    __slots__ = ("value", "text")
 
-def _not_2_3_7(p: int) -> bool:
-    return p > 3 and p != 7
+    def __init__(self, value: Value, text: str):
+        self.value, self.text = value, text
 
-
-# -- right-hand side builders ------------------------------------------------
-
-
-def _fr(ctx: PrimeContext, q: Fraction | int) -> int:
-    """Exact rational constant mod P; DenominatorNotUnit if p divides its denominator."""
-    return residue_from_fraction(q, ctx.p, ctx.workexp).value
-
-
-def _reduced(value: Value) -> Side:
-    """The side that reduces a closed form's exact value once, mod P."""
-    return lambda ctx: _fr(ctx, value(ctx))
-
-
-def _sum_lhs(spec: SumSpec) -> Side:
-    def lhs(ctx: PrimeContext) -> int:
-        return evaluate_sum(spec, ctx.p, ctx.workexp, ctx).value
-
-    return lhs
-
-
-def _xyq(
-    form: str,
-    on: str,
-    csq: Fraction | int,
-    cp: Fraction | int = 0,
-    cpp: Fraction | int = 0,
-    c0: Fraction | int = 0,
-    c0_sign: str = NONE,
-) -> Value:
-    """csq*s + cp*p + c0*sign + cpp*p^2/s with s = x^2 or y^2 over form."""
-
-    def rhs(ctx: PrimeContext) -> Fraction | int:
-        x, y = ctx.xy(form)
-        s = x * x if on == "x" else y * y
-        val = csq * s + cp * ctx.p
-        if c0:
-            val += c0 * prefactor_sign(c0_sign, ctx.p)
-        if cpp:
-            val += cpp * Fr(ctx.p**2, s)
-        return val
-
-    return rhs
-
-
-def _split(form: str, main: Value, other: Value) -> Value:
-    """main when p is represented by form, other on the complement class."""
-
-    def rhs(ctx: PrimeContext) -> Fraction | int:
-        if quadform.applicable(ctx.p, form):
-            return main(ctx)
-        return other(ctx)
-
-    return rhs
-
-
-def _const(cp: Fraction | int = 0, c0: Fraction | int = 0) -> Value:
-    return lambda ctx: cp * ctx.p + c0
-
-
-def _signed_p(c: Fraction | int, sign: str) -> Value:
-    return lambda ctx: c * ctx.p * prefactor_sign(sign, ctx.p)
-
-
-def _rmix(
-    which: str,
-    cr: Fraction | int,
-    cp: Fraction | int = 0,
-    c0: Fraction | int = 0,
-) -> Value:
-    """cr*R + cp*p + c0 where R is the R1 or R3 constant (known mod p^2)."""
-
-    def rhs(ctx: PrimeContext) -> Fraction | int:
-        r = ctx.r1() if which == "r1" else ctx.r3()
-        return cr * r + cp * ctx.p + c0
-
-    return rhs
-
-
-def _b3(ctx: PrimeContext) -> int:
-    """C(floor(2p/3), floor(p/3)) for p = 2 (mod 3), a p-unit."""
-    p = ctx.p
-    return ctx.binom((2 * p - 1) // 3, (p - 2) // 3)
-
-
-def _b3sq(cb: Fraction | int, cp: Fraction | int = 0, c0: Fraction | int = 0) -> Value:
-    """cb*(2p+1)*B3^2 + cp*p + c0 on the p = 2 (mod 3) class."""
-    return lambda ctx: cb * (2 * ctx.p + 1) * _b3(ctx) ** 2 + cp * ctx.p + c0
-
-
-def _binv2(c: Fraction | int, nk: Callable[[int], tuple[int, int]]) -> Value:
-    """c * p^2 * C(n,k)^{-2} with (n, k) = nk(p)."""
-    return lambda ctx: c * Fr(ctx.p, ctx.binom(*nk(ctx.p))) ** 2
-
-
-def _b7rhs(c: Fraction | int, pexp: int, bexp: int) -> Value:
-    """c * p^pexp * C(floor(3p/7), floor(p/7))^bexp."""
-    return lambda ctx: c * ctx.p**pexp * Fr(ctx.binom(3 * ctx.p // 7, ctx.p // 7)) ** bexp
+    def __str__(self) -> str:
+        return self.text
 
 
 def _leg3(p: int) -> int:
     """Legendre symbol (p|3) for p not divisible by 3."""
     return 1 if p % 3 == 1 else -1
+
+
+def _atom(text: str, value: Value, **kw) -> Lin:
+    return Lin(((1, Atom(text, value, **kw)),))
+
+
+_ONE = Atom("", lambda ctx: 1)
+ZERO = Lin()
+P = _atom("p", lambda ctx: ctx.p, over="p/{}")
+R1 = _atom("R1(p)", lambda ctx: ctx.r1(), word=True)
+R3 = _atom("R3(p)", lambda ctx: ctx.r3(), word=True)
+SIGN2 = _atom("(-1)^((p-1)/2)", lambda ctx: prefactor_sign(SIGN_HALF, ctx.p), word=True)
+SIGN4 = _atom("(-1)^((p-1)/4)", lambda ctx: prefactor_sign(SIGN_QUARTER, ctx.p), word=True)
+SIGN2_P = _atom(
+    "(-1)^((p-1)/2) p", lambda ctx: prefactor_sign(SIGN_HALF, ctx.p) * ctx.p, word=True
+)
+SIGN4_P = _atom(
+    "(-1)^((p-1)/4) p", lambda ctx: prefactor_sign(SIGN_QUARTER, ctx.p) * ctx.p, word=True
+)
+LEG3_P = _atom("(p|3) p", lambda ctx: _leg3(ctx.p) * ctx.p, word=True)
+P3_U = _atom("p^3 U(p-3)", lambda ctx: ctx.p**3 * ctx.u_number(ctx.p - 3), word=True)
+P3_E = _atom("p^3 E(p-3)", lambda ctx: ctx.p**3 * ctx.euler_number(ctx.p - 3), word=True)
+# (2p+1) C(floor(2p/3), floor(p/3))^2, a p-unit binomial for p = 2 (mod 3)
+B3_SQ = _atom(
+    "(2p+1) C(floor(2p/3), floor(p/3))^2",
+    lambda ctx: (2 * ctx.p + 1) * ctx.binom(2 * ctx.p // 3, ctx.p // 3) ** 2,
+)
+
+
+def x2(form: str) -> Lin:
+    return _atom("x^2", lambda ctx: ctx.xy(form)[0] ** 2, form=form)
+
+
+def y2(form: str) -> Lin:
+    return _atom("y^2", lambda ctx: ctx.xy(form)[1] ** 2, form=form)
+
+
+def p2_x2(form: str) -> Lin:
+    return _atom(
+        "p^2/x^2", lambda ctx: Fr(ctx.p**2, ctx.xy(form)[0] ** 2), form=form, over="p^2/({}x^2)"
+    )
+
+
+def p2_y2(form: str) -> Lin:
+    return _atom(
+        "p^2/y^2", lambda ctx: Fr(ctx.p**2, ctx.xy(form)[1] ** 2), form=form, over="p^2/({}y^2)"
+    )
+
+
+def binom_sq(n: str, k: str, nk: Callable[[int], tuple[int, int]]) -> Lin:
+    """C(n, k)^2 with (n, k) = nk(p), printed as n and k."""
+    return _atom(f"C({n}, {k})^2", lambda ctx: ctx.binom(*nk(ctx.p)) ** 2, word=True)
+
+
+def p2_over_binom_sq(n: str, k: str, nk: Callable[[int], tuple[int, int]]) -> Lin:
+    """p^2 / C(n, k)^2 with (n, k) = nk(p), printed as n and k."""
+    return _atom(
+        f"p^2 / C({n}, {k})^2", lambda ctx: Fr(ctx.p, ctx.binom(*nk(ctx.p))) ** 2, word=True
+    )
+
+
+
+# C(floor(3p/7), floor(p/7)), a p-unit for p = 3, 5, 6 (mod 7)
+_C7 = ("floor(3p/7)", "floor(p/7)", lambda p: (3 * p // 7, p // 7))
+C7_SQ = binom_sq(*_C7)
+P2_OVER_C7_SQ = p2_over_binom_sq(*_C7)
+
+Rhs = Union[Lin, Split, Closed]
 
 
 # -- claim text ---------------------------------------------------------------
@@ -329,6 +435,27 @@ def sum_text(spec: SumSpec) -> str:
 # -- registration helpers ------------------------------------------------------
 
 
+def _fr(ctx: PrimeContext, q: Fraction | int) -> int:
+    """Exact rational constant mod P; DenominatorNotUnit if p divides its denominator."""
+    return residue_from_fraction(q, ctx.p, ctx.workexp).value
+
+
+def _reduced(value: Value) -> Side:
+    """The side that reduces a closed form's exact value once, mod P."""
+    return lambda ctx: _fr(ctx, value(ctx))
+
+
+def _sum_lhs(spec: SumSpec) -> Side:
+    def lhs(ctx: PrimeContext) -> int:
+        return evaluate_sum(spec, ctx.p, ctx.workexp, ctx).value
+
+    return lhs
+
+
+def _mod_text(modexp: ModExp) -> str:
+    return str(modexp) if isinstance(modexp, ByClass) else "p" if modexp == 1 else f"p^{modexp}"
+
+
 def _add(stmt: Statement) -> None:
     if stmt.sid in REGISTRY:
         raise ValueError(f"duplicate statement id {stmt.sid}")
@@ -336,46 +463,28 @@ def _add(stmt: Statement) -> None:
 
 
 def _fixed(
-    sid: str,
-    status: str,
-    condition: str,
-    applies: Applies,
-    modexp: ModExp,
-    spec: SumSpec,
-    rhs: Value,
-    rhs_text: str,
-    *,
-    mod_text: str | None = None,
-    note: str = "",
+    sid: str, status: str, cond: Cond, modexp: ModExp, spec: SumSpec, rhs: Rhs, *, note: str = "",
 ) -> None:
-    """Register spec's sum == rhs; the closed form rhs is reduced once, mod P."""
-    if mod_text is None:
-        mod_text = "p" if modexp == 1 else f"p^{modexp}"
-    claim = f"{sum_text(spec)} == {rhs_text} (mod {mod_text})"
-    _add(Fixed(sid, status, claim, condition, applies, modexp, _sum_lhs(spec), _reduced(rhs), note))
+    """Register spec's sum == rhs where cond holds; the claim is printed from
+    spec and rhs, and rhs's exact value is reduced once, mod P."""
+    claim = f"{sum_text(spec)} == {rhs} (mod {_mod_text(modexp)})"
+    lhs = _sum_lhs(spec)
+    _add(Fixed(sid, status, claim, str(cond), cond, modexp, lhs, _reduced(rhs.value), note))
     SUM_SPECS[sid] = spec
 
 
 def _fixed_custom(
-    sid: str,
-    status: str,
-    condition: str,
-    applies: Applies,
-    modexp: ModExp,
-    lhs: Value,
-    rhs: Value,
-    claim: str,
-    note: str = "",
+    sid: str, status: str, cond: Cond, modexp: ModExp, lhs: Value, rhs: Value, claim: str,
 ) -> None:
     """Register lhs == rhs for two closed forms, each reduced once, mod P."""
-    _add(Fixed(sid, status, claim, condition, applies, modexp, _reduced(lhs), _reduced(rhs), note))
+    _add(Fixed(sid, status, claim, str(cond), cond, modexp, _reduced(lhs), _reduced(rhs)))
 
 
 def _param(
     sid: str,
     status: str,
     condition: str,
-    applies: Applies,
+    applies: Cond,
     modexp: int,
     params: tuple[str, ...],
     admissible: Callable[[int, tuple[int, ...]], bool],
@@ -391,16 +500,14 @@ def _param(
 # ==============================================================================
 
 _fixed(
-    "S-RV1", "cited", "p > 3", _gt3, 2,
+    "S-RV1", "cited", Cond(above=3), 2,
     SumSpec(C2B31, Fr(108), W_ONE, FULL),
-    _split(F3, _xyq(F3, "x", 4, -2), _const()),
-    "4x^2 - 2p if p = x^2 + 3y^2 else 0",
+    Split(4 * x2(F3) - 2 * P, ZERO),
 )
 _fixed(
-    "S-RV2", "cited", "p > 3", _gt3, 2,
+    "S-RV2", "cited", Cond(above=3), 2,
     SumSpec(C2B42, Fr(256), W_ONE, FULL),
-    _split(F2, _xyq(F2, "x", 4, -2), _const()),
-    "4x^2 - 2p if p = x^2 + 2y^2 (p == 1, 3 mod 8) else 0",
+    Split(4 * x2(F2) - 2 * P, ZERO),
 )
 
 
@@ -412,68 +519,52 @@ def _rhs_rv3(ctx: PrimeContext) -> int:
 
 
 _fixed(
-    "S-RV3", "cited", "p > 3", _gt3, 2,
+    "S-RV3", "cited", Cond(above=3), 2,
     SumSpec(CB31B63, Fr(1728), W_ONE, FULL),
-    _rhs_rv3,
-    "(p|3) * (4x^2 - 2p) if p = x^2 + 4y^2 else 0",
+    Closed(_rhs_rv3, "(p|3) * (4x^2 - 2p) if p = x^2 + 4y^2 else 0"),
 )
 
 # Conjectured full-range and (k+1)-weighted cube sums tied to x^2 + 7y^2
 
-_CJ7 = "p == 1, 2, 4 (mod 7)"
 _fixed(
-    "CJ-S7-intro-a", "conjecture", _CJ7, _f7cl, 3,
+    "CJ-S7-intro-a", "conjecture", Cond(7, (1, 2, 4)), 3,
     SumSpec(C3, Fr(1), W_ONE, FULL),
-    _xyq(F7, "x", 4, -2, cpp=Fr(-1, 4)),
-    "4x^2 - 2p - p^2/(4x^2) with p = x^2 + 7y^2",
+    4 * x2(F7) - 2 * P - Fr(1, 4) * p2_x2(F7),
 )
 _fixed(
-    "CJ-S7-intro-b", "conjecture", "p == 3 (mod 7)",
-    lambda p: p > 2 and p % 7 == 3, 3,
+    "CJ-S7-intro-b", "conjecture", Cond(7, (3,)), 3,
     SumSpec(C3, Fr(1), W_ONE, FULL),
-    _b7rhs(-11, 2, -2),
-    "-11 p^2 / C(floor(3p/7), floor(p/7))^2",
+    -11 * P2_OVER_C7_SQ,
 )
 _fixed(
-    "CJ-S7-intro-c", "conjecture", "p == 5 (mod 7)",
-    lambda p: p > 2 and p % 7 == 5, 3,
+    "CJ-S7-intro-c", "conjecture", Cond(7, (5,)), 3,
     SumSpec(C3, Fr(1), W_ONE, FULL),
-    _b7rhs(Fr(-11, 16), 2, -2),
-    "-(11/16) p^2 / C(floor(3p/7), floor(p/7))^2",
+    -Fr(11, 16) * P2_OVER_C7_SQ,
 )
 _fixed(
-    "CJ-S7-intro-d", "conjecture", "p == 6 (mod 7)",
-    lambda p: p > 2 and p % 7 == 6, 3,
+    "CJ-S7-intro-d", "conjecture", Cond(7, (6,)), 3,
     SumSpec(C3, Fr(1), W_ONE, FULL),
-    _b7rhs(Fr(-11, 4), 2, -2),
-    "-(11/4) p^2 / C(floor(3p/7), floor(p/7))^2",
+    -Fr(11, 4) * P2_OVER_C7_SQ,
 )
 _fixed(
-    "CJ-S9-intro-a", "conjecture", _CJ7, _f7cl, 3,
+    "CJ-S9-intro-a", "conjecture", Cond(7, (1, 2, 4)), 3,
     SumSpec(C3, Fr(1), W_INV_K1, HALF),
-    _xyq(F7, "y", -44, 2),
-    "-44y^2 + 2p with p = x^2 + 7y^2",
+    -44 * y2(F7) + 2 * P,
 )
 _fixed(
-    "CJ-S9-intro-b", "conjecture", "p == 3 (mod 7)",
-    lambda p: p > 2 and p % 7 == 3, 1,
+    "CJ-S9-intro-b", "conjecture", Cond(7, (3,)), 1,
     SumSpec(C3, Fr(1), W_INV_K1, HALF),
-    _b7rhs(Fr(-1, 7), 0, 2),
-    "-(1/7) C(floor(3p/7), floor(p/7))^2",
+    -Fr(1, 7) * C7_SQ,
 )
 _fixed(
-    "CJ-S9-intro-c", "conjecture", "p == 5 (mod 7)",
-    lambda p: p > 2 and p % 7 == 5, 1,
+    "CJ-S9-intro-c", "conjecture", Cond(7, (5,)), 1,
     SumSpec(C3, Fr(1), W_INV_K1, HALF),
-    _b7rhs(Fr(-16, 7), 0, 2),
-    "-(16/7) C(floor(3p/7), floor(p/7))^2",
+    -Fr(16, 7) * C7_SQ,
 )
 _fixed(
-    "CJ-S9-intro-d", "conjecture", "p == 6 (mod 7)",
-    lambda p: p > 2 and p % 7 == 6, 1,
+    "CJ-S9-intro-d", "conjecture", Cond(7, (6,)), 1,
     SumSpec(C3, Fr(1), W_INV_K1, HALF),
-    _b7rhs(Fr(-4, 7), 0, 2),
-    "-(4/7) C(floor(3p/7), floor(p/7))^2",
+    -Fr(4, 7) * C7_SQ,
 )
 
 # ==============================================================================
@@ -487,10 +578,9 @@ def _rhs_l23a(ctx: PrimeContext) -> Fraction:
 
 
 _fixed(
-    "S-L2.3a", "lemma", "p == 1 (mod 4)", _f4cl, 2,
+    "S-L2.3a", "lemma", Cond(4, (1,)), 2,
     SumSpec(C2, Fr(-16), W_K, HALF),
-    _rhs_l23a,
-    "(-1)^((p-1)/4) * (-x/2 + p/(4x)) with p = x^2 + 4y^2, x == 1 (mod 4)",
+    Closed(_rhs_l23a, "(-1)^((p-1)/4) * (-x/2 + p/(4x)) with p = x^2 + 4y^2, x == 1 (mod 4)"),
 )
 
 
@@ -503,10 +593,12 @@ def _rhs_l23b(ctx: PrimeContext) -> Fraction:
 
 
 _fixed(
-    "S-L2.3b", "lemma", "p == 3 (mod 4)", _m43, 2,
+    "S-L2.3b", "lemma", Cond(4, (3,)), 2,
     SumSpec(C2, Fr(-16), W_K, HALF),
-    _rhs_l23b,
-    "(-1)^((p+1)/4)/4 * (B + (B + 1/B - q_2(p) B / 2) p), B = C((p-1)/2, (p-3)/4)",
+    Closed(
+        _rhs_l23b,
+        "(-1)^((p+1)/4)/4 * (B + (B + 1/B - q_2(p) B / 2) p), B = C((p-1)/2, (p-3)/4)",
+    ),
 )
 
 
@@ -534,17 +626,18 @@ def _rhs_l24b(ctx: PrimeContext) -> Fraction:
 
 
 _fixed(
-    "S-L2.4a", "lemma", "p > 3", _gt3, 2,
+    "S-L2.4a", "lemma", Cond(above=3), 2,
     SumSpec(CB31, Fr(24), W_ONE, FULL),
-    _rhs_l24a,
-    "C((2p-2)/3, (p-1)/3) if p == 1 (mod 3) else p / C((2p+2)/3, (p+1)/3)",
+    Closed(_rhs_l24a, "C((2p-2)/3, (p-1)/3) if p == 1 (mod 3) else p / C((2p+2)/3, (p+1)/3)"),
 )
 _fixed(
-    "S-L2.4b", "lemma", "p > 3", _gt3, 2,
+    "S-L2.4b", "lemma", Cond(above=3), 2,
     SumSpec(CB31, Fr(24), W_K, FULL),
-    _rhs_l24b,
-    "p/C1 - C1 (C1 = C((2p-2)/3,(p-1)/3)) if p == 1 (mod 3) "
-    "else -(p+1) C2 - p/C2 (C2 = C((2p+2)/3,(p+1)/3))",
+    Closed(
+        _rhs_l24b,
+        "p/C1 - C1 (C1 = C((2p-2)/3,(p-1)/3)) if p == 1 (mod 3) "
+        "else -(p+1) C2 - p/C2 (C2 = C((2p+2)/3,(p+1)/3))",
+    ),
 )
 
 
@@ -573,19 +666,23 @@ def _rhs_l25b(ctx: PrimeContext) -> Fraction:
 
 
 _fixed(
-    "S-L2.5a", "lemma", "p > 3", _gt3, 2,
+    "S-L2.5a", "lemma", Cond(above=3), 2,
     SumSpec(CB42, Fr(48), W_ONE, FULL),
-    _rhs_l25a,
-    "(x|3)(2x - p/(2x)) with p = x^2 + 3y^2 if p == 1 (mod 3) "
-    "else 3p / (2 C((p+1)/2, (p+1)/6))",
+    Closed(
+        _rhs_l25a,
+        "(x|3)(2x - p/(2x)) with p = x^2 + 3y^2 if p == 1 (mod 3) "
+        "else 3p / (2 C((p+1)/2, (p+1)/6))",
+    ),
 )
 _fixed(
-    "S-L2.5b", "lemma", "p > 3", _gt3, 2,
+    "S-L2.5b", "lemma", Cond(above=3), 2,
     SumSpec(CB42, Fr(48), W_K, FULL),
-    _rhs_l25b,
-    "(x|3)(-x + p/(2x)) if p == 1 (mod 3) else "
-    "(-1/3 - p/3 - (2/9)(2^(p-1)-1) + (1/4)(3^(p-1)-1)) C3 - 3p/(4 C3), "
-    "C3 = C((p+1)/2, (p+1)/6)",
+    Closed(
+        _rhs_l25b,
+        "(x|3)(-x + p/(2x)) if p == 1 (mod 3) else "
+        "(-1/3 - p/3 - (2/9)(2^(p-1)-1) + (1/4)(3^(p-1)-1)) C3 - 3p/(4 C3), "
+        "C3 = C((p+1)/2, (p+1)/6)",
+    ),
 )
 
 
@@ -618,18 +715,22 @@ def _rhs_l26b(ctx: PrimeContext) -> Fraction:
 
 
 _fixed(
-    "S-L2.6a", "lemma", "p > 3", _gt3, 2,
+    "S-L2.6a", "lemma", Cond(above=3), 2,
     SumSpec(CB42, Fr(72), W_ONE, FULL),
-    _rhs_l26a,
-    "(6|p) C((p-1)/2,(p-1)/4) (1 - (2^(p-1)-1)/2) if p == 1 (mod 4) "
-    "else (6|p) p / (3 C((p-1)/2,(p-3)/4))",
+    Closed(
+        _rhs_l26a,
+        "(6|p) C((p-1)/2,(p-1)/4) (1 - (2^(p-1)-1)/2) if p == 1 (mod 4) "
+        "else (6|p) p / (3 C((p-1)/2,(p-3)/4))",
+    ),
 )
 _fixed(
-    "S-L2.6b", "lemma", "p > 3", _gt3, 2,
+    "S-L2.6b", "lemma", Cond(above=3), 2,
     SumSpec(CB42, Fr(72), W_K, FULL),
-    _rhs_l26b,
-    "(6|p)(-p/(2 C4) + C4 (1 - (2^(p-1)-1)/2)/2) if p == 1 (mod 4) else "
-    "(6|p)(p/(6 C5) + (3/2 + 3p/2 - 3(2^(p-1)-1)/4) C5)",
+    Closed(
+        _rhs_l26b,
+        "(6|p)(-p/(2 C4) + C4 (1 - (2^(p-1)-1)/2)/2) if p == 1 (mod 4) else "
+        "(6|p)(p/(6 C5) + (3/2 + 3p/2 - 3(2^(p-1)-1)/4) C5)",
+    ),
 )
 
 # ==============================================================================
@@ -637,46 +738,39 @@ _fixed(
 # ==============================================================================
 
 _fixed(
-    "T2.3a", "theorem", _CJ7, _f7cl, 2,
+    "T2.3a", "theorem", Cond(7, (1, 2, 4)), 2,
     SumSpec(C3, Fr(1), W_INV_K1, HALF),
-    _xyq(F7, "y", -44, 2),
-    "-44y^2 + 2p with p = x^2 + 7y^2",
+    -44 * y2(F7) + 2 * P,
 )
 _fixed(
-    "T2.3b", "theorem", _CJ7, _f7cl, 2,
+    "T2.3b", "theorem", Cond(7, (1, 2, 4)), 2,
     SumSpec(C3, Fr(4096), W_INV_K1, HALF, SIGN_HALF),
-    _xyq(F7, "y", 72, 2),
-    "72y^2 + 2p with p = x^2 + 7y^2",
+    72 * y2(F7) + 2 * P,
 )
 _fixed(
-    "T2.4a", "theorem", "p == 1 (mod 3)", _f3cl, 2,
+    "T2.4a", "theorem", Cond(3, (1,)), 2,
     SumSpec(C3, Fr(16), W_INV_K1, HALF),
-    _xyq(F3, "y", -16, 2),
-    "-16y^2 + 2p with p = x^2 + 3y^2",
+    -16 * y2(F3) + 2 * P,
 )
 _fixed(
-    "T2.4b", "theorem", "p == 1 (mod 3)", _f3cl, 2,
+    "T2.4b", "theorem", Cond(3, (1,)), 2,
     SumSpec(C3, Fr(256), W_INV_K1, HALF, SIGN_HALF),
-    _xyq(F3, "y", -8, 2),
-    "-8y^2 + 2p with p = x^2 + 3y^2",
+    -8 * y2(F3) + 2 * P,
 )
 _fixed(
-    "T2.5", "theorem", "p == 1, 3 (mod 8)", _f2cl, 2,
+    "T2.5", "theorem", Cond(8, (1, 3)), 2,
     SumSpec(C3, Fr(-64), W_INV_K1, HALF, SIGN_HALF),
-    _xyq(F2, "y", -12, 2),
-    "-12y^2 + 2p with p = x^2 + 2y^2",
+    -12 * y2(F2) + 2 * P,
 )
 _fixed(
-    "T2.6", "theorem", "p == 1 (mod 4)", _f4cl, 2,
+    "T2.6", "theorem", Cond(4, (1,)), 2,
     SumSpec(C3, Fr(-512), W_INV_K1, HALF, SIGN_QUARTER),
-    _xyq(F4, "y", -32, 2),
-    "-32y^2 + 2p with p = x^2 + 4y^2",
+    -32 * y2(F4) + 2 * P,
 )
 _fixed(
-    "T2.7", "theorem", "p odd", _is_odd, 2,
+    "T2.7", "theorem", Cond(), 2,
     SumSpec(C3, Fr(-8), W_INV_K1, HALF),
-    _split(F4, _xyq(F4, "y", -24, 2), _rmix("r1", Fr(1, 2), 1)),
-    "-24y^2 + 2p if p = x^2 + 4y^2 else R1(p)/2 + p",
+    Split(-24 * y2(F4) + 2 * P, Fr(1, 2) * R1 + P),
 )
 
 # ==============================================================================
@@ -684,40 +778,34 @@ _fixed(
 # ==============================================================================
 
 _fixed(
-    "T2.8a", "theorem", "p > 5", _gt5, 2,
+    "T2.8a", "theorem", Cond(above=5), 2,
     SumSpec(C2B31, Fr(-192), W_K, FULL),
-    _split(F27, _xyq(F27, "x", Fr(-1, 5), Fr(3, 5)), _const(Fr(-1, 5))),
-    "(3p - x^2)/5 if 4p = x^2 + 27y^2 (p == 1 mod 3) else -p/5",
+    Split(Fr(3, 5) * P - Fr(1, 5) * x2(F27), -Fr(1, 5) * P),
 )
 _fixed(
-    "T2.8b", "theorem", "p > 5", _gt5, 2,
+    "T2.8b", "theorem", Cond(above=5), 2,
     SumSpec(C2B31, Fr(-192), W_INV_K1, FULL_MINUS_1),
-    _split(F27, _xyq(F27, "x", Fr(3, 2), -4), _b3sq(2, 1)),
-    "(3/2)x^2 - 4p if 4p = x^2 + 27y^2 else 2(2p+1) C(floor(2p/3), floor(p/3))^2 + p",
+    Split(Fr(3, 2) * x2(F27) - 4 * P, 2 * B3_SQ + P),
 )
 _fixed(
-    "T2.9a", "theorem", "p > 5", _gt5, 2,
+    "T2.9a", "theorem", Cond(above=5), 2,
     SumSpec(C2B42, Fr(-144), W_K, FULL),
-    _split(F3, _xyq(F3, "x", Fr(-4, 5), Fr(3, 5)), _const(Fr(-1, 5))),
-    "(3p - 4x^2)/5 if p = x^2 + 3y^2 else -p/5",
+    Split(Fr(3, 5) * P - Fr(4, 5) * x2(F3), -Fr(1, 5) * P),
 )
 _fixed(
-    "T2.9b", "theorem", "p > 3", _gt3, 2,
+    "T2.9b", "theorem", Cond(above=3), 2,
     SumSpec(C2B42, Fr(-144), W_INV_K1, FULL_MINUS_1),
-    _split(F3, _xyq(F3, "y", -16, 2), _rmix("r3", Fr(4, 3), Fr(2, 3))),
-    "-16y^2 + 2p if p = x^2 + 3y^2 else (4/3) R3(p) + (2/3) p",
+    Split(-16 * y2(F3) + 2 * P, Fr(4, 3) * R3 + Fr(2, 3) * P),
 )
 _fixed(
-    "T2.10a", "theorem", "p != 2, 3, 7", _not_2_3_7, 2,
+    "T2.10a", "theorem", Cond(excluded=(2, 3, 7)), 2,
     SumSpec(C2B42, Fr(648), W_K, FULL),
-    _split(F4, _xyq(F4, "x", Fr(-4, 7), Fr(3, 7)), _const(Fr(-1, 7))),
-    "(3p - 4x^2)/7 if p = x^2 + 4y^2 else -p/7",
+    Split(Fr(3, 7) * P - Fr(4, 7) * x2(F4), -Fr(1, 7) * P),
 )
 _fixed(
-    "T2.10b", "theorem", "p != 2, 3, 7", _not_2_3_7, 2,
+    "T2.10b", "theorem", Cond(excluded=(2, 3, 7)), 2,
     SumSpec(C2B42, Fr(648), W_INV_K1, FULL_MINUS_1),
-    _split(F4, _xyq(F4, "y", Fr(-40, 3), 2), _rmix("r1", Fr(-3, 2), Fr(-1, 3))),
-    "-(40/3)y^2 + 2p if p = x^2 + 4y^2 else -(3/2) R1(p) - p/3",
+    Split(-Fr(40, 3) * y2(F4) + 2 * P, -Fr(3, 2) * R1 - Fr(1, 3) * P),
 )
 
 # ==============================================================================
@@ -725,76 +813,64 @@ _fixed(
 # ==============================================================================
 
 _fixed(
-    "S-2.4", "cited", _CJ7, _f7cl, 2,
+    "S-2.4", "cited", Cond(7, (1, 2, 4)), 2,
     SumSpec(C3, Fr(1), W_ONE, HALF),
-    _xyq(F7, "x", 4, -2),
-    "4x^2 - 2p with p = x^2 + 7y^2",
+    4 * x2(F7) - 2 * P,
 )
 _fixed(
-    "S-2.5", "cited", _CJ7, _f7cl, 2,
+    "S-2.5", "cited", Cond(7, (1, 2, 4)), 2,
     SumSpec(C3, Fr(1), W_K, HALF),
-    _xyq(F7, "x", Fr(-32, 21), Fr(8, 7)),
-    "(8/21)(3p - 4x^2) with p = x^2 + 7y^2",
+    Fr(8, 7) * P - Fr(32, 21) * x2(F7),
 )
 _fixed(
-    "S-2.6", "cited", _CJ7, _f7cl, 2,
+    "S-2.6", "cited", Cond(7, (1, 2, 4)), 2,
     SumSpec(C3, Fr(4096), W_ONE, HALF, SIGN_HALF),
-    _xyq(F7, "x", 4, -2),
-    "4x^2 - 2p with p = x^2 + 7y^2",
+    4 * x2(F7) - 2 * P,
 )
 _fixed(
-    "S-2.7", "cited", _CJ7, _f7cl, 2,
+    "S-2.7", "cited", Cond(7, (1, 2, 4)), 2,
     SumSpec(C3, Fr(4096), W_K, HALF, SIGN_HALF),
-    _xyq(F7, "y", Fr(10, 3), Fr(-5, 42)),
-    "(5/42)(28y^2 - p) with p = x^2 + 7y^2",
+    Fr(10, 3) * y2(F7) - Fr(5, 42) * P,
 )
 _fixed(
-    "S-2.8", "cited", "p == 1 (mod 3)", _f3cl, 2,
+    "S-2.8", "cited", Cond(3, (1,)), 2,
     SumSpec(C3, Fr(16), W_ONE, HALF),
-    _xyq(F3, "x", 4, -2),
-    "4x^2 - 2p with p = x^2 + 3y^2",
+    4 * x2(F3) - 2 * P,
 )
 _fixed(
-    "S-2.9", "cited", "p == 1 (mod 3)", _f3cl, 2,
+    "S-2.9", "cited", Cond(3, (1,)), 2,
     SumSpec(C3, Fr(16), W_K, HALF),
-    _xyq(F3, "x", Fr(-4, 3), 1),
-    "p - (4/3)x^2 with p = x^2 + 3y^2",
+    P - Fr(4, 3) * x2(F3),
 )
 _fixed(
-    "S-2.10", "cited", "p == 1 (mod 3)", _f3cl, 2,
+    "S-2.10", "cited", Cond(3, (1,)), 2,
     SumSpec(C3, Fr(256), W_ONE, HALF, SIGN_HALF),
-    _xyq(F3, "x", 4, -2),
-    "4x^2 - 2p with p = x^2 + 3y^2",
+    4 * x2(F3) - 2 * P,
 )
 _fixed(
-    "S-2.11", "cited", "p == 1 (mod 3)", _f3cl, 2,
+    "S-2.11", "cited", Cond(3, (1,)), 2,
     SumSpec(C3, Fr(256), W_K, HALF, SIGN_HALF),
-    _xyq(F3, "y", 2, Fr(-1, 6)),
-    "(1/6)(12y^2 - p) with p = x^2 + 3y^2",
+    2 * y2(F3) - Fr(1, 6) * P,
 )
 _fixed(
-    "S-2.12", "cited", "p == 1, 3 (mod 8)", _f2cl, 2,
+    "S-2.12", "cited", Cond(8, (1, 3)), 2,
     SumSpec(C3, Fr(-64), W_ONE, HALF, SIGN_HALF),
-    _xyq(F2, "x", 4, -2),
-    "4x^2 - 2p with p = x^2 + 2y^2",
+    4 * x2(F2) - 2 * P,
 )
 _fixed(
-    "S-2.13", "cited", "p == 1, 3 (mod 8)", _f2cl, 2,
+    "S-2.13", "cited", Cond(8, (1, 3)), 2,
     SumSpec(C3, Fr(-64), W_K, HALF, SIGN_HALF),
-    _xyq(F2, "y", 2, Fr(-1, 4)),
-    "(1/4)(8y^2 - p) with p = x^2 + 2y^2",
+    2 * y2(F2) - Fr(1, 4) * P,
 )
 _fixed(
-    "S-2.14", "cited", "p == 1 (mod 4)", _f4cl, 2,
+    "S-2.14", "cited", Cond(4, (1,)), 2,
     SumSpec(C3, Fr(-512), W_ONE, HALF, SIGN_QUARTER),
-    _xyq(F4, "x", 4, -2),
-    "4x^2 - 2p with p = x^2 + 4y^2",
+    4 * x2(F4) - 2 * P,
 )
 _fixed(
-    "S-2.15", "cited", "p == 1 (mod 4)", _f4cl, 2,
+    "S-2.15", "cited", Cond(4, (1,)), 2,
     SumSpec(C3, Fr(-512), W_K, HALF, SIGN_QUARTER),
-    _xyq(F4, "y", Fr(8, 3), Fr(-1, 6)),
-    "(1/6)(16y^2 - p) with p = x^2 + 4y^2",
+    Fr(8, 3) * y2(F4) - Fr(1, 6) * P,
 )
 
 
@@ -804,10 +880,9 @@ def _rhs_s216(ctx: PrimeContext) -> Fraction:
 
 
 _fixed(
-    "S-2.16", "cited", "p == 1 (mod 4)", _f4cl, 2,
+    "S-2.16", "cited", Cond(4, (1,)), 2,
     SumSpec(C2, Fr(-16), W_ONE, FULL),
-    _rhs_s216,
-    "(-1)^((p-1)/4)(2x - p/(2x)) with p = x^2 + 4y^2, x == 1 (mod 4)",
+    Closed(_rhs_s216, "(-1)^((p-1)/4)(2x - p/(2x)) with p = x^2 + 4y^2, x == 1 (mod 4)"),
 )
 
 
@@ -817,10 +892,9 @@ def _rhs_s217(ctx: PrimeContext) -> Fraction:
 
 
 _fixed(
-    "S-2.17", "cited", "p == 3 (mod 4)", _m43, 2,
+    "S-2.17", "cited", Cond(4, (3,)), 2,
     SumSpec(C2, Fr(-16), W_ONE, FULL),
-    _rhs_s217,
-    "(-1)^((p-3)/4) p / C((p-1)/2, (p-3)/4)",
+    Closed(_rhs_s217, "(-1)^((p-3)/4) p / C((p-1)/2, (p-3)/4)"),
 )
 
 
@@ -834,64 +908,55 @@ def _rhs_s218(ctx: PrimeContext) -> int:
 
 
 _fixed_custom(
-    "S-2.18", "cited", "p == 1 (mod 4)", _f4cl, 2,
+    "S-2.18", "cited", Cond(4, (1,)), 2,
     _lhs_s218,
     _rhs_s218,
     "C((p-1)/2, (p-1)/4)^2 == 2^(p-1) (4x^2 - 2p) (mod p^2) with p = x^2 + 4y^2",
 )
 _fixed(
-    "S-Su1", "cited", "p != 2, 7", _not_2_7, 3,
+    "S-Su1", "cited", Cond(excluded=(2, 7)), 3,
     SumSpec(C3, Fr(1), linear_weight(8, 21), FULL),
-    _const(8),
-    "8p",
+    8 * P,
 )
 _fixed(
-    "S-OZ", "cited", "p odd", _is_odd, 2,
+    "S-OZ", "cited", Cond(), 2,
     SumSpec(C3, Fr(4096), linear_weight(5, 42), HALF),
-    _signed_p(5, SIGN_HALF),
-    "5 (-1)^((p-1)/2) p",
+    5 * SIGN2_P,
 )
 _fixed(
-    "S-L1", "cited", "p == 1 (mod 3)", _f3cl, 4,
+    "S-L1", "cited", Cond(3, (1,)), 4,
     SumSpec(C3, Fr(256), linear_weight(1, 6), HALF),
-    _signed_p(1, SIGN_HALF),
-    "(-1)^((p-1)/2) p",
+    SIGN2_P,
 )
 _fixed(
-    "S-M2", "cited", "p == 1, 3 (mod 8)", _f2cl, 3,
+    "S-M2", "cited", Cond(8, (1, 3)), 3,
     SumSpec(C3, Fr(-64), linear_weight(1, 4), HALF),
-    _signed_p(1, SIGN_HALF),
-    "(-1)^((p-1)/2) p",
+    SIGN2_P,
 )
 _fixed(
-    "S-L2", "cited", "p == 1 (mod 4)", _f4cl, 2,
+    "S-L2", "cited", Cond(4, (1,)), 2,
     SumSpec(C3, Fr(-512), linear_weight(1, 6), HALF),
-    _signed_p(1, SIGN_QUARTER),
-    "(-1)^((p-1)/4) p",
+    SIGN4_P,
 )
 _fixed(
-    "S-GZ", "cited", "p > 3", _gt3, 3,
+    "S-GZ", "cited", Cond(above=3), 3,
     SumSpec(C3, Fr(-8), linear_weight(1, 3), HALF),
-    _signed_p(1, SIGN_HALF),
-    "(-1)^((p-1)/2) p",
+    SIGN2_P,
 )
 _fixed(
-    "S-2.19", "cited", "p > 3", _gt3, 2,
+    "S-2.19", "cited", Cond(above=3), 2,
     SumSpec(C2B31, Fr(-192), W_ONE, FULL),
-    _split(F27, _xyq(F27, "x", 1, -2), _const()),
-    "x^2 - 2p if 4p = x^2 + 27y^2 (p == 1 mod 3) else 0",
+    Split(x2(F27) - 2 * P, ZERO),
 )
 _fixed(
-    "S-2.20", "cited", "p > 3", _gt3, 2,
+    "S-2.20", "cited", Cond(above=3), 2,
     SumSpec(C2B42, Fr(-144), W_ONE, FULL),
-    _split(F3, _xyq(F3, "x", 4, -2), _const()),
-    "4x^2 - 2p if p = x^2 + 3y^2 else 0",
+    Split(4 * x2(F3) - 2 * P, ZERO),
 )
 _fixed(
-    "S-2.21", "cited", "p > 3", _gt3, 2,
+    "S-2.21", "cited", Cond(above=3), 2,
     SumSpec(C2B42, Fr(648), W_ONE, FULL),
-    _split(F4, _xyq(F4, "x", 4, -2), _const()),
-    "4x^2 - 2p if p = x^2 + 4y^2 else 0",
+    Split(4 * x2(F4) - 2 * P, ZERO),
 )
 
 # ==============================================================================
@@ -899,10 +964,9 @@ _fixed(
 # ==============================================================================
 
 _fixed(
-    "CJ-R2.2-1", "conjecture", "p == 1 (mod 4)", _f4cl, 3,
+    "CJ-R2.2-1", "conjecture", Cond(4, (1,)), 3,
     SumSpec(C3, Fr(-8), W_INV_K1, HALF),
-    _xyq(F4, "y", -24, 2),
-    "-24y^2 + 2p with p = x^2 + 4y^2",
+    -24 * y2(F4) + 2 * P,
 )
 
 
@@ -915,130 +979,94 @@ def _rhs_cj222(ctx: PrimeContext) -> int:
 
 
 _fixed(
-    "CJ-R2.2-2", "conjecture", "p > 3", _gt3,
-    lambda p: 3 if p % 4 == 1 else 2,
+    "CJ-R2.2-2", "conjecture", Cond(above=3), ByClass(F4, 3, 2),
     SumSpec(C3, Fr(-512), W_INV_K1, HALF),
-    _rhs_cj222,
-    "(-1)^floor(p/4) (-32y^2 + 2p) (mod p^3) if p = x^2 + 4y^2 "
-    "else (-1)^floor(p/4) (-4 R1(p) - 2p) (mod p^2)",
-    mod_text="p^3 or p^2 by class",
+    Closed(
+        _rhs_cj222,
+        "(-1)^floor(p/4) (-32y^2 + 2p) if p = x^2 + 4y^2 "
+        "else (-1)^floor(p/4) (-4 R1(p) - 2p)",
+    ),
 )
 _fixed(
-    "CJ-R2.2-3", "conjecture", "p > 3", _gt3,
-    lambda p: 3 if p % 3 == 1 else 2,
+    "CJ-R2.2-3", "conjecture", Cond(above=3), ByClass(F3, 3, 2),
     SumSpec(C3, Fr(16), W_INV_K1, HALF),
-    _split(F3, _xyq(F3, "y", -16, 2), _rmix("r3", Fr(-4, 3), Fr(-2, 3))),
-    "-16y^2 + 2p (mod p^3) if p = x^2 + 3y^2 else -(4/3) R3(p) - (2/3) p (mod p^2)",
-    mod_text="p^3 or p^2 by class",
+    Split(-16 * y2(F3) + 2 * P, -Fr(4, 3) * R3 - Fr(2, 3) * P),
 )
 _fixed(
-    "CJ-R2.2-4", "conjecture", "p > 3", _gt3,
-    lambda p: 3 if p % 3 == 1 else 2,
+    "CJ-R2.2-4", "conjecture", Cond(above=3), ByClass(F3, 3, 2),
     SumSpec(C3, Fr(256), W_INV_K1, HALF, SIGN_HALF),
-    _split(F3, _xyq(F3, "y", -8, 2), _rmix("r3", Fr(16, 3), Fr(2, 3))),
-    "-8y^2 + 2p (mod p^3) if p = x^2 + 3y^2 else (16/3) R3(p) + (2/3) p (mod p^2)",
-    mod_text="p^3 or p^2 by class",
+    Split(-8 * y2(F3) + 2 * P, Fr(16, 3) * R3 + Fr(2, 3) * P),
 )
 _fixed(
-    "CJ-R2.2-5", "conjecture", "p == 1, 3 (mod 8) and p > 3",
-    lambda p: p > 3 and p % 8 in (1, 3), 3,
+    "CJ-R2.2-5", "conjecture", Cond(8, (1, 3), above=3), 3,
     SumSpec(C3, Fr(-64), W_INV_K1, HALF, SIGN_HALF),
-    _xyq(F2, "y", -12, 2),
-    "-12y^2 + 2p with p = x^2 + 2y^2",
+    -12 * y2(F2) + 2 * P,
 )
 _fixed(
-    "CJ-R2.2-6", "conjecture", _CJ7, _f7cl, 3,
+    "CJ-R2.2-6", "conjecture", Cond(7, (1, 2, 4)), 3,
     SumSpec(C3, Fr(4096), W_INV_K1, HALF, SIGN_HALF),
-    _xyq(F7, "y", 72, 2),
-    "72y^2 + 2p with p = x^2 + 7y^2",
+    72 * y2(F7) + 2 * P,
 )
 _fixed(
-    "CJ-R2.3-S7-1", "conjecture", "p > 3", _gt3, 3,
+    "CJ-R2.3-S7-1", "conjecture", Cond(above=3), 3,
     SumSpec(C2B31, Fr(-192), W_ONE, FULL),
-    _split(
-        F27,
-        _xyq(F27, "x", 1, -2, cpp=-1),
-        _binv2(Fr(3, 4), lambda p: ((2 * p - 1) // 3, (p - 2) // 3)),
+    Split(
+        x2(F27) - 2 * P - p2_x2(F27),
+        Fr(3, 4) * p2_over_binom_sq("floor(2p/3)", "floor(p/3)", lambda p: (2 * p // 3, p // 3)),
     ),
-    "x^2 - 2p - p^2/x^2 if 4p = x^2 + 27y^2 "
-    "else (3/4) p^2 / C(floor(2p/3), floor(p/3))^2",
 )
 _fixed(
-    "CJ-R2.3-S7-2", "conjecture", "p > 3", _gt3, 3,
+    "CJ-R2.3-S7-2", "conjecture", Cond(above=3), 3,
     SumSpec(C2B42, Fr(-144), W_ONE, FULL),
-    _split(
-        F3,
-        _xyq(F3, "x", 4, -2, cpp=Fr(-1, 4)),
-        _binv2(1, lambda p: ((p - 1) // 2, (p - 5) // 6)),
+    Split(
+        4 * x2(F3) - 2 * P - Fr(1, 4) * p2_x2(F3),
+        p2_over_binom_sq("(p-1)/2", "(p-5)/6", lambda p: ((p - 1) // 2, (p - 5) // 6)),
     ),
-    "4x^2 - 2p - p^2/(4x^2) if p = x^2 + 3y^2 else p^2 / C((p-1)/2, (p-5)/6)^2",
 )
 _fixed(
-    "CJ-R2.3-S7-3", "conjecture", "p > 3", _gt3, 3,
+    "CJ-R2.3-S7-3", "conjecture", Cond(above=3), 3,
     SumSpec(C2B42, Fr(648), W_ONE, FULL),
-    _split(
-        F4,
-        _xyq(F4, "x", 4, -2, cpp=Fr(-1, 4)),
-        _binv2(Fr(-5, 36), lambda p: ((p - 3) // 2, (p - 3) // 4)),
+    Split(
+        4 * x2(F4) - 2 * P - Fr(1, 4) * p2_x2(F4),
+        -Fr(5, 36) * p2_over_binom_sq("(p-3)/2", "(p-3)/4", lambda p: ((p - 3) // 2, (p - 3) // 4)),
     ),
-    "4x^2 - 2p - p^2/(4x^2) if p = x^2 + 4y^2 else -(5/36) p^2 / C((p-3)/2, (p-3)/4)^2",
 )
 _fixed(
-    "CJ-R2.3-S9-1", "conjecture", "p == 1 (mod 3) and p > 3",
-    lambda p: p > 3 and p % 3 == 1, 3,
+    "CJ-R2.3-S9-1", "conjecture", Cond(3, (1,), above=3), 3,
     SumSpec(C2B31, Fr(-192), W_INV_K1, FULL_MINUS_1),
-    _xyq(F27, "x", Fr(3, 2), -4),
-    "(3/2)x^2 - 4p with 4p = x^2 + 27y^2",
+    Fr(3, 2) * x2(F27) - 4 * P,
 )
 _fixed(
-    "CJ-R2.3-S9-2", "conjecture", "p == 1 (mod 3) and p > 3",
-    lambda p: p > 3 and p % 3 == 1, 3,
+    "CJ-R2.3-S9-2", "conjecture", Cond(3, (1,), above=3), 3,
     SumSpec(C2B42, Fr(-144), W_INV_K1, FULL_MINUS_1),
-    _xyq(F3, "y", -16, 2),
-    "-16y^2 + 2p with p = x^2 + 3y^2",
+    -16 * y2(F3) + 2 * P,
 )
 _fixed(
-    "CJ-R2.3-S9-3", "conjecture", "p == 1 (mod 4) and p > 3",
-    lambda p: p > 3 and p % 4 == 1, 3,
+    "CJ-R2.3-S9-3", "conjecture", Cond(4, (1,), above=3), 3,
     SumSpec(C2B42, Fr(648), W_INV_K1, FULL_MINUS_1),
-    _xyq(F4, "y", Fr(-40, 3), 2),
-    "-(40/3)y^2 + 2p with p = x^2 + 4y^2",
+    -Fr(40, 3) * y2(F4) + 2 * P,
 )
 
 
-def _u_tail(c: Fraction) -> Value:
-    """(p|3) p + c p^3 U(p-3)."""
-    return lambda ctx: _leg3(ctx.p) * ctx.p + c * ctx.p**3 * ctx.u_number(ctx.p - 3)
-
-
 _fixed(
-    "CJ-2.22", "conjecture", "p > 3", _gt3, 4,
+    "CJ-2.22", "conjecture", Cond(above=3), 4,
     SumSpec(C2B42, Fr(-144), linear_weight(1, 5), FULL),
-    _u_tail(Fr(5, 2)),
-    "(p|3) p + (5/2) p^3 U(p-3)",
+    LEG3_P + Fr(5, 2) * P3_U,
 )
 
 
-def _rhs_cj23(ctx: PrimeContext) -> Fraction:
-    p = ctx.p
-    return prefactor_sign(SIGN_HALF, p) * p - Fr(745, 447) * p**3 * ctx.euler_number(p - 3)
-
-
 _fixed(
-    "CJ-2.23", "conjecture", "p > 3 and p != 149",
-    lambda p: p > 3 and p != 149, 4,
+    "CJ-2.23", "conjecture", Cond(above=3, excluded=(149,)), 4,
     SumSpec(C2B42, Fr(648), linear_weight(1, 7), FULL),
-    _rhs_cj23,
-    "(-1)^((p-1)/2) p - (745/447) p^3 E(p-3)",
+    SIGN2_P - Fr(745, 447) * P3_E,
     note="excluded prime: 149",
 )
 
 
 _fixed(
-    "CJ-2.24", "conjecture", "p > 3", _gt3, 4,
+    "CJ-2.24", "conjecture", Cond(above=3), 4,
     SumSpec(C2B31, Fr(-192), linear_weight(1, 5), FULL),
-    _u_tail(Fr(5, 3)),
-    "(p|3) p + (5/3) p^3 U(p-3)",
+    LEG3_P + Fr(5, 3) * P3_U,
 )
 
 # ==============================================================================
@@ -1046,187 +1074,140 @@ _fixed(
 # ==============================================================================
 
 _fixed(
-    "T3.2a", "theorem", _CJ7, _f7cl, 2,
+    "T3.2a", "theorem", Cond(7, (1, 2, 4)), 2,
     SumSpec(C3, Fr(1), W_K2, HALF),
-    _xyq(F7, "x", Fr(736, 1323), Fr(-272, 441)),
-    "(736/1323)x^2 - (272/441)p with p = x^2 + 7y^2",
+    Fr(736, 1323) * x2(F7) - Fr(272, 441) * P,
 )
 _fixed(
-    "T3.2b", "theorem", _CJ7, _f7cl, 2,
+    "T3.2b", "theorem", Cond(7, (1, 2, 4)), 2,
     SumSpec(C3, Fr(1), W_K3, HALF),
-    _xyq(F7, "x", Fr(-5408, 27783), Fr(2992, 9261)),
-    "-(5408/27783)x^2 + (2992/9261)p with p = x^2 + 7y^2",
+    -Fr(5408, 27783) * x2(F7) + Fr(2992, 9261) * P,
 )
 _fixed(
-    "T3.2c", "theorem", _CJ7, _f7cl, 2,
+    "T3.2c", "theorem", Cond(7, (1, 2, 4)), 2,
     SumSpec(C3, Fr(4096), W_K2, HALF, SIGN_HALF),
-    _xyq(F7, "x", Fr(43, 1323), Fr(-13, 441)),
-    "(43/1323)x^2 - (13/441)p with p = x^2 + 7y^2",
+    Fr(43, 1323) * x2(F7) - Fr(13, 441) * P,
 )
 _fixed(
-    "T3.2d", "theorem", _CJ7, _f7cl, 2,
+    "T3.2d", "theorem", Cond(7, (1, 2, 4)), 2,
     SumSpec(C3, Fr(4096), W_K3, HALF, SIGN_HALF),
-    _xyq(F7, "x", Fr(169, 55566), Fr(-31, 74088)),
-    "(169/55566)x^2 - (31/74088)p with p = x^2 + 7y^2",
+    Fr(169, 55566) * x2(F7) - Fr(31, 74088) * P,
 )
 _fixed(
-    "T3.3a", "theorem", "p == 1 (mod 3)", _f3cl, 2,
+    "T3.3a", "theorem", Cond(3, (1,)), 2,
     SumSpec(C3, Fr(16), W_K2, HALF),
-    _xyq(F3, "x", Fr(4, 9), Fr(-5, 9)),
-    "(4/9)x^2 - (5/9)p with p = x^2 + 3y^2",
+    Fr(4, 9) * x2(F3) - Fr(5, 9) * P,
 )
 _fixed(
-    "T3.3b", "theorem", "p == 1 (mod 3)", _f3cl, 2,
+    "T3.3b", "theorem", Cond(3, (1,)), 2,
     SumSpec(C3, Fr(16), W_K3, HALF),
-    _xyq(F3, "x", Fr(-2, 9), Fr(4, 9)),
-    "-(2/9)x^2 + (4/9)p with p = x^2 + 3y^2",
+    -Fr(2, 9) * x2(F3) + Fr(4, 9) * P,
 )
 _fixed(
-    "T3.3c", "theorem", "p == 1 (mod 3)", _f3cl, 2,
+    "T3.3c", "theorem", Cond(3, (1,)), 2,
     SumSpec(C3, Fr(256), W_K2, HALF, SIGN_HALF),
-    _xyq(F3, "x", Fr(1, 9), Fr(-1, 18)),
-    "(1/9)x^2 - p/18 with p = x^2 + 3y^2",
+    Fr(1, 9) * x2(F3) - Fr(1, 18) * P,
 )
 _fixed(
-    "T3.3d", "theorem", "p == 1 (mod 3)", _f3cl, 2,
+    "T3.3d", "theorem", Cond(3, (1,)), 2,
     SumSpec(C3, Fr(256), W_K3, HALF, SIGN_HALF),
-    _xyq(F3, "x", Fr(1, 18), Fr(1, 72)),
-    "(1/18)x^2 + p/72 with p = x^2 + 3y^2",
+    Fr(1, 18) * x2(F3) + Fr(1, 72) * P,
 )
 _fixed(
-    "T3.4a", "theorem", "p == 1, 3 (mod 8)", _f2cl, 2,
+    "T3.4a", "theorem", Cond(8, (1, 3)), 2,
     SumSpec(C3, Fr(-64), W_K2, HALF, SIGN_HALF),
-    _xyq(F2, "x", Fr(1, 8), Fr(-3, 16)),
-    "(1/8)x^2 - (3/16)p with p = x^2 + 2y^2",
+    Fr(1, 8) * x2(F2) - Fr(3, 16) * P,
 )
 _fixed(
-    "T3.4b", "theorem", "p == 1, 3 (mod 8)", _f2cl, 2,
+    "T3.4b", "theorem", Cond(8, (1, 3)), 2,
     SumSpec(C3, Fr(-64), W_K3, HALF, SIGN_HALF),
-    _xyq(F2, "x", Fr(1, 32), Fr(-1, 64)),
-    "(1/32)x^2 - p/64 with p = x^2 + 2y^2",
+    Fr(1, 32) * x2(F2) - Fr(1, 64) * P,
 )
 _fixed(
-    "T3.5a", "theorem", "p == 1 (mod 4)", _f4cl, 2,
+    "T3.5a", "theorem", Cond(4, (1,)), 2,
     SumSpec(C3, Fr(-512), W_K2, HALF, SIGN_QUARTER),
-    _xyq(F4, "x", Fr(1, 27), Fr(-1, 18)),
-    "(1/27)x^2 - p/18 with p = x^2 + 4y^2",
+    Fr(1, 27) * x2(F4) - Fr(1, 18) * P,
 )
 _fixed(
-    "T3.5b", "theorem", "p == 1 (mod 4)", _f4cl, 2,
+    "T3.5b", "theorem", Cond(4, (1,)), 2,
     SumSpec(C3, Fr(-512), W_K3, HALF, SIGN_QUARTER),
-    _xyq(F4, "x", Fr(-1, 162), Fr(-1, 216)),
-    "-(1/162)x^2 - p/216 with p = x^2 + 4y^2",
+    -Fr(1, 162) * x2(F4) - Fr(1, 216) * P,
 )
 _fixed(
-    "T3.6a", "theorem", "p > 3", _gt3, 2,
+    "T3.6a", "theorem", Cond(above=3), 2,
     SumSpec(C3, Fr(-8), W_K2, HALF),
-    _split(F4, _xyq(F4, "x", Fr(10, 27), Fr(-4, 9)), _rmix("r1", Fr(1, 18), Fr(7, 27))),
-    "(10/27)x^2 - (4/9)p if p = x^2 + 4y^2 else (7/27)p + (1/18) R1(p)",
+    Split(Fr(10, 27) * x2(F4) - Fr(4, 9) * P, Fr(7, 27) * P + Fr(1, 18) * R1),
 )
 _fixed(
-    "T3.6b", "theorem", "p > 3", _gt3, 2,
+    "T3.6b", "theorem", Cond(above=3), 2,
     SumSpec(C3, Fr(-8), W_K3, HALF),
-    _split(F4, _xyq(F4, "x", Fr(-4, 81), Fr(4, 27)), _rmix("r1", Fr(-2, 27), Fr(-10, 81))),
-    "-(4/81)x^2 + (4/27)p if p = x^2 + 4y^2 else -(10/81)p - (2/27) R1(p)",
+    Split(-Fr(4, 81) * x2(F4) + Fr(4, 27) * P, -Fr(10, 81) * P - Fr(2, 27) * R1),
 )
 _fixed(
-    "S-3.2", "cited", "p odd", _is_odd, 2,
+    "S-3.2", "cited", Cond(), 2,
     SumSpec(C3, Fr(-8), W_ONE, HALF),
-    _split(F4, _xyq(F4, "x", 4, -2), _const()),
-    "4x^2 - 2p if p = x^2 + 4y^2 else 0",
+    Split(4 * x2(F4) - 2 * P, ZERO),
 )
 _fixed(
-    "S-3.3", "cited", "p > 3", _gt3, 2,
+    "S-3.3", "cited", Cond(above=3), 2,
     SumSpec(C3, Fr(-8), W_K, HALF),
-    _split(F4, _xyq(F4, "x", Fr(-4, 3), 1), _const(Fr(-1, 3))),
-    "p - (4/3)x^2 if p = x^2 + 4y^2 else -p/3",
+    Split(P - Fr(4, 3) * x2(F4), -Fr(1, 3) * P),
 )
 _fixed(
-    "T3.7a", "theorem", "p > 5", _gt5, 2,
+    "T3.7a", "theorem", Cond(above=5), 2,
     SumSpec(C2B31, Fr(-192), W_K2, FULL),
-    _split(
-        F27,
-        _xyq(F27, "x", Fr(2, 125), Fr(-27, 250)),
-        _b3sq(Fr(2, 25), Fr(19, 250)),
-    ),
-    "(2/125)x^2 - (27/250)p if 4p = x^2 + 27y^2 "
-    "else (2/25)(2p+1) C(floor(2p/3), floor(p/3))^2 + (19/250)p",
+    Split(Fr(2, 125) * x2(F27) - Fr(27, 250) * P, Fr(2, 25) * B3_SQ + Fr(19, 250) * P),
 )
 _fixed(
-    "T3.7b", "theorem", "p > 5", _gt5, 2,
+    "T3.7b", "theorem", Cond(above=5), 2,
     SumSpec(C2B31, Fr(-192), W_K3, FULL),
-    _split(
-        F27,
-        _xyq(F27, "x", Fr(21, 6250), Fr(-221, 12500)),
-        _b3sq(Fr(-27, 625), Fr(137, 12500)),
+    Split(
+        Fr(21, 6250) * x2(F27) - Fr(221, 12500) * P,
+        -Fr(27, 625) * B3_SQ + Fr(137, 12500) * P,
     ),
-    "(21/6250)x^2 - (221/12500)p if 4p = x^2 + 27y^2 "
-    "else -(27/625)(2p+1) C(floor(2p/3), floor(p/3))^2 + (137/12500)p",
 )
 _fixed(
-    "T3.8a", "theorem", "p > 5", _gt5, 2,
+    "T3.8a", "theorem", Cond(above=5), 2,
     SumSpec(C2B42, Fr(-144), W_K2, FULL),
-    _split(
-        F3,
-        _xyq(F3, "x", Fr(12, 125), Fr(-19, 125)),
-        _rmix("r3", Fr(2, 25), Fr(13, 125)),
-    ),
-    "(12/125)x^2 - (19/125)p if p = x^2 + 3y^2 else (2/25) R3(p) + (13/125)p",
+    Split(Fr(12, 125) * x2(F3) - Fr(19, 125) * P, Fr(2, 25) * R3 + Fr(13, 125) * P),
 )
 _fixed(
-    "T3.8b", "theorem", "p > 5", _gt5, 2,
+    "T3.8b", "theorem", Cond(above=5), 2,
     SumSpec(C2B42, Fr(-144), W_K3, FULL),
-    _split(
-        F3,
-        _xyq(F3, "x", Fr(62, 3125), Fr(6, 3125)),
-        _rmix("r3", Fr(-48, 625), Fr(-37, 3125)),
-    ),
-    "(62/3125)x^2 + (6/3125)p if p = x^2 + 3y^2 else -(48/625) R3(p) - (37/3125)p",
+    Split(Fr(62, 3125) * x2(F3) + Fr(6, 3125) * P, -Fr(48, 625) * R3 - Fr(37, 3125) * P),
 )
 _fixed(
-    "T3.9a", "theorem", "p != 2, 3, 7", _not_2_3_7, 2,
+    "T3.9a", "theorem", Cond(excluded=(2, 3, 7)), 2,
     SumSpec(C2B42, Fr(648), W_K2, FULL),
-    _split(
-        F4,
-        _xyq(F4, "x", Fr(34, 343), Fr(-8, 343)),
-        _rmix("r1", Fr(9, 98), Fr(-9, 343)),
-    ),
-    "(34/343)x^2 - (8/343)p if p = x^2 + 4y^2 else (9/98) R1(p) - (9/343)p",
+    Split(Fr(34, 343) * x2(F4) - Fr(8, 343) * P, Fr(9, 98) * R1 - Fr(9, 343) * P),
 )
 _fixed(
-    "T3.9b", "theorem", "p != 2, 3, 7", _not_2_3_7, 2,
+    "T3.9b", "theorem", Cond(excluded=(2, 3, 7)), 2,
     SumSpec(C2B42, Fr(648), W_K3, FULL),
-    _split(
-        F4,
-        _xyq(F4, "x", Fr(1436, 16807), Fr(792, 16807)),
-        _rmix("r1", Fr(216, 2401), Fr(-1510, 16807)),
+    Split(
+        Fr(1436, 16807) * x2(F4) + Fr(792, 16807) * P,
+        Fr(216, 2401) * R1 - Fr(1510, 16807) * P,
     ),
-    "(1436/16807)x^2 + (792/16807)p if p = x^2 + 4y^2 "
-    "else (216/2401) R1(p) - (1510/16807)p",
 )
 _fixed(
-    "CJ-R3.1-1", "conjecture", _CJ7, _f7cl, 3,
+    "CJ-R3.1-1", "conjecture", Cond(7, (1, 2, 4)), 3,
     SumSpec(C3, Fr(1), W_K2, FULL),
-    _xyq(F7, "x", Fr(736, 1323), Fr(-272, 441), cpp=Fr(20, 1323)),
-    "(736/1323)x^2 - (272/441)p + (20/1323)p^2/x^2 with p = x^2 + 7y^2",
+    Fr(736, 1323) * x2(F7) - Fr(272, 441) * P + Fr(20, 1323) * p2_x2(F7),
 )
 _fixed(
-    "CJ-R3.1-2", "conjecture", _CJ7, _f7cl, 3,
+    "CJ-R3.1-2", "conjecture", Cond(7, (1, 2, 4)), 3,
     SumSpec(C3, Fr(1), W_K3, FULL),
-    _xyq(F7, "x", Fr(-5408, 27783), Fr(2992, 9261), cpp=Fr(-1774, 27783)),
-    "-(5408/27783)x^2 + (2992/9261)p - (1774/27783)p^2/x^2 with p = x^2 + 7y^2",
+    -Fr(5408, 27783) * x2(F7) + Fr(2992, 9261) * P - Fr(1774, 27783) * p2_x2(F7),
 )
 _fixed(
-    "CJ-R3.1-3", "conjecture", _CJ7, _f7cl, 3,
+    "CJ-R3.1-3", "conjecture", Cond(7, (1, 2, 4)), 3,
     SumSpec(C3, Fr(4096), W_K2, HALF, SIGN_HALF),
-    _xyq(F7, "x", Fr(43, 1323), Fr(-13, 441), cpp=Fr(-1, 1323)),
-    "(43/1323)x^2 - (13/441)p - (1/1323)p^2/x^2 with p = x^2 + 7y^2",
+    Fr(43, 1323) * x2(F7) - Fr(13, 441) * P - Fr(1, 1323) * p2_x2(F7),
 )
 _fixed(
-    "CJ-R3.1-4", "conjecture", _CJ7, _f7cl, 3,
+    "CJ-R3.1-4", "conjecture", Cond(7, (1, 2, 4)), 3,
     SumSpec(C3, Fr(4096), W_K3, HALF, SIGN_HALF),
-    _xyq(F7, "x", Fr(169, 55566), Fr(-31, 74088), cpp=Fr(-71, 444528)),
-    "(169/55566)x^2 - (31/74088)p - (71/444528)p^2/x^2 with p = x^2 + 7y^2",
+    Fr(169, 55566) * x2(F7) - Fr(31, 74088) * P - Fr(71, 444528) * p2_x2(F7),
 )
 
 # ==============================================================================
@@ -1234,172 +1215,124 @@ _fixed(
 # ==============================================================================
 
 _fixed(
-    "T4.2a", "theorem", _CJ7, _f7cl, 2,
+    "T4.2a", "theorem", Cond(7, (1, 2, 4)), 2,
     SumSpec(C3, Fr(1), W_INV_K1_SQ, HALF),
-    _xyq(F7, "y", -68, 1),
-    "-68y^2 + p with p = x^2 + 7y^2",
+    -68 * y2(F7) + P,
 )
 _fixed(
-    "T4.2b", "theorem", _CJ7, _f7cl, 2,
+    "T4.2b", "theorem", Cond(7, (1, 2, 4)), 2,
     SumSpec(C3, Fr(1), W_INV_K1_CU, HALF),
-    _xyq(F7, "y", Fr(-201, 2), Fr(-9, 4), c0=Fr(1, 8)),
-    "1/8 - (201/2)y^2 - (9/4)p with p = x^2 + 7y^2",
+    Fr(1, 8) - Fr(201, 2) * y2(F7) - Fr(9, 4) * P,
 )
 _fixed(
-    "T4.2c", "theorem", _CJ7, _f7cl, 2,
+    "T4.2c", "theorem", Cond(7, (1, 2, 4)), 2,
     SumSpec(C3, Fr(4096), W_INV_K1_SQ, HALF, SIGN_HALF),
-    _xyq(F7, "y", -1136, 64),
-    "-1136y^2 + 64p with p = x^2 + 7y^2",
+    -1136 * y2(F7) + 64 * P,
 )
 _fixed(
-    "T4.2d", "theorem", _CJ7, _f7cl, 2,
+    "T4.2d", "theorem", Cond(7, (1, 2, 4)), 2,
     SumSpec(C3, Fr(4096), W_INV_K1_CU, HALF, SIGN_HALF),
-    _xyq(F7, "y", 6432, -648, c0=512, c0_sign=SIGN_HALF),
-    "512 (-1)^((p-1)/2) + 6432y^2 - 648p with p = x^2 + 7y^2",
+    512 * SIGN2 + 6432 * y2(F7) - 648 * P,
 )
 _fixed(
-    "T4.3a", "theorem", "p == 1 (mod 3)", _f3cl, 2,
+    "T4.3a", "theorem", Cond(3, (1,)), 2,
     SumSpec(C3, Fr(16), W_INV_K1_SQ, HALF),
-    _xyq(F3, "y", -24, 2),
-    "-24y^2 + 2p with p = x^2 + 3y^2",
+    -24 * y2(F3) + 2 * P,
 )
 _fixed(
-    "T4.3b", "theorem", "p == 1 (mod 3)", _f3cl, 2,
+    "T4.3b", "theorem", Cond(3, (1,)), 2,
     SumSpec(C3, Fr(16), W_INV_K1_CU, HALF),
-    _xyq(F3, "y", -24, 0, c0=2),
-    "2 - 24y^2 with p = x^2 + 3y^2",
+    2 - 24 * y2(F3),
 )
 _fixed(
-    "T4.3c", "theorem", "p == 1 (mod 3)", _f3cl, 2,
+    "T4.3c", "theorem", Cond(3, (1,)), 2,
     SumSpec(C3, Fr(256), W_INV_K1_SQ, HALF, SIGN_HALF),
-    _xyq(F3, "y", -48, 8),
-    "-48y^2 + 8p with p = x^2 + 3y^2",
+    -48 * y2(F3) + 8 * P,
 )
 _fixed(
-    "T4.3d", "theorem", "p == 1 (mod 3)", _f3cl, 2,
+    "T4.3d", "theorem", Cond(3, (1,)), 2,
     SumSpec(C3, Fr(256), W_INV_K1_CU, HALF, SIGN_HALF),
-    _xyq(F3, "y", 96, -24, c0=32, c0_sign=SIGN_HALF),
-    "32 (-1)^((p-1)/2) + 96y^2 - 24p with p = x^2 + 3y^2",
+    32 * SIGN2 + 96 * y2(F3) - 24 * P,
 )
 _fixed(
-    "T4.4a", "theorem", "p == 1, 3 (mod 8)", _f2cl, 2,
+    "T4.4a", "theorem", Cond(8, (1, 3)), 2,
     SumSpec(C3, Fr(-64), W_INV_K1_SQ, HALF, SIGN_HALF),
-    _xyq(F2, "y", -8, 0),
-    "-8y^2 with p = x^2 + 2y^2",
+    -8 * y2(F2),
 )
 _fixed(
-    "T4.4b", "theorem", "p == 1, 3 (mod 8)", _f2cl, 2,
+    "T4.4b", "theorem", Cond(8, (1, 3)), 2,
     SumSpec(C3, Fr(-64), W_INV_K1_CU, HALF, SIGN_HALF),
-    _xyq(F2, "y", -32, 8, c0=-8, c0_sign=SIGN_HALF),
-    "-8 (-1)^((p-1)/2) - 32y^2 + 8p with p = x^2 + 2y^2",
+    -8 * SIGN2 - 32 * y2(F2) + 8 * P,
 )
 _fixed(
-    "T4.5a", "theorem", "p == 1 (mod 4)", _f4cl, 2,
+    "T4.5a", "theorem", Cond(4, (1,)), 2,
     SumSpec(C3, Fr(-512), W_INV_K1_SQ, HALF, SIGN_QUARTER),
-    _xyq(F4, "y", 64, -8),
-    "64y^2 - 8p with p = x^2 + 4y^2",
+    64 * y2(F4) - 8 * P,
 )
 _fixed(
-    "T4.5b", "theorem", "p == 1 (mod 4)", _f4cl, 2,
+    "T4.5b", "theorem", Cond(4, (1,)), 2,
     SumSpec(C3, Fr(-512), W_INV_K1_CU, HALF, SIGN_QUARTER),
-    _xyq(F4, "y", -384, 72, c0=-64, c0_sign=SIGN_QUARTER),
-    "-64 (-1)^((p-1)/4) - 384y^2 + 72p with p = x^2 + 4y^2",
+    -64 * SIGN4 - 384 * y2(F4) + 72 * P,
 )
 _fixed(
-    "T4.6a", "theorem", "p odd", _is_odd, 2,
+    "T4.6a", "theorem", Cond(), 2,
     SumSpec(C3, Fr(-8), W_INV_K1_SQ, HALF),
-    _split(F4, _xyq(F4, "y", -32, 1), _rmix("r1", 3, 3)),
-    "-32y^2 + p if p = x^2 + 4y^2 else 3p + 3 R1(p)",
+    Split(-32 * y2(F4) + P, 3 * P + 3 * R1),
 )
 _fixed(
-    "T4.6b", "theorem", "p odd", _is_odd, 2,
+    "T4.6b", "theorem", Cond(), 2,
     SumSpec(C3, Fr(-8), W_INV_K1_CU, HALF),
-    _split(F4, _xyq(F4, "y", -48, 0, c0=-1), _rmix("r1", 12, 6, -1)),
-    "-1 - 48y^2 if p = x^2 + 4y^2 else -1 + 6p + 12 R1(p)",
+    Split(-1 - 48 * y2(F4), -1 + 6 * P + 12 * R1),
 )
 _fixed(
-    "T4.7a", "theorem", "p > 3", _gt3, 2,
+    "T4.7a", "theorem", Cond(above=3), 2,
     SumSpec(C2B31, Fr(-192), W_INV_K1_SQ, FULL_MINUS_1),
-    _split(F27, _xyq(F27, "x", Fr(1, 4), -2), _b3sq(13, Fr(3, 2))),
-    "x^2/4 - 2p if 4p = x^2 + 27y^2 "
-    "else 13(2p+1) C(floor(2p/3), floor(p/3))^2 + (3/2)p",
+    Split(Fr(1, 4) * x2(F27) - 2 * P, 13 * B3_SQ + Fr(3, 2) * P),
 )
 _fixed(
-    "T4.7b", "theorem", "p > 3", _gt3, 2,
+    "T4.7b", "theorem", Cond(above=3), 2,
     SumSpec(C2B31, Fr(-192), W_INV_K1_CU, FULL_MINUS_1),
-    _split(
-        F27,
-        _xyq(F27, "x", Fr(51, 8), -9, c0=-16),
-        _b3sq(Fr(115, 2), Fr(-15, 4), -16),
-    ),
-    "-16 + (51/8)x^2 - 9p if 4p = x^2 + 27y^2 "
-    "else -16 + (115/2)(2p+1) C(floor(2p/3), floor(p/3))^2 - (15/4)p",
+    Split(-16 + Fr(51, 8) * x2(F27) - 9 * P, -16 + Fr(115, 2) * B3_SQ - Fr(15, 4) * P),
 )
 _fixed(
-    "T4.8a", "theorem", "p > 3", _gt3, 2,
+    "T4.8a", "theorem", Cond(above=3), 2,
     SumSpec(C2B42, Fr(-144), W_INV_K1_SQ, FULL_MINUS_1),
-    _split(
-        F3,
-        _xyq(F3, "y", Fr(-40, 3), Fr(2, 3)),
-        _rmix("r3", Fr(88, 9), Fr(14, 9)),
-    ),
-    "-(40/3)y^2 + (2/3)p if p = x^2 + 3y^2 else (88/9) R3(p) + (14/9)p",
+    Split(-Fr(40, 3) * y2(F3) + Fr(2, 3) * P, Fr(88, 9) * R3 + Fr(14, 9) * P),
 )
 _fixed(
-    "T4.8b", "theorem", "p > 3", _gt3, 2,
+    "T4.8b", "theorem", Cond(above=3), 2,
     SumSpec(C2B42, Fr(-144), W_INV_K1_CU, FULL_MINUS_1),
-    _split(
-        F3,
-        _xyq(F3, "y", Fr(-376, 9), Fr(56, 9), c0=-6),
-        _rmix("r3", Fr(1360, 27), Fr(20, 27), -6),
-    ),
-    "-6 - (376/9)y^2 + (56/9)p if p = x^2 + 3y^2 "
-    "else -6 + (1360/27) R3(p) + (20/27)p",
+    Split(-6 - Fr(376, 9) * y2(F3) + Fr(56, 9) * P, -6 + Fr(1360, 27) * R3 + Fr(20, 27) * P),
 )
 _fixed(
-    "T4.9a", "theorem", "p > 3", _gt3, 2,
+    "T4.9a", "theorem", Cond(above=3), 2,
     SumSpec(C2B42, Fr(648), W_INV_K1_SQ, FULL_MINUS_1),
-    _split(
-        F4,
-        _xyq(F4, "x", Fr(112, 9), Fr(-55, 9)),
-        _rmix("r1", -11, Fr(-1, 9)),
-    ),
-    "(112/9)x^2 - (55/9)p if p = x^2 + 4y^2 else -11 R1(p) - p/9",
+    Split(Fr(112, 9) * x2(F4) - Fr(55, 9) * P, -11 * R1 - Fr(1, 9) * P),
 )
 _fixed(
-    "T4.9b", "theorem", "p > 3", _gt3, 2,
+    "T4.9b", "theorem", Cond(above=3), 2,
     SumSpec(C2B42, Fr(648), W_INV_K1_CU, FULL_MINUS_1),
-    _split(
-        F4,
-        _xyq(F4, "x", Fr(-740, 27), Fr(248, 27), c0=27),
-        _rmix("r1", Fr(-170, 3), Fr(122, 27), 27),
-    ),
-    "27 - (740/27)x^2 + (248/27)p if p = x^2 + 4y^2 "
-    "else 27 - (170/3) R1(p) + (122/27)p",
+    Split(27 - Fr(740, 27) * x2(F4) + Fr(248, 27) * P, 27 - Fr(170, 3) * R1 + Fr(122, 27) * P),
 )
 _fixed(
-    "CJ-R4.1-1", "conjecture", _CJ7, _f7cl, 3,
+    "CJ-R4.1-1", "conjecture", Cond(7, (1, 2, 4)), 3,
     SumSpec(C3, Fr(1), W_INV_K1_SQ, HALF),
-    _xyq(F7, "y", -68, 1, cpp=Fr(-1, 4)),
-    "-68y^2 + p - p^2/(4y^2) with p = x^2 + 7y^2",
+    -68 * y2(F7) + P - Fr(1, 4) * p2_y2(F7),
 )
 _fixed(
-    "CJ-R4.1-2", "conjecture", _CJ7, _f7cl, 3,
+    "CJ-R4.1-2", "conjecture", Cond(7, (1, 2, 4)), 3,
     SumSpec(C3, Fr(1), W_INV_K1_CU, HALF),
-    _xyq(F7, "y", Fr(-201, 2), Fr(-9, 4), cpp=Fr(-39, 32), c0=Fr(1, 8)),
-    "1/8 - (201/2)y^2 - (9/4)p - (39/32)p^2/y^2 with p = x^2 + 7y^2",
+    Fr(1, 8) - Fr(201, 2) * y2(F7) - Fr(9, 4) * P - Fr(39, 32) * p2_y2(F7),
 )
 _fixed(
-    "CJ-R4.1-3", "conjecture", _CJ7, _f7cl, 3,
+    "CJ-R4.1-3", "conjecture", Cond(7, (1, 2, 4)), 3,
     SumSpec(C3, Fr(4096), W_INV_K1_SQ, HALF, SIGN_HALF),
-    _xyq(F7, "y", -1136, 64, cpp=2),
-    "-1136y^2 + 64p + 2p^2/y^2 with p = x^2 + 7y^2",
+    -1136 * y2(F7) + 64 * P + 2 * p2_y2(F7),
 )
 _fixed(
-    "CJ-R4.1-4", "conjecture", _CJ7, _f7cl, 3,
+    "CJ-R4.1-4", "conjecture", Cond(7, (1, 2, 4)), 3,
     SumSpec(C3, Fr(4096), W_INV_K1_CU, HALF, SIGN_HALF),
-    _xyq(F7, "y", 6432, -648, cpp=-6, c0=512, c0_sign=SIGN_HALF),
-    "512 (-1)^((p-1)/2) + 6432y^2 - 648p - 6p^2/y^2 with p = x^2 + 7y^2",
+    512 * SIGN2 + 6432 * y2(F7) - 648 * P - 6 * p2_y2(F7),
 )
 
 # ==============================================================================
@@ -1407,119 +1340,89 @@ _fixed(
 # ==============================================================================
 
 _fixed(
-    "T5.3a", "theorem", _CJ7, _f7cl, 2,
+    "T5.3a", "theorem", Cond(7, (1, 2, 4)), 2,
     SumSpec(C3, Fr(1), W_INV_2K1, FULL),
-    _xyq(F7, "y", -36, 14),
-    "-36y^2 + 14p with p = x^2 + 7y^2",
+    -36 * y2(F7) + 14 * P,
 )
 _fixed(
-    "T5.3b", "theorem", _CJ7, _f7cl, 2,
+    "T5.3b", "theorem", Cond(7, (1, 2, 4)), 2,
     SumSpec(C3, Fr(1), W_INV_2K1_SQ, FULL),
-    _xyq(F7, "y", -284, 34),
-    "-284y^2 + 34p with p = x^2 + 7y^2",
+    -284 * y2(F7) + 34 * P,
 )
 _fixed(
-    "T5.3c", "theorem", _CJ7, _f7cl, 2,
+    "T5.3c", "theorem", Cond(7, (1, 2, 4)), 2,
     SumSpec(C3, Fr(4096), W_INV_2K1, FULL, SIGN_HALF),
-    _xyq(F7, "y", 22, Fr(-7, 4)),
-    "22y^2 - (7/4)p with p = x^2 + 7y^2",
+    22 * y2(F7) - Fr(7, 4) * P,
 )
 _fixed(
-    "T5.3d", "theorem", _CJ7, _f7cl, 2,
+    "T5.3d", "theorem", Cond(7, (1, 2, 4)), 2,
     SumSpec(C3, Fr(4096), W_INV_2K1_SQ, FULL, SIGN_HALF),
-    _xyq(F7, "y", -17, Fr(97, 64)),
-    "-17y^2 + (97/64)p with p = x^2 + 7y^2",
+    -17 * y2(F7) + Fr(97, 64) * P,
 )
 _fixed(
-    "T5.4a", "theorem", "p == 1 (mod 3)", _f3cl, 2,
+    "T5.4a", "theorem", Cond(3, (1,)), 2,
     SumSpec(C3, Fr(16), W_INV_2K1, FULL),
-    _xyq(F3, "y", 4, 0),
-    "4y^2 with p = x^2 + 3y^2",
+    4 * y2(F3),
 )
 _fixed(
-    "T5.4b", "theorem", "p == 1 (mod 3)", _f3cl, 2,
+    "T5.4b", "theorem", Cond(3, (1,)), 2,
     SumSpec(C3, Fr(16), W_INV_2K1_SQ, FULL),
-    _xyq(F3, "y", -12, 2),
-    "-12y^2 + 2p with p = x^2 + 3y^2",
+    -12 * y2(F3) + 2 * P,
 )
 _fixed(
-    "T5.4c", "theorem", "p == 1 (mod 3)", _f3cl, 2,
+    "T5.4c", "theorem", Cond(3, (1,)), 2,
     SumSpec(C3, Fr(256), W_INV_2K1, FULL, SIGN_HALF),
-    _xyq(F3, "y", 8, Fr(-3, 2)),
-    "8y^2 - (3/2)p with p = x^2 + 3y^2",
+    8 * y2(F3) - Fr(3, 2) * P,
 )
 _fixed(
-    "T5.4d", "theorem", "p == 1 (mod 3)", _f3cl, 2,
+    "T5.4d", "theorem", Cond(3, (1,)), 2,
     SumSpec(C3, Fr(256), W_INV_2K1_SQ, FULL, SIGN_HALF),
-    _xyq(F3, "y", -6, Fr(5, 4)),
-    "-6y^2 + (5/4)p with p = x^2 + 3y^2",
+    -6 * y2(F3) + Fr(5, 4) * P,
 )
 _fixed(
-    "T5.5a", "theorem", "p == 1, 3 (mod 8)", _f2cl, 2,
+    "T5.5a", "theorem", Cond(8, (1, 3)), 2,
     SumSpec(C3, Fr(-64), W_INV_2K1, FULL, SIGN_HALF),
-    _xyq(F2, "x", -3, 1),
-    "p - 3x^2 with p = x^2 + 2y^2",
+    P - 3 * x2(F2),
 )
 _fixed(
-    "T5.5b", "theorem", "p == 1, 3 (mod 8)", _f2cl, 2,
+    "T5.5b", "theorem", Cond(8, (1, 3)), 2,
     SumSpec(C3, Fr(-64), W_INV_2K1_SQ, FULL, SIGN_HALF),
-    _xyq(F2, "x", 1, 0),
-    "x^2 with p = x^2 + 2y^2",
+    x2(F2),
 )
 _fixed(
-    "T5.6a", "theorem", "p == 1 (mod 4)", _f4cl, 2,
+    "T5.6a", "theorem", Cond(4, (1,)), 2,
     SumSpec(C3, Fr(-512), W_INV_2K1, FULL, SIGN_QUARTER),
-    _xyq(F4, "x", -3, Fr(5, 4)),
-    "-3x^2 + (5/4)p with p = x^2 + 4y^2",
+    -3 * x2(F4) + Fr(5, 4) * P,
 )
 _fixed(
-    "T5.6b", "theorem", "p == 1 (mod 4)", _f4cl, 2,
+    "T5.6b", "theorem", Cond(4, (1,)), 2,
     SumSpec(C3, Fr(-512), W_INV_2K1_SQ, FULL, SIGN_QUARTER),
-    _xyq(F4, "x", 2, Fr(-5, 8)),
-    "2x^2 - (5/8)p with p = x^2 + 4y^2",
+    2 * x2(F4) - Fr(5, 8) * P,
 )
 _fixed(
-    "T5.7a", "theorem", "p odd", _is_odd, 2,
+    "T5.7a", "theorem", Cond(), 2,
     SumSpec(C3, Fr(-8), W_INV_2K1, FULL),
-    _split(F4, _xyq(F4, "x", -4, 0), _rmix("r1", -2, 2)),
-    "-4x^2 if p = x^2 + 4y^2 else 2p - 2 R1(p)",
+    Split(-4 * x2(F4), 2 * P - 2 * R1),
 )
 _fixed(
-    "T5.7b", "theorem", "p odd", _is_odd, 2,
+    "T5.7b", "theorem", Cond(), 2,
     SumSpec(C3, Fr(-8), W_INV_2K1_SQ, FULL),
-    _split(F4, _xyq(F4, "x", -4, 2), _rmix("r1", 6, 0)),
-    "-4x^2 + 2p if p = x^2 + 4y^2 else 6 R1(p)",
+    Split(-4 * x2(F4) + 2 * P, 6 * R1),
 )
 _fixed(
-    "T5.8", "theorem", "p > 3", _gt3, 2,
+    "T5.8", "theorem", Cond(above=3), 2,
     SumSpec(C2B31, Fr(-192), W_INV_2K1, FULL),
-    _split(
-        F27,
-        _xyq(F27, "x", Fr(-3, 4), Fr(9, 8)),
-        _b3sq(Fr(-1, 2), Fr(3, 8)),
-    ),
-    "-(3/4)x^2 + (9/8)p if 4p = x^2 + 27y^2 "
-    "else -(1/2)(2p+1) C(floor(2p/3), floor(p/3))^2 + (3/8)p",
+    Split(-Fr(3, 4) * x2(F27) + Fr(9, 8) * P, -Fr(1, 2) * B3_SQ + Fr(3, 8) * P),
 )
 _fixed(
-    "T5.9", "theorem", "p > 3", _gt3, 2,
+    "T5.9", "theorem", Cond(above=3), 2,
     SumSpec(C2B42, Fr(-144), W_INV_2K1, FULL),
-    _split(
-        F3,
-        _xyq(F3, "x", Fr(-28, 9), Fr(8, 9)),
-        _rmix("r3", Fr(-8, 9), Fr(2, 3)),
-    ),
-    "-(28/9)x^2 + (8/9)p if p = x^2 + 3y^2 else -(8/9) R3(p) + (2/3)p",
+    Split(-Fr(28, 9) * x2(F3) + Fr(8, 9) * P, -Fr(8, 9) * R3 + Fr(2, 3) * P),
 )
 _fixed(
-    "T5.10", "theorem", "p > 3", _gt3, 2,
+    "T5.10", "theorem", Cond(above=3), 2,
     SumSpec(C2B42, Fr(648), W_INV_2K1, FULL),
-    _split(
-        F4,
-        _xyq(F4, "x", Fr(-76, 27), Fr(104, 81)),
-        _rmix("r1", Fr(-2, 9), Fr(10, 81)),
-    ),
-    "-(76/27)x^2 + (104/81)p if p = x^2 + 4y^2 else -(2/9) R1(p) + (10/81)p",
+    Split(-Fr(76, 27) * x2(F4) + Fr(104, 81) * P, -Fr(2, 9) * R1 + Fr(10, 81) * P),
 )
 
 # ==============================================================================
@@ -1527,94 +1430,74 @@ _fixed(
 # ==============================================================================
 
 _fixed(
-    "T6.2a", "theorem", _CJ7, _f7cl, 2,
+    "T6.2a", "theorem", Cond(7, (1, 2, 4)), 2,
     SumSpec(C3, Fr(1), W_INV_K2, HALF),
-    _xyq(F7, "y", Fr(-466, 27), Fr(29, 27)),
-    "-(466/27)y^2 + (29/27)p with p = x^2 + 7y^2",
+    -Fr(466, 27) * y2(F7) + Fr(29, 27) * P,
 )
 _fixed(
-    "T6.2b", "theorem", _CJ7, _f7cl, 2,
+    "T6.2b", "theorem", Cond(7, (1, 2, 4)), 2,
     SumSpec(C3, Fr(4096), W_INV_K2, HALF, SIGN_HALF),
-    _xyq(F7, "y", Fr(52616, 27), Fr(-34, 27)),
-    "(52616/27)y^2 - (34/27)p with p = x^2 + 7y^2",
+    Fr(52616, 27) * y2(F7) - Fr(34, 27) * P,
 )
 _fixed(
-    "T6.3a", "theorem", "p == 1 (mod 3)", _f3cl, 2,
+    "T6.3a", "theorem", Cond(3, (1,)), 2,
     SumSpec(C3, Fr(16), W_INV_K2, HALF),
-    _xyq(F3, "x", Fr(64, 27), Fr(-4, 3)),
-    "(64/27)x^2 - (4/3)p with p = x^2 + 3y^2",
+    Fr(64, 27) * x2(F3) - Fr(4, 3) * P,
 )
 _fixed(
-    "T6.3b", "theorem", "p == 1 (mod 3)", _f3cl, 2,
+    "T6.3b", "theorem", Cond(3, (1,)), 2,
     SumSpec(C3, Fr(256), W_INV_K2, HALF, SIGN_HALF),
-    _xyq(F3, "x", Fr(-8, 27), Fr(10, 9)),
-    "-(8/27)x^2 + (10/9)p with p = x^2 + 3y^2",
+    -Fr(8, 27) * x2(F3) + Fr(10, 9) * P,
 )
 _fixed(
-    "T6.4", "theorem", "p == 1, 3 (mod 8) and p > 3",
-    lambda p: p > 3 and p % 8 in (1, 3), 2,
+    "T6.4", "theorem", Cond(8, (1, 3), above=3), 2,
     SumSpec(C3, Fr(-64), W_INV_K2, HALF, SIGN_HALF),
-    _xyq(F2, "x", 2, Fr(-8, 9)),
-    "2x^2 - (8/9)p with p = x^2 + 2y^2",
+    2 * x2(F2) - Fr(8, 9) * P,
 )
 _fixed(
-    "T6.5", "theorem", "p == 1 (mod 4)", _f4cl, 2,
+    "T6.5", "theorem", Cond(4, (1,)), 2,
     SumSpec(C3, Fr(-512), W_INV_K2, HALF, SIGN_QUARTER),
-    _xyq(F4, "x", Fr(-152, 27), Fr(190, 27)),
-    "-(152/27)x^2 + (190/27)p with p = x^2 + 4y^2",
+    -Fr(152, 27) * x2(F4) + Fr(190, 27) * P,
 )
 _fixed(
-    "T6.6", "theorem", "p > 3", _gt3, 2,
+    "T6.6", "theorem", Cond(above=3), 2,
     SumSpec(C3, Fr(-8), W_INV_K2, HALF),
-    _split(F4, _xyq(F4, "x", Fr(64, 27), Fr(-35, 27)), _const(Fr(1, 9))),
-    "(64/27)x^2 - (35/27)p if p = x^2 + 4y^2 else p/9",
+    Split(Fr(64, 27) * x2(F4) - Fr(35, 27) * P, Fr(1, 9) * P),
 )
 _fixed(
-    "T6.7", "theorem", "p > 5", _gt5, 2,
+    "T6.7", "theorem", Cond(above=5), 2,
     SumSpec(C2B31, Fr(-192), W_INV_K2, FULL_MINUS_2),
-    _split(F27, _xyq(F27, "x", Fr(2, 5), Fr(-7, 15)), _b3sq(-1, Fr(-1, 3))),
-    "(2/5)x^2 - (7/15)p if 4p = x^2 + 27y^2 "
-    "else -(2p+1) C(floor(2p/3), floor(p/3))^2 - p/3",
+    Split(Fr(2, 5) * x2(F27) - Fr(7, 15) * P, -B3_SQ - Fr(1, 3) * P),
 )
 _fixed(
-    "T6.8", "theorem", "p > 7", _gt7, 2,
+    "T6.8", "theorem", Cond(above=7), 2,
     SumSpec(C2B42, Fr(-144), W_INV_K2, FULL_MINUS_2),
-    _split(F3, _xyq(F3, "y", Fr(-32, 5), Fr(16, 15)), _rmix("r3", Fr(-4, 21))),
-    "-(32/5)y^2 + (16/15)p if p = x^2 + 3y^2 else -(4/21) R3(p)",
+    Split(-Fr(32, 5) * y2(F3) + Fr(16, 15) * P, -Fr(4, 21) * R3),
 )
 _fixed(
-    "T6.9", "theorem", "p > 7", _gt7, 2,
+    "T6.9", "theorem", Cond(above=7), 2,
     SumSpec(C2B42, Fr(648), W_INV_K2, FULL_MINUS_2),
-    _split(
-        F4,
-        _xyq(F4, "x", Fr(8, 7), Fr(-5, 21)),
-        _rmix("r1", Fr(-6, 5), Fr(-1, 3)),
-    ),
-    "(8/7)x^2 - (5/21)p if p = x^2 + 4y^2 else -(6/5) R1(p) - p/3",
+    Split(Fr(8, 7) * x2(F4) - Fr(5, 21) * P, -Fr(6, 5) * R1 - Fr(1, 3) * P),
 )
 _fixed(
-    "CJ-R6.1-1", "conjecture", _CJ7, _f7cl, 3,
+    "CJ-R6.1-1", "conjecture", Cond(7, (1, 2, 4)), 3,
     SumSpec(C3, Fr(1), W_INV_K2, HALF),
-    _xyq(F7, "y", Fr(-466, 27), Fr(29, 27), cpp=Fr(17, 864)),
-    "-(466/27)y^2 + (29/27)p + (17/864)p^2/y^2 with p = x^2 + 7y^2",
+    -Fr(466, 27) * y2(F7) + Fr(29, 27) * P + Fr(17, 864) * p2_y2(F7),
 )
 _fixed(
-    "CJ-R6.1-2", "conjecture", _CJ7, _f7cl, 3,
+    "CJ-R6.1-2", "conjecture", Cond(7, (1, 2, 4)), 3,
     SumSpec(C3, Fr(1), W_INV_K3, HALF),
-    _xyq(F7, "y", Fr(-36052, 3375), Fr(2378, 3375), cpp=Fr(1421, 108000)),
-    "-(36052/3375)y^2 + (2378/3375)p + (1421/108000)p^2/y^2 with p = x^2 + 7y^2",
+    -Fr(36052, 3375) * y2(F7) + Fr(2378, 3375) * P + Fr(1421, 108000) * p2_y2(F7),
 )
 _fixed(
-    "CJ-R6.1-3", "conjecture", _CJ7, _f7cl, 3,
+    "CJ-R6.1-3", "conjecture", Cond(7, (1, 2, 4)), 3,
     SumSpec(C3, Fr(4096), W_INV_K2, HALF, SIGN_HALF),
-    _xyq(F7, "y", Fr(52616, 27), Fr(-34, 27), cpp=Fr(-20, 27)),
-    "(52616/27)y^2 - (34/27)p - (20/27)p^2/y^2 with p = x^2 + 7y^2",
+    Fr(52616, 27) * y2(F7) - Fr(34, 27) * P - Fr(20, 27) * p2_y2(F7),
 )
 _fixed(
-    "CJ-R6.1-4", "conjecture", _CJ7, _f7cl, 3,
+    "CJ-R6.1-4", "conjecture", Cond(7, (1, 2, 4)), 3,
     SumSpec(C3, Fr(4096), W_INV_K3, HALF, SIGN_HALF),
-    _xyq(F7, "y", Fr(217125848, 3375), Fr(-250882, 3375), cpp=Fr(-83972, 3375)),
-    "(217125848/3375)y^2 - (250882/3375)p - (83972/3375)p^2/y^2 with p = x^2 + 7y^2",
+    Fr(217125848, 3375) * y2(F7) - Fr(250882, 3375) * P - Fr(83972, 3375) * p2_y2(F7),
 )
 
 # ==============================================================================
@@ -1709,7 +1592,7 @@ def _rel_l22(ctx: PrimeContext, aa: Fraction | int, tt: int, S: Sums):
 
 
 _param(
-    "P-L2.2", "lemma", "none", _is_odd, 2, ("a", "t"), _adm_none, _theorem(_rel_l22),
+    "P-L2.2", "lemma", "none", Cond(), 2, ("a", "t"), _adm_none, _theorem(_rel_l22),
     "(sum_{k=0..p-1} C(a,k) C(-1-a,k) (-t)^k)^2 == "
     "sum_{k=0..p-1} C(2k,k) C(a,k) C(-1-a,k) (-t(t+1))^k (mod p^2)",
 )
@@ -1725,7 +1608,7 @@ def _rel_t21(ctx: PrimeContext, aa: Fraction | int, tt: int, S: Sums):
 
 
 _param(
-    "P-T2.1", "theorem", "a != 0, -1 and t(t+1) != 0 (mod p)", _is_odd, 2,
+    "P-T2.1", "theorem", "a != 0, -1 and t(t+1) != 0 (mod p)", Cond(), 2,
     ("a", "t"), _adm_a_t, _theorem(_rel_t21),
     "sum_{k=0..p-2} C(2k,k) C(a,k) C(-1-a,k) (-t(t+1))^k / (k+1) == "
     "S0^2 - (t+1)/(a(a+1)t) S1^2 (mod p^2), "
@@ -1743,7 +1626,7 @@ def _rel_eq22(ctx: PrimeContext, aa: Fraction | int, tt: int, S: Sums):
 
 
 _param(
-    "P-eq2.2", "lemma", "t(t+1) != 0 (mod p)", _is_odd, 2,
+    "P-eq2.2", "lemma", "t(t+1) != 0 (mod p)", Cond(), 2,
     ("a", "t"), _adm_t_unit, _theorem(_rel_eq22),
     "2 S0 S1 == (2t+1)/(t+1) sum_{k=0..p-1} k C(2k,k) C(a,k) C(-1-a,k) "
     "(-t(t+1))^k (mod p^2), S_i = sum_{k=0..p-1} k^i C(a,k) C(-1-a,k) (-t)^k",
@@ -1764,7 +1647,7 @@ def _rel_t22(ctx: PrimeContext, aa: Fraction | int, tt: int, S: Sums):
 
 _param(
     "P-T2.2", "theorem",
-    "a != 0, -1 and t(t+1) != 0 (mod p); requires D a unit", _is_odd, 2,
+    "a != 0, -1 and t(t+1) != 0 (mod p); requires D a unit", Cond(), 2,
     ("a", "t"), _adm_a_t, _theorem(_rel_t22),
     "sum_{k=0..p-2} C(2k,k) C(a,k) C(-1-a,k) (-t(t+1))^k / (k+1) == "
     "D - (2t+1)^2/(4a(a+1)t(t+1)) N^2/D (mod p^2), D and N the plain and "
@@ -1772,28 +1655,28 @@ _param(
 )
 
 _param(
-    "P-C2.1", "corollary", "t(t+1) != 0 (mod p)", _is_odd, 2,
+    "P-C2.1", "corollary", "t(t+1) != 0 (mod p)", Cond(), 2,
     ("t",), _adm_t_unit, _corollary(_rel_t21, Fr(-1, 2)),
     "sum_{k=0..(p-1)/2} C(2k,k)^3 (-t(t+1)/16)^k / (k+1) == "
     "S0^2 + 4(t+1)/t S1^2 (mod p^2), "
     "S_i = sum_{k=0..(p-1)/2} k^i C(2k,k)^2 (-t/16)^k",
 )
 _param(
-    "P-C2.2", "corollary", "t(t+1) != 0 (mod p)", _gt3, 2,
+    "P-C2.2", "corollary", "t(t+1) != 0 (mod p)", Cond(above=3), 2,
     ("t",), _adm_t_unit, _corollary(_rel_t21, Fr(-1, 3)),
     "sum_{k=0..p-2} C(2k,k)^2 C(3k,k) (-t(t+1)/27)^k / (k+1) == "
     "S0^2 + 9(t+1)/(2t) S1^2 (mod p^2), "
     "S_i = sum_{k=0..p-1} k^i C(2k,k) C(3k,k) (-t/27)^k",
 )
 _param(
-    "P-C2.3", "corollary", "t(t+1) != 0 (mod p)", _gt3, 2,
+    "P-C2.3", "corollary", "t(t+1) != 0 (mod p)", Cond(above=3), 2,
     ("t",), _adm_t_unit, _corollary(_rel_t21, Fr(-1, 4)),
     "sum_{k=0..p-2} C(2k,k)^2 C(4k,2k) (-t(t+1)/64)^k / (k+1) == "
     "S0^2 + 16(t+1)/(3t) S1^2 (mod p^2), "
     "S_i = sum_{k=0..p-1} k^i C(2k,k) C(4k,2k) (-t/64)^k",
 )
 _param(
-    "P-C2.4", "corollary", "t(t+1) != 0 (mod p)", _gt5, 2,
+    "P-C2.4", "corollary", "t(t+1) != 0 (mod p)", Cond(above=5), 2,
     ("t",), _adm_t_unit, _corollary(_rel_t21, Fr(-1, 6)),
     "sum_{k=0..p-2} C(2k,k) C(3k,k) C(6k,3k) (-t(t+1)/432)^k / (k+1) == "
     "S0^2 + 36(t+1)/(5t) S1^2 (mod p^2), "
@@ -1801,7 +1684,7 @@ _param(
 )
 _param(
     "P-C2.5", "corollary",
-    "t(t+1) != 0 (mod p); requires D a unit", _is_odd, 2,
+    "t(t+1) != 0 (mod p); requires D a unit", Cond(), 2,
     ("t",), _adm_t_unit, _corollary(_rel_t22, Fr(-1, 2)),
     "sum_{k=0..(p-1)/2} C(2k,k)^3 (-t(t+1)/16)^k / (k+1) == "
     "D + (2t+1)^2/(t(t+1)) N^2/D (mod p^2), D and N the plain and k-weighted "
@@ -1809,7 +1692,7 @@ _param(
 )
 _param(
     "P-C2.6", "corollary",
-    "t(t+1) != 0 (mod p); requires D a unit", _gt3, 2,
+    "t(t+1) != 0 (mod p); requires D a unit", Cond(above=3), 2,
     ("t",), _adm_t_unit, _corollary(_rel_t22, Fr(-1, 3)),
     "sum_{k=0..p-2} C(2k,k)^2 C(3k,k) (-t(t+1)/27)^k / (k+1) == "
     "D + 9(2t+1)^2/(8t(t+1)) N^2/D (mod p^2), D and N the plain and "
@@ -1817,7 +1700,7 @@ _param(
 )
 _param(
     "P-C2.7", "corollary",
-    "t(t+1) != 0 (mod p); requires D a unit", _gt3, 2,
+    "t(t+1) != 0 (mod p); requires D a unit", Cond(above=3), 2,
     ("t",), _adm_t_unit, _corollary(_rel_t22, Fr(-1, 4)),
     "sum_{k=0..p-2} C(2k,k)^2 C(4k,2k) (-t(t+1)/64)^k / (k+1) == "
     "D + 4(2t+1)^2/(3t(t+1)) N^2/D (mod p^2), D and N the plain and "
@@ -1825,7 +1708,7 @@ _param(
 )
 _param(
     "P-C2.8", "corollary",
-    "t(t+1) != 0 (mod p); requires D a unit", _gt5, 2,
+    "t(t+1) != 0 (mod p); requires D a unit", Cond(above=5), 2,
     ("t",), _adm_t_unit, _corollary(_rel_t22, Fr(-1, 6)),
     "sum_{k=0..p-2} C(2k,k) C(3k,k) C(6k,3k) (-t(t+1)/432)^k / (k+1) == "
     "D + 9(2t+1)^2/(5t(t+1)) N^2/D (mod p^2), D and N the plain and "
@@ -1849,7 +1732,7 @@ def _rel_t31(ctx: PrimeContext, aa: Fraction | int, mm: int, S: Sums):
 
 
 _param(
-    "P-T3.1", "theorem", "a != 0, -1 and m != 0 (mod p)", _is_odd, 3,
+    "P-T3.1", "theorem", "a != 0, -1 and m != 0 (mod p)", Cond(), 3,
     ("a", "m"), _adm_a_m, _theorem(_rel_t31),
     "with T_i = sum k^i C(2k,k) C(a,k) C(-1-a,k) / m^k (full range) and "
     "V = sum_{k=0..p-2} C(2k,k) C(a,k) C(-1-a,k) / (m^k (k+1)): "
@@ -1859,7 +1742,7 @@ _param(
     "+ 12a(a+1)/(m-4)^2 V (mod p^3)",
 )
 _param(
-    "P-C3.1", "corollary", "m != 0 (mod p)", _is_odd, 3,
+    "P-C3.1", "corollary", "m != 0 (mod p)", Cond(), 3,
     ("m",), _adm_m_unit, _corollary(_rel_t31, Fr(-1, 2)),
     "with T_i = sum_{k=0..(p-1)/2} k^i C(2k,k)^3 / (16m)^k and "
     "V the 1/(k+1)-weighted half-range sum: "
@@ -1881,7 +1764,7 @@ def _rel_t41(ctx: PrimeContext, aa: Fraction | int, mm: int, S: Sums):
 
 
 _param(
-    "P-T4.1", "theorem", "a != 0, -1 and m != 0 (mod p)", _is_odd, 3,
+    "P-T4.1", "theorem", "a != 0, -1 and m != 0 (mod p)", Cond(), 3,
     ("a", "m"), _adm_a_m, _theorem(_rel_t41),
     "with T_i and V_e = sum_{k=0..p-2} C(2k,k) C(a,k) C(-1-a,k)/(m^k (k+1)^e): "
     "2a(a+1) V_2 == (m-4) T_1 + 2 T_0 + (4a(a+1)-2) V_1 and "
@@ -1889,7 +1772,7 @@ _param(
     "+ (8a(a+1)-2+2/(a(a+1))) V_1 (mod p^3)",
 )
 _param(
-    "P-C4.1", "corollary", "m != 0 (mod p)", _is_odd, 3,
+    "P-C4.1", "corollary", "m != 0 (mod p)", Cond(), 3,
     ("m",), _adm_m_unit, _corollary(_rel_t41, Fr(-1, 2)),
     "with half-range T_i and V_e = sum C(2k,k)^3/((16m)^k (k+1)^e): "
     "V_2 == (8-2m) T_1 - 4 T_0 + 6 V_1 and "
@@ -1905,14 +1788,14 @@ def _rel_t51(ctx: PrimeContext, aa: Fraction | int, mm: int, S: Sums):
 
 
 _param(
-    "P-T5.1", "theorem", "a != 0, -1 and m != 0 (mod p)", _is_odd, 3,
+    "P-T5.1", "theorem", "a != 0, -1 and m != 0 (mod p)", Cond(), 3,
     ("a", "m"), _adm_a_m, _theorem(_rel_t51),
     "sum_{k=0..p-1} C(2k,k) C(a,k) C(-1-a,k)/(m^k (2k-1)) == "
     "(8/m - 2) T_1 - T_0 - 8a(a+1)/m V_1 (mod p^3), with T_i the k^i-weighted "
     "full-range sums and V_1 the 1/(k+1)-weighted sum over k=0..p-2",
 )
 _param(
-    "P-C5.1", "corollary", "m != 0 (mod p)", _is_odd, 3,
+    "P-C5.1", "corollary", "m != 0 (mod p)", Cond(), 3,
     ("m",), _adm_m_unit, _corollary(_rel_t51, Fr(-1, 2)),
     "sum_{k=0..p-1} C(2k,k)^3/((16m)^k (2k-1)) == (8/m - 2) T_1 - T_0 "
     "+ (2/m) V_1 (mod p^3), with T_i, V_1 the half-range k^i- and "
@@ -1930,7 +1813,7 @@ def _rel_t52(ctx: PrimeContext, aa: Fraction | int, mm: int, S: Sums):
 
 
 _param(
-    "P-T5.2", "theorem", "m != 0 (mod p)", _is_odd, 3,
+    "P-T5.2", "theorem", "m != 0 (mod p)", Cond(), 3,
     ("m",), _adm_m_unit, _corollary(_rel_t52, Fr(-1, 2)),
     "sum_{k=0..p-1} C(2k,k)^3/((16m)^k (2k-1)^2) == (4 - 16/m) T_1 "
     "+ (1 + 4/m) T_0 - (6/m) V_1 (mod p^3), with T_i, V_1 the half-range "
@@ -1948,14 +1831,14 @@ def _rel_t61(ctx: PrimeContext, aa: Fraction | int, mm: int, S: Sums):
 
 
 _param(
-    "P-T6.1", "theorem", "a != 0, 1, -1, -2 and m != 0 (mod p)", _gt3, 3,
+    "P-T6.1", "theorem", "a != 0, 1, -1, -2 and m != 0 (mod p)", Cond(above=3), 3,
     ("a", "m"), _adm_a_m_wide, _theorem(_rel_t61),
     "sum_{k=0..p-3} C(2k,k) C(a,k) C(-1-a,k)/(m^k (k+2)) == "
     "(4-m)/(6(a-1)(a+2)) T_1 + (m-6)/(6(a-1)(a+2)) T_0 "
     "+ (2a(a+1)-m)/(6(a-1)(a+2)) V_1 (mod p^3)",
 )
 _param(
-    "P-C6.1", "corollary", "m != 0 (mod p)", _gt3, 3,
+    "P-C6.1", "corollary", "m != 0 (mod p)", Cond(above=3), 3,
     ("m",), _adm_m_unit, _corollary(_rel_t61, Fr(-1, 2)),
     "sum_{k=0..(p-1)/2} C(2k,k)^3/((16m)^k (k+2)) == (2m-8)/27 T_1 "
     "- (2m-12)/27 T_0 + (2m+1)/27 V_1 (mod p^3), with T_i, V_1 the "

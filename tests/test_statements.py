@@ -21,11 +21,11 @@ from supercong.registry import (
     STATUSES,
     SUM_SPECS,
     Fixed,
+    R1,
     Parametric,
-    _binv2,
     _fr,
-    _rmix,
     _sum_lhs,
+    p2_over_binom_sq,
     statement_modexp,
     sum_text,
 )
@@ -315,11 +315,11 @@ class TestRunRange:
         )
         REGISTRY["X-R1"] = Fixed(
             "X-R1", "theorem", "0 == R1 (mod p^3)", "p = 3 mod 4",
-            lambda p: p % 4 == 3, 3, lambda ctx: 0, _rmix("r1", 1),
+            lambda p: p % 4 == 3, 3, lambda ctx: 0, R1.value,
         )
         REGISTRY["X-BIN"] = Fixed(
             "X-BIN", "theorem", "0 == p^2 / C(p,1)^2 (mod p^2)", "p > 3",
-            lambda p: p > 3, 2, lambda ctx: 0, _binv2(1, lambda p: (p, 1)),
+            lambda p: p > 3, 2, lambda ctx: 0, p2_over_binom_sq("p", "1", lambda p: (p, 1)).value,
         )
         try:
             r = run_range(5, 30, ids=["X-DEN", "X-FR", "X-R1", "X-BIN", "T2.7"])
