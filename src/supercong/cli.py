@@ -214,7 +214,15 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout (`supercong list | head`): send what is
+        # still buffered to devnull so that the flush at exit cannot fail
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 1
     except (SupercongError, ValueError) as exc:
         kind = f"{type(exc).__name__}: " if isinstance(exc, SupercongError) else ""
         print(f"error: {kind}{exc}", file=sys.stderr)

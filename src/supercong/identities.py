@@ -21,28 +21,36 @@ Fractions, each made once from its integer sum.
 
 The two rows are built independently and multiplied entry by entry, never
 stepped by the ratio J_{k+1}/J_k: that ratio is what check_shift_identity
-tests.  The tests keep the Fraction rows and checks, one Fraction per
-entry, as the oracles these integers are compared with.
+tests.  The closed forms the product formulas compare with, C(2k,k),
+C(3k,k), C(4k,2k) and C(6k,3k), are built once per check by
+``_family_rows``, each stepped by its exact ratio ``binomials.RATIOS``,
+the ratios the engine's streams step by; the series-square check reads its
+C(k, i-k) from one Pascal triangle.  The tests keep the Fraction rows and
+checks, one Fraction per entry, and ``binomials.EXACT`` (``math.comb``) as
+the oracles these integers are compared with.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import factorial, prod
-from operator import mul
+from operator import add, mul
 
-from .binomials import EXACT, exact_binomial
+from .binomials import RATIOS, exact_binomial
 
 
 def _binomial_row(a: Fraction | int, n: int, start: int = 0) -> tuple[list[int], int]:
     """([D C(a,start), ..., D C(a,n)], D), D = 1 for an integer a, else s^n n!."""
     r, s = a.as_integer_ratio()
     den = 1 if s == 1 else s**n * factorial(n)
-    # C(a,start) = prod_{i<start} (r - is) / d with d = s^start start!,
-    # which divides D; at an integer a, D = 1 and d divides the product
+    # C(a,start) = prod_{i<start} (r - is) / (s^start start!), whose
+    # denominator divides D; at an integer a, D = 1 and start! divides the product
     c = prod(range(r, r - start * s, -s))
-    d = s**start * factorial(start)
-    c = c * (den // d) if s > 1 else c // d
+    if s == 1:
+        c //= factorial(start)
+    else:
+        # D / (s^start start!) = s^(n-start) (start+1)...n
+        c *= s ** (n - start) * prod(range(start + 1, n + 1))
     row = [c]
     for k in range(start, n):
         # exact: D C(a,k+1) = D C(a,k) (r - ks) / (s(k+1)) is an integer
@@ -131,16 +139,33 @@ PRODUCT_FORMS: dict[Fraction, tuple[tuple[str, str], int]] = {
 }
 
 
+def _family_rows(kinds, k_max: int) -> dict[str, list[int]]:
+    """kind -> [C(0), ..., C(k_max)] for each stream kind in ``kinds``, stepped
+    C(k+1) = C(k) prod(nums) / prod(dens) by its exact ratio RATIOS[kind]."""
+    rows = {}
+    for kind in dict.fromkeys(kinds):
+        ratio = RATIOS[kind]
+        c = 1
+        row = [c]
+        for k in range(k_max):
+            nums, dens = ratio(k)
+            c = c * prod(nums) // prod(dens)
+            row.append(c)
+        rows[kind] = row
+    return rows
+
+
 def _product_sides(k_max: int):
     """For C(-1/2,k) = C(2k,k)/(-4)^k, then each form of PRODUCT_FORMS, and
     k = 0..k_max: both sides times den * base^k, with den (the row's D or
     D^2) and base^k, whose product the check need not form."""
     forms = [(_binomial_row(Fraction(-1, 2), k_max), ("B22",), -4)]
     forms += [(_jacobi_row(a, k_max), kinds, base) for a, (kinds, base) in PRODUCT_FORMS.items()]
+    closed = _family_rows([kind for _, kinds, _ in forms for kind in kinds], k_max)
     for (row, den), kinds, base in forms:
         power = 1
-        for k, x in enumerate(row):
-            yield x * power, prod(EXACT[kind](k) for kind in kinds) * den, den, power
+        for x, *cs in zip(row, *(closed[kind] for kind in kinds)):
+            yield x * power, prod(cs) * den, den, power
             power *= base
 
 
@@ -149,16 +174,28 @@ def check_product_identities(k_max: int) -> bool:
     return all(lhs == rhs for lhs, rhs, _, _ in _product_sides(k_max))
 
 
-def _series_mul(f: list, g: list, order: int) -> list:
+def _series_square(f: list[int], order: int) -> list[int]:
+    """The coefficients of f(t)^2 through t^order, each cross term f_i f_j
+    (i < j) formed once and doubled."""
     out = [0] * (order + 1)
-    for i, fi in enumerate(f):
-        if fi == 0 or i > order:
+    for i in range(min(len(f), order // 2 + 1)):
+        fi = f[i]
+        if not fi:
             continue
-        for j, gj in enumerate(g):
-            if i + j > order:
-                break
-            out[i + j] += fi * gj
+        out[2 * i] += fi * fi
+        twice = 2 * fi
+        for j in range(i + 1, min(len(f), order + 1 - i)):
+            out[i + j] += twice * f[j]
     return out
+
+
+def _pascal(n: int) -> list[list[int]]:
+    """Rows 0..n-1 of Pascal's triangle: C(k, j) = _pascal(n)[k][j]."""
+    rows = [[1]]
+    for _ in range(1, n):
+        prev = rows[-1]
+        rows.append([1, *map(add, prev, prev[1:]), 1])
+    return rows[:n]
 
 
 def _series_square_sides(a: Fraction | int, order: int) -> tuple[list[int], list[int], int]:
@@ -166,12 +203,13 @@ def _series_square_sides(a: Fraction | int, order: int) -> tuple[list[int], list
     r, s = a.as_integer_ratio()
     jac, den = _jacobi_row(a, order)
     lhs_lin = [(-1) ** k * k * x for k, x in enumerate(jac)]
-    lhs = _series_mul(lhs_lin, lhs_lin, order)  # over den^2
+    lhs = _series_square(lhs_lin, order)  # over den^2
 
     coef = [exact_binomial(2 * k, k + 1) * x for k, x in enumerate(jac)]
     # the t^i coefficient of (-t(t+1))^k is (-1)^k C(k, i-k)
+    pascal = _pascal(order)
     inner = [
-        sum((-1) ** k * exact_binomial(k, i - k) * coef[k] for k in range((i + 1) // 2, i + 1))
+        sum((-1) ** k * pascal[k][i - k] * coef[k] for k in range((i + 1) // 2, i + 1))
         for i in range(order)
     ]
     # divide by t+1: q_i = inner_i - q_{i-1}; then multiply by a(a+1) t,

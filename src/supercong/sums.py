@@ -30,10 +30,12 @@ integer and raises :class:`NegativeValuation`.  A 1/(2k-1)^e weight has
 its pole at 2k = p + 1, where the stream's valuation has a floor: over a
 product, one for each C(2k,k) or C(6k,3k) factor (C(3k,k) and C(4k,2k)
 give none); over the Jacobi stream at a = r/s, one for C(2k,k) when
-central, plus two when p | 2r + s, since the stream's step factor at
-j = (p-1)/2, ((ps)^2 - (2r+s)^2)/4, is then divisible by p^2.  A pole term
-under that floor less e raises :class:`PoleFloorViolated`, a check that
-``python -O`` keeps.
+central, plus one, plus one more when p | 2r + s.  At k = (p+1)/2,
+C(a,k)C(-1-a,k) is +-(a - (p-1)/2)...(a + (p+1)/2)/(k!)^2: the p + 1
+consecutive terms cover every residue, so p divides one of them, and two
+exactly when p divides the end terms, that is when p | 2r + s; the k! and
+the s of a = r/s are units.  A pole term under that floor less e raises
+:class:`PoleFloorViolated`, a check that ``python -O`` keeps.
 """
 
 from __future__ import annotations
@@ -254,7 +256,7 @@ def evaluate_jacobi_sum(
     if base is not None:
         zu = zu * _unit_inverse(Fraction(base), p, P) % P
     r, s = a.as_integer_ratio()
-    gain = central + 2 * ((2 * r + s) % p == 0)
+    gain = central + 1 + ((2 * r + s) % p == 0)
     bound = limit_bound(limit, p)
     return Residue(p, t, _weighted_sum(ctx, (a, central), zv, zu, weight, bound, gain))
 

@@ -253,6 +253,33 @@ def test_module_entry_point_runs():
     assert proc.stdout == f"{CSV_HEADER}\n7,T2.7,Holds,36,36,49\n"
 
 
+def test_closed_stdout_ends_quietly():
+    """A reader that takes one line and closes the pipe, as `supercong list
+    --claims | head -1` does, ends the listing with exit code 1 and nothing
+    on stderr, not a BrokenPipeError traceback."""
+    fcntl = pytest.importorskip("fcntl")
+    if not hasattr(fcntl, "F_SETPIPE_SZ"):
+        pytest.skip("pipe capacity cannot be set here")
+    src = str(Path(supercong.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    read_fd, write_fd = os.pipe()
+    # one page, far less than the listing: most of it is written after the close
+    fcntl.fcntl(write_fd, fcntl.F_SETPIPE_SZ, 4096)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "supercong", "list", "--claims"],
+        stdout=write_fd,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    os.close(write_fd)
+    with open(read_fd, encoding="utf-8") as reader:
+        first = reader.readline()
+    _, err = proc.communicate(timeout=120)
+    assert first.endswith("\n") and "\t" in first
+    assert err == b""
+    assert proc.returncode == 1
+
+
 def test_sweep_under_python_O_matches_the_plain_run():
     """A whole verify sweep gives the same report when python -O strips
     assertions, so no verdict rests on an assert."""

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from supercong import identities
+from supercong import binomials, identities
 from supercong.binomials import EXACT, exact_binomial, rational_binomial
 from supercong.cli import main
 from supercong.identities import (
@@ -241,6 +241,36 @@ def test_rows_and_sides_match_fraction_oracles(a, n, data):
 def test_product_sides_match_fraction_oracle():
     sides = [over(den * power, lhs, rhs) for lhs, rhs, den, power in identities._product_sides(40)]
     assert sides == fraction_product_sides(40)
+
+
+def test_product_identities_need_no_exact_binomials(monkeypatch):
+    """The closed forms come from the exact ratios, not from math.comb."""
+
+    def unused(k):
+        raise AssertionError("binomials.EXACT called")
+
+    for kind in EXACT:
+        monkeypatch.setitem(binomials.EXACT, kind, unused)
+    assert check_product_identities(200)
+
+
+_B63_RATIO = binomials.RATIOS["B63"]
+
+
+def _wrong_b63_ratio(k):
+    """RATIOS["B63"] with 6k + 7 for 6k + 5, so C(6,3) steps to 28, not 20."""
+    nums, dens = _B63_RATIO(k)
+    return (*nums[:2], 6 * k + 7, *nums[3:]), dens
+
+
+def test_products_fail_on_a_wrong_ratio(monkeypatch, capsys):
+    monkeypatch.setitem(binomials.RATIOS, "B63", _wrong_b63_ratio)
+    assert check_product_identities(200) is False
+    assert main(["identities", "--nmax", "4", "--kmax", "10", "--order", "4"]) == 1
+    out = capsys.readouterr().out
+    assert "products: FAIL" in out
+    for name in ("convolution", "recurrence", "series-square", "shift"):
+        assert f"{name}: pass" in out
 
 
 def _c2_off_by_one(row_fn):

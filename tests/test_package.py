@@ -6,6 +6,7 @@ import sys
 from pathlib import Path
 
 import supercong
+import supercong.cli  # binds supercong.cli and supercong.identities, as the bench does
 from supercong import special
 from supercong.context import PrimeContext
 
@@ -93,3 +94,18 @@ def test_euler_and_u_numbers_go_through_traced_functions(monkeypatch):
     assert ctx.euler_number(p - 3) == 1131
     assert ctx.u_number(p - 3) == 1531
     assert calls == [("euler_numbers_mod", p - 3, p), ("u_numbers_mod", p - 3, p)]
+
+
+def test_bench_reports_keep_their_pinned_digests(monkeypatch, tmp_path):
+    """At the benchmark's default seed, the identities report at its full
+    size and the engine report at its smoke size hash to the digests the
+    benchmark pins, so a change that alters a report fails here first."""
+    run = _load_bench("run")
+    monkeypatch.setattr(run, "OUT", tmp_path)
+    for rep_fn, sizes, workload in (
+        (run.rep_identities, run.FULL, "identities"),
+        (run.rep_engine, run.SMOKE, "engine"),
+    ):
+        rep = rep_fn(supercong, sizes, run.DEFAULT_SEED, 1)
+        assert rep.fails == 0, workload
+        assert run.digest(rep.text) == run.PINNED[(sizes.name, workload)], workload

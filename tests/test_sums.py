@@ -595,13 +595,21 @@ try:
     sys.exit("no PoleFloorViolated from the Jacobi stream")
 except PoleFloorViolated:
     pass
+a = 20  # a sampled int with p not dividing 2a + 1, and no wall before k = p - 1
+vs, _ = ctx.jacobi_central(a)
+vs[(p + 1) // 2] = 1  # C(2k,k), and p | (a - 6)...(a + 7), guarantee p^2 at 2k = p + 1
+try:
+    evaluate_jacobi_sum(a, p, 3, weight=W_INV_2K1, central=True, ctx=ctx)
+    sys.exit("no PoleFloorViolated from the Jacobi stream at an int a")
+except PoleFloorViolated:
+    pass
 """
 
 
 def test_pole_floor_is_checked_under_python_O():
-    """A product stream and a central Jacobi stream at a = -1/2 whose pole
-    terms fall under their floors raise a typed error, also when python -O
-    strips assertions."""
+    """A product stream, and central Jacobi streams at a = -1/2 and at an int
+    a with p not dividing 2a + 1, whose pole terms fall under their floors
+    raise a typed error, also when python -O strips assertions."""
     src = str(Path(supercong.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
     proc = subprocess.run(
