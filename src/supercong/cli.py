@@ -27,6 +27,19 @@ def _parse_primes(text: str) -> tuple[int, int]:
     return lo, hi
 
 
+def _int_at_least(low: int):
+    """An argparse type: an int >= ``low``, else a usage error naming the flag."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse names the type in "invalid int value"
+    return parse
+
+
 def _statuses_for(token: str) -> set[str] | None:
     if token == "all":
         return None
@@ -196,9 +209,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_rep.set_defaults(func=cmd_represent)
 
     p_ident = sub.add_parser("identities", help="run the exact identity suites")
-    p_ident.add_argument("--nmax", type=int, default=40)
-    p_ident.add_argument("--kmax", type=int, default=200)
-    p_ident.add_argument("--order", type=int, default=30)
+    # smaller sizes would leave a suite with nothing to check: no recurrence n
+    # below 2, no shift pair, no series coefficient that a row can change
+    p_ident.add_argument("--nmax", type=_int_at_least(2), default=40)
+    p_ident.add_argument("--kmax", type=_int_at_least(1), default=200)
+    p_ident.add_argument("--order", type=_int_at_least(2), default=30)
     p_ident.add_argument("--seed", type=int, default=0)
     p_ident.set_defaults(func=cmd_identities)
 

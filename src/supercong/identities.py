@@ -9,15 +9,28 @@ sums, its three-term recurrence, the squared-series identity, and the
 index-shift formula for (k+1)^2 C(a,k+1)C(-1-a,k+1)C(2k+2,k+1).
 
 Every check runs in plain ints, on one path for integer and rational a.
-For a = r/s in lowest terms, ``_binomial_row`` steps C(a,k+1) =
-C(a,k)(a-k)/(k+1) over one common denominator D: D = 1 at an integer a,
-else D = s^n n!, which every denominator d_k = s^k k! of C(a,k) divides.
-The Jacobi row J_k = C(a,k)C(-1-a,k) is the entrywise product of the rows
-at a and -1-a, over D^2.  Each check multiplies its identity through by
-its denominators (a power of D, and s^2 for a(a+1) = r(r+s)/s^2) and
-compares two integer sides, which a ``_*_sides`` helper returns with the
-denominator they are over.  Only the convolution sides come back as
-Fractions, each made once from its integer sum.
+At a = r/s in lowest terms, C(a,k) = N_k / (s^k k!) with the falling
+product N_k = prod_{i<k} (r - is), which ``_numerator_row`` steps by one
+multiplication per k.  It is the one row primitive every check reads, and
+no check divides an entry, so a wrong N_k changes what each check compares.
+The Jacobi entry J_k = C(a,k)C(-1-a,k) is P_k / (s^k k!)^2 with
+P_k = N_k(a) N_k(-1-a).  The product formulas and the shift identity
+compare one or two neighbouring k at a time, so each entry stays over its
+own (s^k k!)^2 (s^k k! for C(-1/2,k)), and the numbers are only as large
+as k needs.  The convolution identity, its recurrence and the squared
+series mix entries of every k up to n, so ``_jacobi_row`` brings them over
+one D^2, D = s^n n!; the convolution check, whose points are all integers,
+builds that scale once per n.  Each check multiplies its identity through
+by its denominators (and s^2 for a(a+1) = r(r+s)/s^2) and compares two
+integer sides, which a ``_*_sides`` helper returns with the factor they
+were multiplied by (the shift helper, whose check need not form it, names
+it in its docstring).  Only the convolution sides come back as Fractions,
+each made once from its integer sum.
+
+J_k = prod_{j<k} (j(j+1) - a(a+1)) / (k!)^2 is a polynomial of degree k in
+a(a+1), so both sides of the convolution identity at n are polynomials of
+degree <= n+1 in a(a+1), and the n+2 points a = 0..n+1, whose a(a+1) are
+distinct, prove it for that n.
 
 The two rows are built independently and multiplied entry by entry, never
 stepped by the ratio J_{k+1}/J_k: that ratio is what check_shift_identity
@@ -33,38 +46,47 @@ the oracles these integers are compared with.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial, prod
+from math import prod
 from operator import add, mul
 
 from .binomials import RATIOS, exact_binomial
 
 
-def _binomial_row(a: Fraction | int, n: int, start: int = 0) -> tuple[list[int], int]:
-    """([D C(a,start), ..., D C(a,n)], D), D = 1 for an integer a, else s^n n!."""
-    r, s = a.as_integer_ratio()
-    den = 1 if s == 1 else s**n * factorial(n)
-    # C(a,start) = prod_{i<start} (r - is) / (s^start start!), whose
-    # denominator divides D; at an integer a, D = 1 and start! divides the product
+def _numerator_row(r: int, s: int, n: int, start: int = 0) -> list[int]:
+    """[N_start, ..., N_n] with N_k = prod_{i<k} (r - is): C(r/s, k) = N_k / (s^k k!)."""
     c = prod(range(r, r - start * s, -s))
-    if s == 1:
-        c //= factorial(start)
-    else:
-        # D / (s^start start!) = s^(n-start) (start+1)...n
-        c *= s ** (n - start) * prod(range(start + 1, n + 1))
     row = [c]
     for k in range(start, n):
-        # exact: D C(a,k+1) = D C(a,k) (r - ks) / (s(k+1)) is an integer
-        c = c * (r - k * s) // (s * (k + 1))
+        c *= r - k * s
         row.append(c)
-    return row, den
+    return row
 
 
-def _jacobi_row(a: Fraction | int, n: int, start: int = 0) -> tuple[list[int], int]:
-    """The numerators of [C(a,k) C(-1-a,k) for k = start..n] over one common
-    denominator, and that denominator, from two independently built rows."""
-    row, den = _binomial_row(a, n, start)
-    row2, den2 = _binomial_row(-1 - a, n, start)
-    return list(map(mul, row, row2)), den * den2
+def _jacobi_numerators(a: Fraction | int, n: int, start: int = 0) -> list[int]:
+    """[P_start, ..., P_n] with P_k = N_k(a) N_k(-1-a), so that
+    C(a,k)C(-1-a,k) = P_k / (s^k k!)^2 at a = r/s, from two independently
+    built rows (-1-a = (-r-s)/s is in lowest terms too)."""
+    r, s = a.as_integer_ratio()
+    return list(map(mul, _numerator_row(r, s, n, start), _numerator_row(-r - s, s, n, start)))
+
+
+def _common_scale(s: int, n: int) -> list[int]:
+    """[(D / (s^k k!))^2 for k = 0..n] with D = s^n n!: the factors that bring
+    each P_k, over (s^k k!)^2, over the one denominator D^2 (the first factor)."""
+    out = [1]
+    f = 1
+    for k in range(n, 0, -1):
+        f *= s * k
+        out.append(f * f)
+    out.reverse()
+    return out
+
+
+def _jacobi_row(a: Fraction | int, n: int) -> tuple[list[int], int]:
+    """The numerators of [C(a,k) C(-1-a,k) for k = 0..n] over one common
+    denominator D^2, D = s^n n!, and D^2."""
+    scale = _common_scale(a.as_integer_ratio()[1], n)
+    return list(map(mul, _jacobi_numerators(a, n), scale)), scale[0]
 
 
 def _lhs_sum(jac: list[int], n: int) -> int:
@@ -96,12 +118,16 @@ def convolution_rhs(a: Fraction | int, n: int) -> Fraction:
 
 
 def check_convolution_identity(n: int) -> bool:
-    """Both sides are polynomials in a of degree <= 2n+2, so agreement
-    at 2n+3 points proves the identity for that n."""
+    """J_k = prod_{j<k} (j(j+1) - a(a+1)) / (k!)^2, so both sides are
+    polynomials in a(a+1) of degree <= n+1, and agreement at the n+2
+    distinct values a(a+1), a = 0..n+1, proves the identity for that n."""
+    m = n + 1
+    # at an integer a, J_k = P_k / (k!)^2: one scale brings every point over (m!)^2
+    scale = _common_scale(1, m)
     weights = _rhs_weights(n)
-    for a in range(2 * n + 3):
-        jac, _ = _jacobi_row(a, n + 1)  # over 1 at an integer a
-        if _lhs_sum(jac, n) != a * (a + 1) * sum(map(mul, jac, weights)):
+    for a in range(n + 2):
+        jac = list(map(mul, _jacobi_numerators(a, m), scale))
+        if _lhs_sum(jac, n) != scale[0] * a * (a + 1) * sum(map(mul, jac, weights)):
             return False
     return True
 
@@ -157,15 +183,20 @@ def _family_rows(kinds, k_max: int) -> dict[str, list[int]]:
 
 def _product_sides(k_max: int):
     """For C(-1/2,k) = C(2k,k)/(-4)^k, then each form of PRODUCT_FORMS, and
-    k = 0..k_max: both sides times den * base^k, with den (the row's D or
-    D^2) and base^k, whose product the check need not form."""
-    forms = [(_binomial_row(Fraction(-1, 2), k_max), ("B22",), -4)]
-    forms += [(_jacobi_row(a, k_max), kinds, base) for a, (kinds, base) in PRODUCT_FORMS.items()]
-    closed = _family_rows([kind for _, kinds, _ in forms for kind in kinds], k_max)
-    for (row, den), kinds, base in forms:
-        power = 1
-        for x, *cs in zip(row, *(closed[kind] for kind in kinds)):
+    k = 0..k_max: both sides times den * base^k, with den the entry's own
+    denominator (2^k k! for C(-1/2,k), (s^k k!)^2 for a Jacobi entry) and
+    base^k, whose product the check need not form."""
+    forms = [(_numerator_row(-1, 2, k_max), 2, 1, ("B22",), -4)]
+    forms += [
+        (_jacobi_numerators(a, k_max), a.denominator, 2, kinds, base)
+        for a, (kinds, base) in PRODUCT_FORMS.items()
+    ]
+    closed = _family_rows([kind for *_, kinds, _ in forms for kind in kinds], k_max)
+    for row, s, e, kinds, base in forms:
+        den = power = 1
+        for k, (x, *cs) in enumerate(zip(row, *(closed[kind] for kind in kinds)), 1):
             yield x * power, prod(cs) * den, den, power
+            den *= (s * k) ** e
             power *= base
 
 
@@ -230,18 +261,19 @@ def check_series_square(a: Fraction | int, order: int) -> bool:
     return lhs == rhs
 
 
-def _shift_sides(a: Fraction | int, k: int) -> tuple[int, int, int]:
-    """Both sides of the shift identity times D^2 s^2 (k+1), and D^2 s^2 (k+1)."""
+def _shift_sides(a: Fraction | int, k: int) -> tuple[int, int]:
+    """Both sides of the shift identity times s^(2k+2) k! (k+1)!, a factor
+    the check need not form."""
     r, s = a.as_integer_ratio()
-    (jac_k, jac_next), den = _jacobi_row(a, k + 1, start=k)
+    jac_k, jac_next = _jacobi_numerators(a, k + 1, start=k)  # over (s^k k!)^2, (s^(k+1) (k+1)!)^2
     aa = r * (r + s)
-    lhs = (k + 1) ** 3 * s * s * jac_next * exact_binomial(2 * k + 2, k + 1)
+    lhs = (k + 1) * jac_next * exact_binomial(2 * k + 2, k + 1)
     rhs = ((4 * k * k + 2 * k) * (k + 1) * s * s - (4 * k + 2) * aa) * jac_k
-    return lhs, rhs * exact_binomial(2 * k, k), den * s * s * (k + 1)
+    return lhs, rhs * exact_binomial(2 * k, k)
 
 
 def check_shift_identity(a: Fraction | int, k: int) -> bool:
     """(k+1)^2 C(a,k+1)C(-1-a,k+1)C(2k+2,k+1) equals
     (4k^2 + 2k - 4a(a+1) + 2a(a+1)/(k+1)) C(a,k)C(-1-a,k)C(2k,k)."""
-    lhs, rhs, _ = _shift_sides(a, k)
+    lhs, rhs = _shift_sides(a, k)
     return lhs == rhs

@@ -228,6 +228,20 @@ def test_identities_subcommand(capsys):
         assert f"{name}: pass" in out
 
 
+@pytest.mark.parametrize(
+    "flag, value",
+    [("--nmax", "1"), ("--kmax", "0"), ("--order", "1"), ("--nmax", "-3")],
+)
+def test_identities_rejects_sizes_that_check_nothing(capsys, flag, value):
+    """--nmax 1 has no recurrence n, --kmax 0 no shift pair, and at --order 1
+    both series are 0 through t^1: each would print ``pass`` unchecked."""
+    with pytest.raises(SystemExit) as exc:
+        main(["identities", flag, value])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument {flag}: must be >= " in err and "Traceback" not in err
+
+
 def test_list_conjectures(capsys):
     assert main(["list", "--status", "conjecture"]) == 0
     lines = capsys.readouterr().out.splitlines()

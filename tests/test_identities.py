@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import factorial
 from operator import mul
 
 import pytest
@@ -214,18 +215,33 @@ def over(den, *sides):
     )
 
 
+def own_den(a, k):
+    """s^k k!, the denominator of C(a,k) at a = r/s that the numerator rows sit over."""
+    return a.denominator**k * factorial(k)
+
+
+def shift_den(a, k):
+    """s^(2k+2) k! (k+1)!, the factor ``_shift_sides`` multiplies both sides by."""
+    return a.denominator * own_den(a, k) * own_den(a, k + 1)
+
+
 @settings(max_examples=100, deadline=None)
 @given(a=rationals, n=st.integers(min_value=0, max_value=15), data=st.data())
 def test_rows_and_sides_match_fraction_oracles(a, n, data):
     start = data.draw(st.integers(min_value=0, max_value=n))
-    row, den = identities._binomial_row(a, n, start)
-    expected = [rational_binomial(a, k) for k in range(start, n + 1)]
-    assert [Fraction(x, den) for x in row] == expected == fraction_row(a, n, start)
-    if a.denominator == 1:
-        assert den == 1
-    jac, den = identities._jacobi_row(a, n, start)
-    expected = [rational_binomial(a, k) * rational_binomial(-1 - a, k) for k in range(start, n + 1)]
-    assert [Fraction(x, den) for x in jac] == expected == fraction_jacobi_row(a, n, start)
+    r, s = a.as_integer_ratio()
+    ks = range(start, n + 1)
+    row = identities._numerator_row(r, s, n, start)
+    expected = [rational_binomial(a, k) for k in ks]
+    assert [Fraction(x, own_den(a, k)) for k, x in zip(ks, row)] == expected
+    assert expected == fraction_row(a, n, start)
+    jac = identities._jacobi_numerators(a, n, start)
+    expected = [rational_binomial(a, k) * rational_binomial(-1 - a, k) for k in ks]
+    assert [Fraction(x, own_den(a, k) ** 2) for k, x in zip(ks, jac)] == expected
+    assert expected == fraction_jacobi_row(a, n, start)
+    jac, den = identities._jacobi_row(a, n)
+    assert den == own_den(a, n) ** 2
+    assert [Fraction(x, den) for x in jac] == fraction_jacobi_row(a, n)
 
     assert convolution_lhs(a, n) == oracle_lhs(a, n)
     assert convolution_rhs(a, n) == oracle_rhs(a, n)
@@ -234,8 +250,40 @@ def test_rows_and_sides_match_fraction_oracles(a, n, data):
         assert over(den, lhs, rhs) == fraction_recurrence_sides(n, a)
     lhs, rhs, den = identities._series_square_sides(a, n)
     assert over(den, lhs, rhs) == fraction_series_square_sides(a, n)
-    lhs, rhs, den = identities._shift_sides(a, n)
-    assert over(den, lhs, rhs) == fraction_shift_sides(a, n)
+    lhs, rhs = identities._shift_sides(a, n)
+    assert over(shift_den(a, n), lhs, rhs) == fraction_shift_sides(a, n)
+
+
+@pytest.mark.parametrize("k", [150, 199])
+@pytest.mark.parametrize("a", [Fraction(-37, 12), Fraction(5, 7), Fraction(59, 11), Fraction(-42)])
+def test_shift_sides_match_fraction_oracle_at_large_k(a, k):
+    """The per-k denominators grow with k, past the property test's k <= 15."""
+    lhs, rhs = identities._shift_sides(a, k)
+    assert lhs == rhs
+    assert over(shift_den(a, k), lhs, rhs) == fraction_shift_sides(a, k)
+
+
+def test_convolution_points_reach_a_equal_n_plus_1(monkeypatch):
+    """Both sides are of degree n+1 in a(a+1), so the check needs n+2 points.
+    One more a(a+1) J_n(a) on the right vanishes at a = 0..n-1, where
+    C(a,n) = 0, and one more J_{n+1}(a) on the left at a = 0..n: only points
+    that reach a = n, and a = n+1, catch them."""
+    rhs_weights = identities._rhs_weights
+    lhs_sum = identities._lhs_sum
+
+    def last_weight_plus_one(n):
+        weights = rhs_weights(n)
+        weights[-1] += 1
+        return weights
+
+    def plus_next_entry(jac, n):
+        return lhs_sum(jac, n) + jac[n + 1]
+
+    for name, wrong in (("_rhs_weights", last_weight_plus_one), ("_lhs_sum", plus_next_entry)):
+        with monkeypatch.context() as patch:
+            patch.setattr(identities, name, wrong)
+            for n in range(1, 13):
+                assert check_convolution_identity(n) is False, (name, n)
 
 
 def test_product_sides_match_fraction_oracle():
@@ -274,15 +322,16 @@ def test_products_fail_on_a_wrong_ratio(monkeypatch, capsys):
 
 
 def _c2_off_by_one(row_fn):
-    """The row helper with C(a,2)'s numerator one too large.  With N and M the
-    numerators of C(a,2) and C(-1-a,2) over D, (N+1)(M+1) - NM = N + M + 1 =
-    D(a^2 + a + 1) + 1 > 0, so C(a,2)C(-1-a,2) always changes."""
+    """The numerator row with N_2 one too large.  At a = r/s, N_2(a) = r(r-s)
+    and N_2(-1-a) = (r+s)(r+2s), so the Jacobi numerator P_2 moves by
+    N_2(a) + N_2(-1-a) + 1 = 2r^2 + 2rs + 2s^2 + 1 > 0: C(a,2)C(-1-a,2)
+    always changes, and so does C(-1/2,2) = N_2(-1/2) / 8."""
 
-    def broken(a, n, start=0):
-        row, den = row_fn(a, n, start)
+    def broken(r, s, n, start=0):
+        row = row_fn(r, s, n, start)
         if start <= 2 <= n:
             row[2 - start] += 1
-        return row, den
+        return row
 
     return broken
 
@@ -300,13 +349,13 @@ def _c2_off_by_one(row_fn):
 )
 def test_checks_fail_on_a_wrong_binomial(monkeypatch, check):
     assert check() is True
-    monkeypatch.setattr(identities, "_binomial_row", _c2_off_by_one(identities._binomial_row))
+    monkeypatch.setattr(identities, "_numerator_row", _c2_off_by_one(identities._numerator_row))
     assert check() is False
 
 
 def test_cli_reports_failing_suites(monkeypatch, capsys):
     argv = ["identities", "--nmax", "6", "--kmax", "20", "--order", "6"]
-    monkeypatch.setattr(identities, "_binomial_row", _c2_off_by_one(identities._binomial_row))
+    monkeypatch.setattr(identities, "_numerator_row", _c2_off_by_one(identities._numerator_row))
     assert main(argv) == 1
     out = capsys.readouterr().out
     # the shift suite reads C(a,2) only at k = 1 or 2, which its k < 20 draws include
