@@ -6,8 +6,8 @@ C(a,k)C(-1-a,k) at a p-integral a covers every parametric sum.  Each is
 generated from its exact consecutive-term ratio; the ratios are derived
 from factorial quotients and unit-tested against exact binomials.
 
-One-shot ``binomial_mod`` handles the special binomials in right-hand sides
-(valuation by carry counting, unit by p-free factorial products).
+One-shot ``binomial_mod`` handles the special binomials in right-hand sides:
+every caller passes n < p, so it reduces the exact ``math.comb`` mod p^t.
 """
 
 from __future__ import annotations
@@ -47,6 +47,9 @@ EXACT: dict[str, Callable[[int], int]] = {
     B42: lambda k: math.comb(4 * k, 2 * k),
     B63: lambda k: math.comb(6 * k, 3 * k),
 }
+
+#: kind -> its text in a claim.
+TEXT = {B22: "C(2k,k)", B31: "C(3k,k)", B42: "C(4k,2k)", B63: "C(6k,3k)"}
 
 
 def exact_binomial(n: int, k: int) -> int:
@@ -115,51 +118,11 @@ def stream_arrays(kind: str, p: int, workexp: int) -> tuple[list[int], list[int]
     return vs, us
 
 
-def v_p_binomial(n: int, k: int, p: int) -> int:
-    """v_p(C(n,k)) by Kummer: carries when adding k and n-k in base p."""
-
-    def digit_sum(m: int) -> int:
-        s = 0
-        while m:
-            s += m % p
-            m //= p
-        return s
-
-    return (digit_sum(k) + digit_sum(n - k) - digit_sum(n)) // (p - 1)
-
-
-def _factorial_unit(m: int, p: int, mod: int) -> int:
-    """Unit part of m! (the p-free factor m!/p^{v_p(m!)}) mod `mod`."""
-    u = 1
-    while m > 1:
-        blk = 1
-        for i in range(2, m + 1):
-            if i % p:
-                blk = blk * i % mod
-        u = u * blk % mod
-        m //= p
-    return u
-
-
-#: Above this n, binomial_mod works with p-free factorial units instead of
-#: exact big integers (C(n, n/2) at n ~ 10^5 is astronomically large).
-_EXACT_CUTOFF = 10_000
-
-
 def binomial_mod(n: int, k: int, p: int, t: int) -> int:
     """C(n,k) mod p^t (0 <= k <= n)."""
     if not 0 <= k <= n:
         raise ValueError("binomial_mod requires 0 <= k <= n")
-    mod = p**t
-    if n <= _EXACT_CUTOFF:
-        return math.comb(n, k) % mod
-    v = v_p_binomial(n, k, p)
-    u = (
-        _factorial_unit(n, p, mod)
-        * pow(_factorial_unit(k, p, mod) * _factorial_unit(n - k, p, mod), -1, mod)
-        % mod
-    )
-    return u * p**v % mod
+    return math.comb(n, k) % p**t
 
 
 def jacobi_stream_arrays(

@@ -8,15 +8,16 @@ parameter tuples.
 
 Claims are data, so ``list --claims`` prints the values the engine
 checks.  A ``Cond`` is both the predicate on p and its text, and a
-``ByClass`` modulus exponent prints itself too.  A fixed right-hand side
-is a ``Lin``, a linear form over a few atoms, or a ``Split`` of two
-forms by the class of p; each gives its exact value at a context and its
-claim text.  The atoms are x^2, y^2, p^2/x^2 and p^2/y^2 over a
-quadratic form of the prime (p = x^2 + 4y^2, x^2 + 2y^2, x^2 + 3y^2,
-x^2 + 7y^2, 4p = x^2 + 27y^2), p, R1 and R3, the signs (-1)^((p-1)/2)
-and (-1)^((p-1)/4), squares of distinguished binomials, (p|3) p, and the
-Euler and U tails p^3 E(p-3) and p^3 U(p-3).  The closed forms that are
-not linear in them are ``Closed``: a function of ctx with its own text.
+``ByClass`` modulus exponent and a ``SumSpec`` left-hand side print
+themselves too.  A fixed right-hand side is a ``Lin``, a linear form
+over a few atoms, or a ``Split`` of two forms by the class of p; each
+gives its exact value at a context and its claim text.  The atoms are
+x^2, y^2, p^2/x^2 and p^2/y^2 over a quadratic form of the prime
+(p = x^2 + 4y^2, x^2 + 2y^2, x^2 + 3y^2, x^2 + 7y^2, 4p = x^2 + 27y^2),
+p, R1 and R3, the signs (-1)^((p-1)/2) and (-1)^((p-1)/4), squares of
+distinguished binomials, (p|3) p, and the Euler and U tails p^3 E(p-3)
+and p^3 U(p-3).  The closed forms that are not linear in them are
+``Closed``: a function of ctx with its own text.
 
 Every statement runs on a context at its own modulus exponent t, so
 ``ctx.P`` = p^t is its modulus.  A right-hand side's value is exact, a
@@ -48,7 +49,7 @@ from .sums import (
     FULL_MINUS_1,
     FULL_MINUS_2,
     HALF,
-    NONE,
+    POLE_TAGS,
     SIGN_HALF,
     SIGN_QUARTER,
     SumSpec,
@@ -385,53 +386,6 @@ P2_OVER_C7_SQ = p2_over_binom_sq(*_C7)
 Rhs = Union[Lin, Split, Closed]
 
 
-# -- claim text ---------------------------------------------------------------
-
-_STREAM_TEXT = {B22: "C(2k,k)", B31: "C(3k,k)", B42: "C(4k,2k)", B63: "C(6k,3k)"}
-_LIMIT_TEXT = {HALF: "(p-1)/2", FULL: "p-1", FULL_MINUS_1: "p-2", FULL_MINUS_2: "p-3"}
-_PREFACTOR_TEXT = {
-    NONE: "",
-    SIGN_HALF: "(-1)^((p-1)/2) * ",
-    SIGN_QUARTER: "(-1)^((p-1)/4) * ",
-}
-_WEIGHT_TEXT = {
-    W_ONE: "",
-    W_K: "k * ",
-    W_K2: "k^2 * ",
-    W_K3: "k^3 * ",
-    W_INV_K1: "1/(k+1) * ",
-    W_INV_K1_SQ: "1/(k+1)^2 * ",
-    W_INV_K1_CU: "1/(k+1)^3 * ",
-    W_INV_K2: "1/(k+2) * ",
-    W_INV_K3: "1/(k+3) * ",
-    W_INV_2K1: "1/(2k-1) * ",
-    W_INV_2K1_SQ: "1/(2k-1)^2 * ",
-}
-
-
-def _weight_text(w: Weight) -> str:
-    if w.tag == "linear":
-        return f"({w.c0} + {w.c1}k) * "
-    return _WEIGHT_TEXT[w]
-
-
-def sum_text(spec: SumSpec) -> str:
-    """Human-readable formula for a SumSpec left-hand side."""
-    counts: dict[str, int] = {}
-    for kind in spec.product:
-        counts[kind] = counts.get(kind, 0) + 1
-    prod = " ".join(
-        _STREAM_TEXT[kind] + (f"^{n}" if n > 1 else "")
-        for kind, n in sorted(counts.items())
-    )
-    mtxt = "" if spec.m == 1 else f" / ({spec.m})^k"
-    return (
-        f"{_PREFACTOR_TEXT[spec.prefactor]}"
-        f"sum_{{k=0..{_LIMIT_TEXT[spec.limit]}}} "
-        f"{_weight_text(spec.weight)}{prod}{mtxt}"
-    )
-
-
 # -- registration helpers ------------------------------------------------------
 
 
@@ -467,7 +421,7 @@ def _fixed(
 ) -> None:
     """Register spec's sum == rhs where cond holds; the claim is printed from
     spec and rhs, and rhs's exact value is reduced once, mod P."""
-    claim = f"{sum_text(spec)} == {rhs} (mod {_mod_text(modexp)})"
+    claim = f"{spec} == {rhs} (mod {_mod_text(modexp)})"
     lhs = _sum_lhs(spec)
     _add(Fixed(sid, status, claim, str(cond), cond, modexp, lhs, _reduced(rhs.value), note))
     SUM_SPECS[sid] = spec
@@ -1532,7 +1486,7 @@ def _jacobi_sums(
 
     def T(weight: Weight, limit: str = FULL) -> int:
         if half:
-            limit = FULL if weight.tag in ("inv_2k1", "inv_2k1_sq") else HALF
+            limit = FULL if weight.tag in POLE_TAGS else HALF
         return evaluate_jacobi_sum(
             a, ctx.p, ctx.workexp, weight=weight, limit=limit, mult=mult, base=base,
             central=central, ctx=ctx,

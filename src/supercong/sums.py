@@ -2,9 +2,11 @@
 
 A sum is described by a :class:`SumSpec`: a product of central binomial
 families, a rational base m (terms are divided by m^k), a term weight,
-a truncation limit, and an optional global sign.  Jacobi sums take the
-stream C(a,k)C(-1-a,k) [* C(2k,k)], at a sampled int a or a fixed rational
-a, and a multiplier mult^k / base^k instead of the product and base: every
+a truncation limit, and an optional global sign.  Each limit, sign and
+weight tag is one table entry giving its value and its claim text, so
+str(spec) is the sum as a claim prints it.  Jacobi sums take the stream
+C(a,k)C(-1-a,k) [* C(2k,k)], at a sampled int a or a fixed rational a,
+and a multiplier mult^k / base^k instead of the product and base: every
 parametric sum, theorem and corollary alike, is one of them.
 
 Evaluation has two stages, both cached on the :class:`PrimeContext`:
@@ -14,8 +16,8 @@ Evaluation has two stages, both cached on the :class:`PrimeContext`:
   and z = p^zv * zu the per-step multiplier (1/m, or mult/base);
 * the weight array w_k of ``ctx.weight``: k^e as plain ints, or the
   inverses of k+1, k+2, k+3, 2k-1 and their powers.  A linear weight
-  c0 + c1*k is taken as c0 times the sum weighted 1 plus c1 times the sum
-  weighted k.
+  c0 + c1*k is one array too, of the integers a0 + a1*k = clear*(c0 + c1*k),
+  and its sum is scaled by 1/clear.
 
 A sum is then the truncated dot product sum_{k <= bound} w_k t_k mod P, so
 the 4 to 6 weights a statement compares at one (stream, base) share one
@@ -41,26 +43,60 @@ the s of a = r/s are units.  A pole term under that floor less e raises
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import islice
 from operator import mul
+from typing import Callable
 
-from .binomials import EXACT, rational_binomial
+from .binomials import EXACT, TEXT, rational_binomial
 from .context import PrimeContext, Source, context_for
 from .errors import BaseNotUnit, DenominatorNotUnit, NegativeValuation, PoleFloorViolated
 from .padic import Residue
 
-# Truncation limits, as functions of p.
-HALF = "half"  # k = 0 .. (p-1)/2
-FULL = "full"  # k = 0 .. p-1
-FULL_MINUS_1 = "full_minus_1"  # k = 0 .. p-2
-FULL_MINUS_2 = "full_minus_2"  # k = 0 .. p-3
+# Truncation limits: tag -> (the last k at p, its text).
+HALF = "half"
+FULL = "full"
+FULL_MINUS_1 = "full_minus_1"
+FULL_MINUS_2 = "full_minus_2"
+_LIMITS: dict[str, tuple[Callable[[int], int], str]] = {
+    HALF: (lambda p: (p - 1) // 2, "(p-1)/2"),
+    FULL: (lambda p: p - 1, "p-1"),
+    FULL_MINUS_1: (lambda p: p - 2, "p-2"),
+    FULL_MINUS_2: (lambda p: p - 3, "p-3"),
+}
 
-# Global sign prefactors.
+# Global sign prefactors: tag -> (the sign at p, its text).
 NONE = "none"
-SIGN_HALF = "sign_half"  # (-1)^((p-1)/2)
-SIGN_QUARTER = "sign_quarter"  # (-1)^((p-1)/4), p = 1 (mod 4) only
+SIGN_HALF = "sign_half"
+SIGN_QUARTER = "sign_quarter"  # p = 1 (mod 4) only
+_PREFACTORS: dict[str, tuple[Callable[[int], int], str]] = {
+    NONE: (lambda p: 1, ""),
+    SIGN_HALF: (lambda p: -1 if (p - 1) // 2 % 2 else 1, "(-1)^((p-1)/2) * "),
+    SIGN_QUARTER: (lambda p: -1 if (p - 1) // 4 % 2 else 1, "(-1)^((p-1)/4) * "),
+}
+
+# Weights: tag -> ((a0, a1, exp, inverted), its text), for w(k) = (a0 + a1*k)^exp
+# or its inverse.
+_WEIGHTS: dict[str, tuple[tuple[int, int, int, bool], str]] = {
+    "one": ((1, 0, 1, False), ""),
+    "k": ((0, 1, 1, False), "k * "),
+    "k2": ((0, 1, 2, False), "k^2 * "),
+    "k3": ((0, 1, 3, False), "k^3 * "),
+    "inv_k1": ((1, 1, 1, True), "1/(k+1) * "),
+    "inv_k1_sq": ((1, 1, 2, True), "1/(k+1)^2 * "),
+    "inv_k1_cu": ((1, 1, 3, True), "1/(k+1)^3 * "),
+    "inv_k2": ((2, 1, 1, True), "1/(k+2) * "),
+    "inv_k3": ((3, 1, 1, True), "1/(k+3) * "),
+    "inv_2k1": ((-1, 2, 1, True), "1/(2k-1) * "),
+    "inv_2k1_sq": ((-1, 2, 2, True), "1/(2k-1)^2 * "),
+}
+
+#: The 1/(2k-1)^e weights, whose pole at 2k = p + 1 is checked against the
+#: stream's valuation floor there (see the module docstring).
+POLE_TAGS = ("inv_2k1", "inv_2k1_sq")
 
 
 @dataclass(frozen=True)
@@ -78,6 +114,23 @@ class Weight:
     c0: Fraction = Fraction(0)
     c1: Fraction = Fraction(0)
 
+    @cached_property
+    def shape(self) -> tuple[int, int, int, bool, int]:
+        """(a0, a1, exp, inverted, clear) with w(k) = (a0 + a1*k)^(+-exp) / clear:
+        clear is 1 except for a linear weight, whose c0 + c1*k it clears of
+        denominators."""
+        if self.tag == "linear":
+            clear = math.lcm(self.c0.denominator, self.c1.denominator)
+            return int(self.c0 * clear), int(self.c1 * clear), 1, False, clear
+        return (*_WEIGHTS[self.tag][0], 1)
+
+    @property
+    def text(self) -> str:
+        """The weight as a claim prints it, before the stream."""
+        if self.tag == "linear":
+            return f"({self.c0} + {self.c1}k) * "
+        return _WEIGHTS[self.tag][1]
+
 
 W_ONE = Weight("one")
 W_K = Weight("k")
@@ -90,22 +143,6 @@ W_INV_K2 = Weight("inv_k2")
 W_INV_K3 = Weight("inv_k3")
 W_INV_2K1 = Weight("inv_2k1")
 W_INV_2K1_SQ = Weight("inv_2k1_sq")
-
-# (a0, a1, exp, inverted) per tag: w(k) = (a0 + a1*k)^exp, or its inverse;
-# "linear" is special.
-_WEIGHT_SHAPE = {
-    "one": (1, 0, 1, False),
-    "k": (0, 1, 1, False),
-    "k2": (0, 1, 2, False),
-    "k3": (0, 1, 3, False),
-    "inv_k1": (1, 1, 1, True),
-    "inv_k1_sq": (1, 1, 2, True),
-    "inv_k1_cu": (1, 1, 3, True),
-    "inv_k2": (2, 1, 1, True),
-    "inv_k3": (3, 1, 1, True),
-    "inv_2k1": (-1, 2, 1, True),
-    "inv_2k1_sq": (-1, 2, 2, True),
-}
 
 
 def linear_weight(c0: Fraction | int, c1: Fraction | int) -> Weight:
@@ -122,33 +159,27 @@ class SumSpec:
     limit: str = HALF
     prefactor: str = NONE
 
+    def __str__(self) -> str:
+        """The sum as a claim prints it."""
+        counts = sorted(Counter(self.product).items())
+        prod = " ".join(TEXT[kind] + (f"^{n}" if n > 1 else "") for kind, n in counts)
+        mtxt = "" if self.m == 1 else f" / ({self.m})^k"
+        return (
+            f"{_PREFACTORS[self.prefactor][1]}sum_{{k=0..{_LIMITS[self.limit][1]}}} "
+            f"{self.weight.text}{prod}{mtxt}"
+        )
+
 
 def limit_bound(limit: str, p: int) -> int:
-    if limit == HALF:
-        return (p - 1) // 2
-    if limit == FULL:
-        return p - 1
-    if limit == FULL_MINUS_1:
-        return p - 2
-    if limit == FULL_MINUS_2:
-        return p - 3
-    raise ValueError(f"unknown limit {limit!r}")
+    if limit not in _LIMITS:
+        raise ValueError(f"unknown limit {limit!r}")
+    return _LIMITS[limit][0](p)
 
 
 def prefactor_sign(prefactor: str, p: int) -> int:
-    if prefactor == NONE:
-        return 1
-    if prefactor == SIGN_HALF:
-        return -1 if (p - 1) // 2 % 2 else 1
-    if prefactor == SIGN_QUARTER:
-        return -1 if (p - 1) // 4 % 2 else 1
-    raise ValueError(f"unknown prefactor {prefactor!r}")
-
-
-def _linear_ints(weight: Weight) -> tuple[int, int, int]:
-    """(a0, a1, clear) with c0 + c1*k = (a0 + a1*k) / clear in integers."""
-    clear = math.lcm(weight.c0.denominator, weight.c1.denominator)
-    return int(weight.c0 * clear), int(weight.c1 * clear), clear
+    if prefactor not in _PREFACTORS:
+        raise ValueError(f"unknown prefactor {prefactor!r}")
+    return _PREFACTORS[prefactor][0](p)
 
 
 def _unit_inverse(base: Fraction, p: int, P: int) -> int:
@@ -175,19 +206,13 @@ def _weighted_sum(
     its pole (see the module docstring).
     """
     p, P = ctx.p, ctx.P
-    if weight.tag == "linear":
-        # (c0 + c1*k) = (a0 + a1*k) / clear, from the sums weighted 1 and k
-        a0, a1, clear = _linear_ints(weight)
-        if clear % p == 0:
-            raise DenominatorNotUnit(
-                f"weight {weight.c0} + {weight.c1}*k has denominator {clear}, divisible by p={p}"
-            )
-        s0 = _weighted_sum(ctx, source, zv, zu, W_ONE, bound)
-        s1 = _weighted_sum(ctx, source, zv, zu, W_K, bound)
-        return (a0 * s0 + a1 * s1) * pow(clear, -1, P) % P
-    a0, a1, exp, inverted = _WEIGHT_SHAPE[weight.tag]
+    a0, a1, exp, inverted, clear = weight.shape
+    if clear % p == 0:
+        raise DenominatorNotUnit(
+            f"weight {weight.c0} + {weight.c1}*k has denominator {clear}, divisible by p={p}"
+        )
     ws, poles = ctx.weight(a0, a1, exp, inverted)
-    floor = gain - exp if weight.tag in ("inv_2k1", "inv_2k1_sq") else None
+    floor = gain - exp if weight.tag in POLE_TAGS else None
     n = bound + 1
     acc = sum(map(mul, islice(ws, n), islice(ctx.terms(source, zv, zu), n)))
     for k, d, unit in poles:
@@ -204,6 +229,8 @@ def _weighted_sum(
             raise NegativeValuation(f"term k={k} has valuation {v} < 0; sum is not p-integral")
         if v < ctx.workexp:
             acc += us[k] * pow(zu, k, P) % P * unit % P * ctx.pow_p[v]
+    if clear != 1:
+        acc *= pow(clear, -1, P)
     return acc % P
 
 
@@ -265,13 +292,11 @@ def evaluate_jacobi_sum(
 
 
 def weight_value(weight: Weight, k: int) -> Fraction:
-    if weight.tag == "linear":
-        return weight.c0 + weight.c1 * k
-    a0, a1, exp, inv = _WEIGHT_SHAPE[weight.tag]
+    a0, a1, exp, inverted, clear = weight.shape
     b = Fraction(a0 + a1 * k)
     if b == 0:
-        return Fraction(0)
-    return b**-exp if inv else b**exp
+        return b
+    return (b**-exp if inverted else b**exp) / clear
 
 
 def evaluate_sum_exact(spec: SumSpec, p: int) -> Fraction:

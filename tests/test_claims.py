@@ -5,6 +5,7 @@ import hashlib
 import math
 import re
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -12,10 +13,11 @@ from supercong.cli import main
 from supercong.context import PrimeContext
 from supercong.padic import residue_from_fraction
 from supercong.quadform import F2, F3, F4, F7, F27, applicable, is_prime, represent
-from supercong.registry import REGISTRY, Fixed, statement_modexp
+from supercong.registry import REGISTRY, Fixed, Parametric, statement_modexp
 from supercong.special import euler_numbers_exact, legendre, r1, r3, u_numbers_exact
 
 FIXED = {sid: s for sid, s in REGISTRY.items() if isinstance(s, Fixed)}
+PARAMETRIC = {sid: s for sid, s in REGISTRY.items() if isinstance(s, Parametric)}
 PRIMES = [p for p in range(5, 5001) if is_prime(p)]
 
 # The right-hand sides that are not linear in the atoms: each keeps a
@@ -52,6 +54,38 @@ def test_fixed_condition_text_reads_as_its_predicate():
         reading = _read_condition(stmt.condition)
         wrong = [p for p in PRIMES if reading(p) != stmt.applies(p)]
         assert not wrong, (sid, stmt.condition, wrong[:5])
+
+
+def _read_hypothesis(text: str, params: tuple[str, ...]):
+    """The predicate on (p, params) a parametric condition text states, read
+    with regexes alone; "; requires D a unit" is checked by the relation."""
+    text = text.split("; ", 1)[0]
+    if text == "none":
+        return lambda p, ps: True
+    tests = []
+    for part in re.fullmatch(r"(.+) \(mod p\)", text)[1].split(" and "):
+        if m := re.fullmatch(r"(\w) != ([-\d, ]+)", part):
+            i, cs = params.index(m[1]), [int(c) for c in m[2].split(", ")]
+            tests.append(lambda p, ps, i=i, cs=cs: all((ps[i] - c) % p for c in cs))
+        elif m := re.fullmatch(r"(\w)\(\1\+1\) != 0", part):
+            i = params.index(m[1])
+            tests.append(lambda p, ps, i=i: ps[i] * (ps[i] + 1) % p != 0)
+        else:
+            raise ValueError(f"unreadable hypothesis part {part!r}")
+    return lambda p, ps: all(t(p, ps) for t in tests)
+
+
+def test_parametric_condition_text_reads_as_its_predicate():
+    """Every tuple mod p at p = 7, 11, 13, and each shifted by p and -p."""
+    assert len(PARAMETRIC) == 21
+    for sid, stmt in PARAMETRIC.items():
+        reading = _read_hypothesis(stmt.condition, stmt.params)
+        for p in (7, 11, 13):
+            residues = list(product(range(p), repeat=len(stmt.params)))
+            for shift in (0, p, -p):
+                tuples = [tuple(x + shift for x in ps) for ps in residues]
+                wrong = [ps for ps in tuples if reading(p, ps) != stmt.admissible(p, ps)]
+                assert not wrong, (sid, p, stmt.condition, wrong[:5])
 
 
 # -- linear right-hand sides -------------------------------------------------------

@@ -27,7 +27,6 @@ from supercong.registry import (
     _sum_lhs,
     p2_over_binom_sq,
     statement_modexp,
-    sum_text,
 )
 from supercong.report import LEGACY_GUARD, ReportRow, VerificationReport
 from supercong.sums import FULL, HALF, SumSpec, linear_weight
@@ -393,7 +392,7 @@ def test_parametric_check_depends_on_every_sum(sid, monkeypatch):
         if isinstance(a, Fraction):  # "sum_{k=0..(p-1)/2} C(2k,k)^3" -> "C(2k,k)^3"
             kinds, _ = PRODUCT_FORMS[a]
             product = (B22, *kinds) if kw["central"] else kinds
-            assert sum_text(SumSpec(product, Fraction(1))).split(" ", 1)[1] in stmt.claim
+            assert str(SumSpec(product, Fraction(1))).split(" ", 1)[1] in stmt.claim
             if a == Fraction(-1, 2):
                 pole = kw["weight"].tag in ("inv_2k1", "inv_2k1_sq")
                 assert kw["limit"] == (FULL if pole else HALF), kw

@@ -324,6 +324,34 @@ def test_jacobi_sum_matches_falling_factorial_oracle(p):
     assert 0 < non_integral < len(cases) // 2
 
 
+@pytest.mark.parametrize("p", (7, 11, 13))
+def test_linear_weights_on_the_jacobi_path(p):
+    """Two rational linear weights on the plain and the central stream, at a
+    sampled int a and at a = -1/3, on a fresh and on a shared context,
+    match the falling-factorial oracle; at p = 7 the weight 1 + k/7 has a
+    denominator p divides and raises DenominatorNotUnit."""
+    rng = random.Random(70 + p)
+    t = 2
+    shared = PrimeContext(p, 4)
+    weights = (linear_weight(Fraction(3, 4), Fraction(-5, 2)), linear_weight(1, Fraction(1, 7)))
+    for weight in weights:
+        for a in (rng.randrange(p, p * p), Fraction(-1, 3)):
+            for central in (False, True):
+                kw = dict(weight=weight, mult=-3, central=central)
+                if weight.c1.denominator == p:
+                    with pytest.raises(DenominatorNotUnit):
+                        evaluate_jacobi_sum(a, p, t, **kw)
+                    continue
+                total = Fraction(0)
+                for k in range(p):
+                    term = weight_fn(weight)(k) * falling_binom(a, k) * falling_binom(-1 - a, k)
+                    total += term * math.comb(2 * k, k) ** central * Fraction(-3) ** k
+                assert evaluate_jacobi_sum_exact(a, p, **kw) == total
+                for ctx in (shared, None):
+                    got = evaluate_jacobi_sum(a, p, t, ctx=ctx, **kw)
+                    assert got.value == reduce_fraction(total, p, t), (weight, a, central)
+
+
 def _value_or_error(evaluate):
     try:
         return evaluate().value
