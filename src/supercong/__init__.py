@@ -43,9 +43,7 @@ from .sums import (
     HALF,
     SumSpec,
     evaluate_jacobi_sum,
-    evaluate_jacobi_sum_exact,
     evaluate_sum,
-    evaluate_sum_exact,
     linear_weight,
 )
 
@@ -85,10 +83,8 @@ __all__ = [
     "Verdict",
     "applicable",
     "evaluate_jacobi_sum",
-    "evaluate_jacobi_sum_exact",
     "evaluate_statement",
     "evaluate_sum",
-    "evaluate_sum_exact",
     "linear_weight",
     "primes_in",
     "represent",

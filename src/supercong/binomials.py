@@ -4,7 +4,8 @@ Four streaming families cover every product in the fixed sums: C(2k,k),
 C(3k,k), C(4k,2k), C(6k,3k) for k = 0..p-1; the Jacobi stream
 C(a,k)C(-1-a,k) at a p-integral a covers every parametric sum.  Each is
 generated from its exact consecutive-term ratio; the ratios are derived
-from factorial quotients and unit-tested against exact binomials.
+from factorial quotients and unit-tested against the exact binomials of
+``tests/oracles.py``.
 
 One-shot ``binomial_mod`` handles the special binomials in right-hand sides:
 every caller passes n < p, so it reduces the exact ``math.comb`` mod p^t.
@@ -40,14 +41,6 @@ RATIOS: dict[str, Callable[[int], tuple[tuple[int, ...], tuple[int, ...]]]] = {
     B63: lambda k: ((8, 6 * k + 1, 6 * k + 5, 2 * k + 1), (k + 1, 3 * k + 1, 3 * k + 2)),
 }
 
-#: kind -> exact C(a*k, b*k) evaluator (the oracle the streams must match).
-EXACT: dict[str, Callable[[int], int]] = {
-    B22: lambda k: math.comb(2 * k, k),
-    B31: lambda k: math.comb(3 * k, k),
-    B42: lambda k: math.comb(4 * k, 2 * k),
-    B63: lambda k: math.comb(6 * k, 3 * k),
-}
-
 #: kind -> its text in a claim.
 TEXT = {B22: "C(2k,k)", B31: "C(3k,k)", B42: "C(4k,2k)", B63: "C(6k,3k)"}
 
@@ -57,16 +50,6 @@ def exact_binomial(n: int, k: int) -> int:
     if k < 0 or k > n:
         return 0
     return math.comb(n, k)
-
-
-def rational_binomial(a: Fraction | int, k: int) -> Fraction:
-    """C(a,k) = a(a-1)...(a-k+1)/k! for any rational a and k >= 0."""
-    if k < 0:
-        return Fraction(0)
-    out = Fraction(1)
-    for i in range(k):
-        out *= Fraction(a) - i
-    return out / math.factorial(k)
 
 
 def batch_invert(xs: list[int], m: int) -> list[int]:

@@ -24,8 +24,7 @@ builds that scale once per n.  Each check multiplies its identity through
 by its denominators (and s^2 for a(a+1) = r(r+s)/s^2) and compares two
 integer sides, which a ``_*_sides`` helper returns with the factor they
 were multiplied by (the shift helper, whose check need not form it, names
-it in its docstring).  Only the convolution sides come back as Fractions,
-each made once from its integer sum.
+it in its docstring).
 
 J_k = prod_{j<k} (j(j+1) - a(a+1)) / (k!)^2 is a polynomial of degree k in
 a(a+1), so both sides of the convolution identity at n are polynomials of
@@ -39,8 +38,9 @@ C(3k,k), C(4k,2k) and C(6k,3k), are built once per check by
 ``_family_rows``, each stepped by its exact ratio ``binomials.RATIOS``,
 the ratios the engine's streams step by; the series-square check reads its
 C(k, i-k) from one Pascal triangle.  The tests keep the Fraction rows and
-checks, one Fraction per entry, and ``binomials.EXACT`` (``math.comb``) as
-the oracles these integers are compared with.
+checks, one Fraction per entry, and ``tests/oracles.py`` keeps the
+``math.comb`` closed forms and the Fraction convolution sides: the
+oracles these integers are compared with.
 """
 
 from __future__ import annotations
@@ -90,9 +90,13 @@ def _jacobi_row(a: Fraction | int, n: int) -> tuple[list[int], int]:
 
 
 def _lhs_sum(jac: list[int], n: int) -> int:
-    """sum_{k=0}^n k J_k (n+1-k) J_{n+1-k}; ``jac`` must reach index n+1."""
+    """sum_{k=0}^n k J_k (n+1-k) J_{n+1-k}; ``jac`` must reach index n+1.
+    The summand is the same at k and m-k (m = n+1), so each k < m/2 counts
+    twice, and the middle term k = m/2, when m is even, once."""
     m = n + 1
-    return sum(k * (m - k) * jac[k] * jac[m - k] for k in range(1, m))
+    half, odd = divmod(m, 2)
+    total = 2 * sum(k * (m - k) * jac[k] * jac[m - k] for k in range(1, half + odd))
+    return total if odd else total + half * half * jac[half] ** 2
 
 
 def _rhs_weights(n: int) -> list[int]:
@@ -102,19 +106,6 @@ def _rhs_weights(n: int) -> list[int]:
         lower = (-1) ** n if k == 0 else exact_binomial(k - 1, n - k)
         out.append(exact_binomial(2 * k, k + 1) * (-1) ** (n + 1 - k) * lower)
     return out
-
-
-def convolution_lhs(a: Fraction | int, n: int) -> Fraction:
-    """sum_{k=0}^n k C(a,k)C(-1-a,k) (n+1-k) C(a,n+1-k)C(-1-a,n+1-k)."""
-    jac, den = _jacobi_row(a, n + 1)
-    return Fraction(_lhs_sum(jac, n), den * den)
-
-
-def convolution_rhs(a: Fraction | int, n: int) -> Fraction:
-    """a(a+1) sum_{k=0}^n C(a,k)C(-1-a,k)C(2k,k+1)(-1)^(n+1-k)C(k-1,n-k)."""
-    r, s = a.as_integer_ratio()
-    jac, den = _jacobi_row(a, n)
-    return Fraction(r * (r + s) * sum(map(mul, jac, _rhs_weights(n))), s * s * den)
 
 
 def check_convolution_identity(n: int) -> bool:

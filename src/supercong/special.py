@@ -1,7 +1,7 @@
 """Auxiliary constants for right-hand sides: Legendre symbols, Fermat
 quotients, the binomial-square products R1(p)/R3(p), and single Euler and
 U numbers E_n, U_n mod p, each an O(p) alternating power sum.  The exact
-integer sequences are kept as test oracles."""
+integer sequences, the tests' oracles, are in ``tests/oracles.py``."""
 
 from __future__ import annotations
 
@@ -95,25 +95,3 @@ def u_numbers_mod(n: int, p: int) -> int:
     plus = sum(pow(x, n, p) for r in (1, 2) for x in range(r, 3 * p, 6))
     minus = sum(pow(x, n, p) for r in (4, 5) for x in range(r, 3 * p, 6))
     return (plus - minus) * ((p + 1) // 2) % p
-
-
-def euler_numbers_exact(n_max: int) -> list[int]:
-    """Exact integer E_0..E_n_max by E_2n = -sum C(2n,2k) E_{2n-2k} (test oracle)."""
-    from math import comb
-
-    out = [0] * (n_max + 1)
-    out[0] = 1
-    for n2 in range(2, n_max + 1, 2):
-        out[n2] = -sum(comb(n2, k2) * out[n2 - k2] for k2 in range(2, n2 + 1, 2))
-    return out
-
-
-def u_numbers_exact(n_max: int) -> list[int]:
-    """Exact integer U_0..U_n_max by U_2n = -2 sum C(2n,2k) U_{2n-2k} (test oracle)."""
-    from math import comb
-
-    out = [0] * (n_max + 1)
-    out[0] = 1
-    for n2 in range(2, n_max + 1, 2):
-        out[n2] = -2 * sum(comb(n2, k2) * out[n2 - k2] for k2 in range(2, n2 + 1, 2))
-    return out

@@ -22,7 +22,8 @@ Evaluation has two stages, both cached on the :class:`PrimeContext`:
 A sum is then the truncated dot product sum_{k <= bound} w_k t_k mod P, so
 the 4 to 6 weights a statement compares at one (stream, base) share one
 term array.  Every residue is exact: units are carried mod P and terms of
-valuation >= workexp vanish mod P.
+valuation >= workexp vanish mod P.  The tests compare it with the exact
+Fraction sums of ``tests/oracles.py``.
 
 Inverse weights have poles where p divides their base (k + 1 = p, 2k - 1
 = p, ...).  The weight array holds 0 there, and each pole at or below the
@@ -51,7 +52,7 @@ from itertools import islice
 from operator import mul
 from typing import Callable
 
-from .binomials import EXACT, TEXT, rational_binomial
+from .binomials import TEXT
 from .context import PrimeContext, Source, context_for
 from .errors import BaseNotUnit, DenominatorNotUnit, NegativeValuation, PoleFloorViolated
 from .padic import Residue
@@ -286,52 +287,3 @@ def evaluate_jacobi_sum(
     gain = central + 1 + ((2 * r + s) % p == 0)
     bound = limit_bound(limit, p)
     return Residue(p, t, _weighted_sum(ctx, (a, central), zv, zu, weight, bound, gain))
-
-
-# -- exact rational oracles (for tests and cross-checks) -------------------
-
-
-def weight_value(weight: Weight, k: int) -> Fraction:
-    a0, a1, exp, inverted, clear = weight.shape
-    b = Fraction(a0 + a1 * k)
-    if b == 0:
-        return b
-    return (b**-exp if inverted else b**exp) / clear
-
-
-def evaluate_sum_exact(spec: SumSpec, p: int) -> Fraction:
-    """The same sum as an exact rational number (slow, small p only)."""
-    total = Fraction(0)
-    for k in range(limit_bound(spec.limit, p) + 1):
-        term = weight_value(spec.weight, k)
-        if term == 0:
-            continue
-        for kind in spec.product:
-            term *= EXACT[kind](k)
-        total += term / spec.m**k
-    return total * prefactor_sign(spec.prefactor, p)
-
-
-def evaluate_jacobi_sum_exact(
-    a: Fraction | int,
-    p: int,
-    *,
-    weight: Weight = W_ONE,
-    limit: str = FULL,
-    mult: int = 1,
-    base: Fraction | int | None = None,
-    central: bool = False,
-) -> Fraction:
-    total = Fraction(0)
-    for k in range(limit_bound(limit, p) + 1):
-        term = weight_value(weight, k)
-        if term == 0:
-            continue
-        term *= rational_binomial(a, k) * rational_binomial(-1 - a, k)
-        if central:
-            term *= EXACT["B22"](k)
-        term *= Fraction(mult) ** k
-        if base is not None:
-            term /= Fraction(base) ** k
-        total += term
-    return total

@@ -4,31 +4,20 @@ import math
 from fractions import Fraction
 
 import pytest
+from oracles import EXACT, rational_binomial
 
 from supercong.binomials import (
     B22,
-    B31,
-    B42,
-    B63,
     KINDS,
     batch_invert,
     binomial_mod,
     exact_binomial,
     jacobi_stream_arrays,
-    rational_binomial,
     stream_arrays,
 )
 from supercong.context import PrimeContext
 from supercong.identities import PRODUCT_FORMS
 from supercong.padic import residue_from_fraction
-
-# Independent oracles: literal closed forms, no shared table with the package.
-EXACT = {
-    B22: lambda k: math.comb(2 * k, k),
-    B31: lambda k: math.comb(3 * k, k),
-    B42: lambda k: math.comb(4 * k, 2 * k),
-    B63: lambda k: math.comb(6 * k, 3 * k),
-}
 
 
 def exact_vp(n: int, p: int) -> int:
@@ -104,7 +93,7 @@ def test_jacobi_stream_matches_rational_binomials(p, t):
                 assert vs[k] == exact_vp(exact.numerator, p), (a, k)
 
 
-def test_exact_binomial_and_valuation():
+def test_exact_binomial():
     assert exact_binomial(10, 3) == 120
     assert exact_binomial(3, 7) == 0
 

@@ -8,13 +8,14 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from oracles import euler_numbers_exact, u_numbers_exact
 
 from supercong.cli import main
 from supercong.context import PrimeContext
 from supercong.padic import residue_from_fraction
 from supercong.quadform import F2, F3, F4, F7, F27, applicable, is_prime, represent
 from supercong.registry import REGISTRY, Fixed, Parametric, statement_modexp
-from supercong.special import euler_numbers_exact, legendre, r1, r3, u_numbers_exact
+from supercong.special import legendre, r1, r3
 
 FIXED = {sid: s for sid, s in REGISTRY.items() if isinstance(s, Fixed)}
 PARAMETRIC = {sid: s for sid, s in REGISTRY.items() if isinstance(s, Parametric)}

@@ -1,5 +1,6 @@
 """The package's public surface, and the names the benchmark tracer binds."""
 
+import ast
 import importlib
 import importlib.util
 import sys
@@ -11,6 +12,7 @@ from supercong import special
 from supercong.context import PrimeContext
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
+PACKAGE = Path(supercong.__file__).resolve().parent
 
 
 def _load_bench(name):
@@ -35,6 +37,29 @@ def test_every_public_name_resolves():
     missing = [name for name in supercong.__all__ if not hasattr(supercong, name)]
     assert missing == []
     assert len(set(supercong.__all__)) == len(supercong.__all__)
+
+
+def test_src_defines_only_what_src_uses():
+    """Every top-level function and class of the package's modules is read by
+    one of them: as a name, an attribute, or a from-import.  ``__init__`` only
+    re-exports, so it counts neither way; what only tests call lives in
+    ``tests/oracles.py``."""
+    defined, read = [], set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defined.append((path.stem, node.name))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                read.update(alias.name for alias in node.names)
+    assert [f"{mod}.{name}" for mod, name in defined if name not in read] == []
 
 
 def test_every_traced_name_resolves():

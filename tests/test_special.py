@@ -5,17 +5,16 @@ import random
 from fractions import Fraction
 
 import pytest
+from oracles import euler_numbers_exact, u_numbers_exact
 
 from supercong.context import PrimeContext
 from supercong.errors import ModulusTooHigh, NotCoprime, WrongClass
 from supercong.special import (
-    euler_numbers_exact,
     euler_numbers_mod,
     fermat_quotient,
     legendre,
     r1,
     r3,
-    u_numbers_exact,
     u_numbers_mod,
 )
 

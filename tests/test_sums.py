@@ -19,6 +19,7 @@ from pathlib import Path
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from oracles import evaluate_jacobi_sum_exact
 
 import supercong
 from supercong import context
@@ -38,7 +39,6 @@ from supercong.sums import (
     W_ONE,
     Weight,
     evaluate_jacobi_sum,
-    evaluate_jacobi_sum_exact,
     evaluate_sum,
     linear_weight,
 )
