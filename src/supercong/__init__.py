@@ -8,6 +8,13 @@ sweeps a registry of congruence statements over prime ranges.
 
 __version__ = "0.1.0"
 
+# Importing the package builds the registry, which bench/run.py times as
+# setup_s.  So its classes are NamedTuples or plain slotted classes, each
+# microseconds to define where a frozen dataclass costs about a millisecond,
+# and hashlib and json are imported in the functions that use them.  Two
+# frozen dataclasses remain, registry.Fixed and registry.Parametric, because
+# bench/tracing.py rebuilds each statement with dataclasses.replace.
+
 from .binomials import B22, B31, B42, B63
 from .context import PrimeContext
 from .errors import (

@@ -8,7 +8,6 @@ is checked in.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DenominatorNotUnit
@@ -25,16 +24,32 @@ def strip_p(n: int, p: int) -> tuple[int, int]:
     return v, n
 
 
-@dataclass(frozen=True)
 class Residue:
-    """An element of Z/p^t."""
+    """An element of Z/p^t: immutable, equal and hashed by (p, t, value)."""
 
-    p: int
-    t: int
-    value: int
+    __slots__ = ("p", "t", "value")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "value", self.value % self.p**self.t)
+    def __init__(self, p: int, t: int, value: int) -> None:
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "t", t)
+        object.__setattr__(self, "value", value % p**t)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not Residue:
+            return NotImplemented
+        return self.p == other.p and self.t == other.t and self.value == other.value
+
+    def __hash__(self) -> int:
+        return hash((self.p, self.t, self.value))
+
+    def __reduce__(self) -> tuple:
+        return Residue, (self.p, self.t, self.value)
 
     @property
     def modulus(self) -> int:

@@ -16,7 +16,7 @@ the one convention (x = 1 mod 4 for F4) that any statement needs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import NonResidue, NotRepresentable, WrongForm
 
@@ -101,8 +101,7 @@ def sqrt_mod(a: int, p: int) -> int:
     return min(r, p - r)
 
 
-@dataclass(frozen=True)
-class QuadRep:
+class QuadRep(NamedTuple):
     """One representation of p by a form; x may be sign-normalized."""
 
     form: str

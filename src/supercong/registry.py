@@ -150,11 +150,6 @@ def _ints(ns: tuple[int, ...]) -> str:
     return ", ".join(map(str, ns))
 
 
-# The claim objects below are plain slotted classes because the registry
-# builds them at import, which bench/run.py times as setup_s: each costs
-# microseconds to define, where a frozen dataclass costs over a millisecond.
-
-
 class Cond:
     """The odd primes p > above with p mod ``mod`` in ``residues``, less
     the excluded ones.  Called, it is the predicate; str() is its text."""

@@ -22,9 +22,7 @@ it is byte-identical across reruns at a fixed seed.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
-from json.encoder import encode_basestring_ascii
+from typing import NamedTuple
 
 from .registry import REGISTRY
 
@@ -45,12 +43,7 @@ def _json_int(n: int | None) -> str:
     return "null" if n is None else str(n)
 
 
-def _json_str(s: str | None) -> str:
-    return "null" if s is None else encode_basestring_ascii(s)
-
-
-@dataclass(frozen=True, slots=True)
-class ReportRow:
+class ReportRow(NamedTuple):
     """One (prime, statement) verification cell."""
 
     p: int
@@ -73,16 +66,31 @@ def gates(row: ReportRow, strict_conjectures: bool = False) -> bool:
     return row.outcome == "Fails" and (strict_conjectures or _row_status(row) != "conjecture")
 
 
-@dataclass
 class VerificationReport:
-    """Results of a prime-range run plus its metadata."""
+    """Results of a prime-range run plus its metadata; equal when every
+    field is."""
 
-    p_lo: int
-    p_hi: int
-    seed: int
-    version: str
-    elapsed: float
-    rows: list[ReportRow] = field(default_factory=list)
+    __slots__ = ("p_lo", "p_hi", "seed", "version", "elapsed", "rows")
+
+    def __init__(
+        self, p_lo: int, p_hi: int, seed: int, version: str, elapsed: float,
+        rows: list[ReportRow] | None = None,
+    ) -> None:
+        self.p_lo = p_lo
+        self.p_hi = p_hi
+        self.seed = seed
+        self.version = version
+        self.elapsed = elapsed
+        self.rows = [] if rows is None else rows
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not VerificationReport:
+            return NotImplemented
+        return all(getattr(self, name) == getattr(other, name) for name in self.__slots__)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"VerificationReport({fields})"
 
     def counts(self) -> dict[str, int]:
         """Row tallies per outcome."""
@@ -114,6 +122,13 @@ class VerificationReport:
         dump of the rest of the document: the pure-Python encoder that
         ``indent`` selects takes most of the time on long reports.
         """
+        # imported here: only JSON output needs json
+        import json
+        from json.encoder import encode_basestring_ascii
+
+        def string(s: str | None) -> str:
+            return "null" if s is None else encode_basestring_ascii(s)
+
         doc = {
             "p_lo": self.p_lo,
             "p_hi": self.p_hi,
@@ -131,12 +146,12 @@ class VerificationReport:
         rows = ",\n".join(
             _ROW_JSON.format(
                 r.p,
-                _json_str(r.sid),
-                _json_str(r.outcome),
+                string(r.sid),
+                string(r.outcome),
                 _json_int(r.lhs),
                 _json_int(r.rhs),
                 _json_int(r.modulus),
-                _json_str(r.detail),
+                string(r.detail),
             )
             for r in self.rows
         )
@@ -147,6 +162,8 @@ class VerificationReport:
 
     @staticmethod
     def from_json(text: str) -> "VerificationReport":
+        import json
+
         doc = json.loads(text)
         rows = [
             ReportRow(

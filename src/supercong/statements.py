@@ -3,12 +3,10 @@
 from __future__ import annotations
 
 import fnmatch
-import hashlib
 import random
 import time
 from contextlib import nullcontext
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .context import PrimeContext, context_for
 from .errors import SupercongError, UnknownStatement
@@ -28,8 +26,7 @@ MAX_REDRAWS = 64
 MAX_MODEXP = 4
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(NamedTuple):
     """Outcome of one statement at one prime."""
 
     outcome: str
@@ -92,6 +89,9 @@ def draw_params(stmt: Parametric, p: int, seed: int, index: int) -> tuple[int, .
     Parameters are drawn mod p^2 from a generator keyed on (seed, p, id,
     index); inadmissible tuples are redrawn a bounded number of times.
     """
+    # imported here: hashlib loads libcrypto, and only parametric sampling needs it
+    import hashlib
+
     key = hashlib.sha256(f"{seed}|{p}|{stmt.sid}|{index}".encode()).digest()
     rng = random.Random(int.from_bytes(key[:8], "big"))
     for _ in range(MAX_REDRAWS):

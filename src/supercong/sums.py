@@ -45,12 +45,10 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from itertools import islice
 from operator import mul
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .binomials import TEXT
 from .context import PrimeContext, Source, context_for
@@ -100,7 +98,6 @@ _WEIGHTS: dict[str, tuple[tuple[int, int, int, bool], str]] = {
 POLE_TAGS = ("inv_2k1", "inv_2k1_sq")
 
 
-@dataclass(frozen=True)
 class Weight:
     """Term weight w(k).
 
@@ -109,21 +106,45 @@ class Weight:
     "inv_2k1", "inv_2k1_sq" divide by (2k-1)^e; "linear" multiplies by
     c0 + c1*k.  Weights that evaluate to 0 zero out the term; inverse
     weights at p-divisible arguments lower the term valuation instead.
+    Immutable, equal and hashed by (tag, c0, c1).
+
+    ``shape`` is (a0, a1, exp, inverted, clear) with w(k) = (a0 + a1*k)^(+-exp)
+    / clear: clear is 1 except for a linear weight, whose c0 + c1*k it
+    clears of denominators.
     """
 
-    tag: str
-    c0: Fraction = Fraction(0)
-    c1: Fraction = Fraction(0)
+    __slots__ = ("tag", "c0", "c1", "shape")
 
-    @cached_property
-    def shape(self) -> tuple[int, int, int, bool, int]:
-        """(a0, a1, exp, inverted, clear) with w(k) = (a0 + a1*k)^(+-exp) / clear:
-        clear is 1 except for a linear weight, whose c0 + c1*k it clears of
-        denominators."""
-        if self.tag == "linear":
-            clear = math.lcm(self.c0.denominator, self.c1.denominator)
-            return int(self.c0 * clear), int(self.c1 * clear), 1, False, clear
-        return (*_WEIGHTS[self.tag][0], 1)
+    def __init__(self, tag: str, c0: Fraction = Fraction(0), c1: Fraction = Fraction(0)) -> None:
+        if tag == "linear":
+            clear = math.lcm(c0.denominator, c1.denominator)
+            shape = (int(c0 * clear), int(c1 * clear), 1, False, clear)
+        else:
+            shape = (*_WEIGHTS[tag][0], 1)
+        object.__setattr__(self, "tag", tag)
+        object.__setattr__(self, "c0", c0)
+        object.__setattr__(self, "c1", c1)
+        object.__setattr__(self, "shape", shape)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not Weight:
+            return NotImplemented
+        return self.tag == other.tag and self.c0 == other.c0 and self.c1 == other.c1
+
+    def __hash__(self) -> int:
+        return hash((self.tag, self.c0, self.c1))
+
+    def __reduce__(self) -> tuple:
+        return Weight, (self.tag, self.c0, self.c1)
+
+    def __repr__(self) -> str:
+        return f"Weight(tag={self.tag!r}, c0={self.c0!r}, c1={self.c1!r})"
 
     @property
     def text(self) -> str:
@@ -150,8 +171,7 @@ def linear_weight(c0: Fraction | int, c1: Fraction | int) -> Weight:
     return Weight("linear", Fraction(c0), Fraction(c1))
 
 
-@dataclass(frozen=True)
-class SumSpec:
+class SumSpec(NamedTuple):
     """A truncated sum sum_k w(k) * prod(binomials at k) / m^k."""
 
     product: tuple[str, ...]

@@ -3,6 +3,8 @@
 import ast
 import importlib
 import importlib.util
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -60,6 +62,39 @@ def test_src_defines_only_what_src_uses():
             elif isinstance(node, ast.ImportFrom):
                 read.update(alias.name for alias in node.names)
     assert [f"{mod}.{name}" for mod, name in defined if name not in read] == []
+
+
+def test_import_leaves_hashlib_and_json_unloaded():
+    """``import supercong`` builds the registry, the set-up every process pays;
+    hashlib (libcrypto) and json load only in the sampling and JSON-output
+    functions that use them."""
+    src = str(PACKAGE.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    code = "import sys, supercong; print(sorted({'hashlib', 'json'} & set(sys.modules)))"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
+def test_only_the_traced_statement_types_are_dataclasses():
+    """Each class is defined at import, and a dataclass costs about a
+    millisecond to define where a NamedTuple or slotted class costs
+    microseconds.  The two statement types stay dataclasses because
+    bench/tracing.py rebuilds each statement with dataclasses.replace."""
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if not isinstance(node, ast.ClassDef):
+                continue
+            for dec in node.decorator_list:
+                dec = dec.func if isinstance(dec, ast.Call) else dec
+                if getattr(dec, "attr", getattr(dec, "id", None)) == "dataclass":
+                    found.append(f"{path.stem}.{node.name}")
+    assert found == ["registry.Fixed", "registry.Parametric"], (
+        "only registry.Fixed and registry.Parametric may be dataclasses, for the "
+        "dataclasses.replace in bench/tracing.py; make the others NamedTuples or "
+        "slotted classes"
+    )
 
 
 def test_every_traced_name_resolves():

@@ -45,8 +45,12 @@ def test_strip_p():
 def test_residue_normalizes_and_computes():
     r = Residue(5, 2, -3)
     assert r.value == 22 and r.modulus == 25
-    assert Residue(5, 2, 22 + 25 * 7) == r
+    same = Residue(5, 2, 22 + 25 * 7)
+    assert same == r and hash(same) == hash(r)
+    assert len({r, same, Residue(5, 3, 22), Residue(7, 2, 22), Residue(5, 2, 23)}) == 4
     assert repr(r) == "22 mod 5^2"
+    with pytest.raises(AttributeError):
+        r.value = 3
 
 
 def test_residue_from_rational_rejects_p_denominator():

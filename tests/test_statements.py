@@ -2,7 +2,6 @@
 
 import io
 import json
-from dataclasses import replace
 from fractions import Fraction
 from itertools import permutations
 
@@ -13,6 +12,7 @@ from hypothesis import strategies as st
 from supercong import quadform, registry, sums
 from supercong.context import PrimeContext
 from supercong.errors import SupercongError, UnknownStatement
+from supercong.padic import Residue
 from supercong.binomials import B22
 from supercong.identities import PRODUCT_FORMS
 from supercong.registry import (
@@ -141,6 +141,8 @@ class TestEvaluateStatement:
     def test_golden_holds(self):
         v = evaluate_statement("T2.3a", 11)
         assert (v.outcome, v.lhs, v.rhs, v.modulus) == (HOLDS, 99, 99, 121)
+        with pytest.raises(AttributeError):
+            v.outcome = FAILS
 
     def test_not_applicable_names_the_condition(self):
         v = evaluate_statement("T2.3a", 5)
@@ -213,6 +215,8 @@ class TestRunRange:
         )
         counts = r.counts()
         assert sum(counts.values()) == len(r.rows) == 2 * len(primes_in(5, 20))
+        with pytest.raises(AttributeError):
+            r.rows[0].outcome = FAILS
 
     def test_deterministic_across_job_counts(self):
         runs = [run_range(5, 60, ids=["P-*"], jobs=j) for j in (1, 4, 16)]
@@ -377,7 +381,7 @@ def test_parametric_check_depends_on_every_sum(sid, monkeypatch):
         def wrapped(*args, **kwargs):
             r = sums.evaluate_jacobi_sum(*args, **kwargs)
             calls.append((args[0], kwargs))
-            return replace(r, value=r.value + 1) if len(calls) - 1 == off else r
+            return Residue(r.p, r.t, r.value + 1) if len(calls) - 1 == off else r
 
         return wrapped
 

@@ -263,7 +263,16 @@ def test_linear_weight_matches_literal():
     p, t = 11, 2
     ctx = PrimeContext(p, 6)
     w = linear_weight(Fraction(3, 4), Fraction(-5, 2))
-    spec = SumSpec(("B22", "B22"), Fraction(16), w, HALF)
+    product = ("B22", "B22")
+    spec = SumSpec(product, Fraction(16), w, HALF)
+    assert w.shape == (3, -10, 1, False, 4)  # (3 - 10k) / 4
+    same = SumSpec(product, Fraction(16), linear_weight(Fraction(6, 8), Fraction(-5, 2)))
+    assert same == spec and hash(same) == hash(spec) and hash(same.weight) == hash(w)
+    distinct = {w, Weight("linear"), Weight("k"), linear_weight(Fraction(3, 4), Fraction(5, 2))}
+    assert len(distinct) == 4 and same.weight in distinct
+    assert len({spec, same, SumSpec(product, Fraction(16), w, FULL), SumSpec(product, Fraction(16))}) == 3
+    with pytest.raises(AttributeError):
+        w.tag = "k"
     total = Fraction(0)
     for k in range((p - 1) // 2 + 1):
         total += (Fraction(3, 4) - Fraction(5, 2) * k) * math.comb(2 * k, k) ** 2 / Fraction(16) ** k
