@@ -26,8 +26,6 @@ B31 = "B31"  # C(3k, k)
 B42 = "B42"  # C(4k, 2k)
 B63 = "B63"  # C(6k, 3k)
 
-KINDS = (B22, B31, B42, B63)
-
 #: kind -> (k -> (numerator factors, denominator factors)) of the exact
 #: ratio C(next)/C(current).  Derived from factorial quotients:
 #:   C(2k+2,k+1)/C(2k,k)   = 2(2k+1)/(k+1)

@@ -11,7 +11,7 @@ from fractions import Fraction
 from . import __version__, identities, quadform
 from .context import context_for
 from .errors import SupercongError, UnknownStatement
-from .registry import REGISTRY, STATUSES, Parametric, statement_modexp
+from .registry import REGISTRY, STATUSES, Parametric, mod_text, statement_modexp
 from .statements import run_range, select_ids
 
 
@@ -150,16 +150,14 @@ def cmd_identities(args: argparse.Namespace) -> int:
     return 1 if failed else 0
 
 
-def _modexp_text(stmt) -> str:
-    if callable(stmt.modexp):
-        return "p^*"
-    return f"p^{stmt.modexp}"
-
-
 def cmd_list(args: argparse.Namespace) -> int:
     for sid in select_ids(None, _statuses_for(args.status)):
         stmt = REGISTRY[sid]
-        line = f"{sid}\t{stmt.status}\t{_modexp_text(stmt)}\t{stmt.condition}"
+        # a parametric condition is its parameter hypothesis; the primes come first
+        condition = stmt.condition
+        if isinstance(stmt, Parametric):
+            condition = f"{stmt.applies}; {condition}"
+        line = f"{sid}\t{stmt.status}\t{mod_text(stmt.modexp)}\t{condition}"
         if stmt.note:
             line += f"\t[{stmt.note}]"
         print(line)
@@ -188,7 +186,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--status", choices=status_choices, default="default",
                           help="statement class filter (default: all but conjecture)")
     p_verify.add_argument("--format", choices=["text", "json", "csv"], default="text")
-    p_verify.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
+    p_verify.add_argument("--jobs", type=_int_at_least(1), default=os.cpu_count() or 1)
     p_verify.add_argument("--seed", type=int, default=0)
     p_verify.add_argument("--fail-fast", action="store_true")
     p_verify.add_argument("--strict-conjectures", action="store_true",

@@ -9,25 +9,28 @@ parameter tuples.
 Claims are data, so ``list --claims`` prints the values the engine
 checks.  A ``Cond`` is both the predicate on p and its text, and a
 ``ByClass`` modulus exponent and a ``SumSpec`` left-hand side print
-themselves too.  A fixed right-hand side is a ``Lin``, a linear form
-over a few atoms, or a ``Split`` of two forms by the class of p; each
-gives its exact value at a context and its claim text.  The atoms are
-x^2, y^2, p^2/x^2 and p^2/y^2 over a quadratic form of the prime
-(p = x^2 + 4y^2, x^2 + 2y^2, x^2 + 3y^2, x^2 + 7y^2, 4p = x^2 + 27y^2),
-p, R1 and R3, the signs (-1)^((p-1)/2) and (-1)^((p-1)/4), squares of
-distinguished binomials, (p|3) p, and the Euler and U tails p^3 E(p-3)
-and p^3 U(p-3).  The closed forms that are not linear in them are
-``Closed``: a function of ctx with its own text.
+themselves too.  A fixed right-hand side is a ``Lin``, a sum of
+rational multiples of atoms and of their products, or a ``Split`` of two
+such forms by the class of p; each gives its exact value at a context
+and its claim text.  The atoms are x, x^2, y^2, p/x, p^2/x^2 and p^2/y^2
+over a quadratic form of the prime (p = x^2 + 4y^2, x^2 + 2y^2,
+x^2 + 3y^2, x^2 + 7y^2, 4p = x^2 + 27y^2), p, R1 and R3, signs such as
+(-1)^((p-1)/2), (p|3), (6|p) and (x|3), distinguished binomials C(n, k)
+and their powers and quotients p^e / C(n, k)^e, q_2(p), 2^(p-1),
+2^(p-1) - 1 and 3^(p-1) - 1, and the Euler and U tails p^3 E(p-3) and
+p^3 U(p-3).  A product prints its factors side by side, and a single
+term times a form of several terms prints factored, as in
+(x|3) (2x - p/(2x)).
 
 Every statement runs on a context at its own modulus exponent t, so
-``ctx.P`` = p^t is its modulus.  A right-hand side's value is exact, a
+``ctx.P`` = p^t is its modulus.  A closed form's value is exact, a
 Fraction or an int, e.g. (3/5)p - (1/5)x^2.  Its leaves are exact
 integers or residues mod ``ctx.P`` (2^(p-1), binomials, Fermat
 quotients, Euler and U numbers), or R1/R3, which are known mod p^2 only
-and raise ModulusTooHigh above it.  ``_fixed`` and ``_fixed_custom``
-reduce it once, mod ``ctx.P``, with ``_fr``, which is also the one place
-that raises DenominatorNotUnit.  The unit invariant that keeps this
-exact: a closed form divides only by exact integers or by ``ctx.binom``
+and raise ModulusTooHigh above it.  ``_fixed`` reduces it once, mod
+``ctx.P``, with ``_fr``, which is also the one place that raises
+DenominatorNotUnit.  The unit invariant that keeps this exact: a closed
+form divides only by exact integers (such as x) or by ``ctx.binom``
 values, and ``ctx.binom`` raises DenominatorNotUnit when p divides the
 binomial, so no division by a residue can cancel a factor p unseen.
 """
@@ -68,7 +71,6 @@ from .sums import (
     evaluate_jacobi_sum,
     evaluate_sum,
     linear_weight,
-    prefactor_sign,
 )
 
 Fr = Fraction
@@ -198,16 +200,30 @@ Coef = Union[Fraction, int]
 
 class Atom:
     """A quantity right-hand sides are linear in: its claim text, its exact
-    value at ctx and the form its x and y are read over.  A coefficient
-    prints before the text, after a space when the text is word-like; a
-    coefficient 1/d prints as ``over`` with d filled in, when given."""
+    value at ctx, the form its x and y are read over and the text that
+    states that form.  A coefficient prints before the text, after a space
+    when the text is word-like; a coefficient 1/d prints as ``over`` with d
+    filled in, when given.  Atoms multiply: a product prints its factors
+    side by side."""
 
-    __slots__ = ("text", "value", "form", "word", "over")
+    __slots__ = ("text", "value", "form", "where", "word", "over")
 
     def __init__(
-        self, text: str, value: Value, form: str | None = None, word: bool = False, over: str = "",
+        self, text: str, value: Value, form: str | None = None, word: bool = False,
+        over: str = "", where: str = "",
     ):
         self.text, self.value, self.form, self.word, self.over = text, value, form, word, over
+        self.where = where or (_FORM_TEXT[form] if form else "")
+
+    def __mul__(self, other: Atom) -> Atom:
+        if not other.text:
+            return self
+        if not self.text:
+            return other
+        return Atom(
+            f"{self.text} {other.text}", lambda ctx: self.value(ctx) * other.value(ctx),
+            self.form or other.form, word=True, where=self.where or other.where,
+        )
 
     def term(self, n: int, d: int) -> str:
         """The text of n/d times this atom, for n > 0."""
@@ -222,8 +238,10 @@ class Atom:
 
 class Lin:
     """sum c_i atom_i, in the order the terms are written: value(ctx) is
-    its exact value and str() its claim text.  Lins add, subtract and
-    scale by rationals, and a rational alone is a constant term."""
+    its exact value and str() its claim text.  Lins add, subtract, scale by
+    rationals and multiply, and a rational alone is a constant term.  A
+    product distributes over the terms, except that a single term times a
+    form of several terms stays factored, c atom (form)."""
 
     __slots__ = ("terms",)
 
@@ -245,12 +263,23 @@ class Lin:
     def __rmul__(self, c: Coef) -> Lin:
         return Lin(tuple([(c if k == 1 else c * k, atom) for k, atom in self.terms]))
 
+    def __mul__(self, other: Lin) -> Lin:
+        if len(self.terms) == 1 and len(other.terms) > 1:
+            (c, atom), = self.terms
+            factor = Atom(f"({other.body()})", other.value, other.form, where=other.where)
+            return Lin(((c, atom * factor),))
+        return Lin(tuple([(c * k, a * b) for c, a in self.terms for k, b in other.terms]))
+
     def __neg__(self) -> Lin:
         return Lin(tuple([(-k, atom) for k, atom in self.terms]))
 
     @property
     def form(self) -> str | None:
         return next((atom.form for _, atom in self.terms if atom.form), None)
+
+    @property
+    def where(self) -> str:
+        return next((atom.where for _, atom in self.terms if atom.where), "")
 
     def value(self, ctx: PrimeContext) -> Coef:
         return sum(c * atom.value(ctx) for c, atom in self.terms)
@@ -268,8 +297,8 @@ class Lin:
         return text or "0"
 
     def __str__(self) -> str:
-        form = self.form
-        return self.body() + (f" with {_FORM_TEXT[form]}" if form else "")
+        where = self.where
+        return self.body() + (f" with {where}" if where else "")
 
 
 def _lin(x: Lin | Coef) -> Lin:
@@ -277,16 +306,14 @@ def _lin(x: Lin | Coef) -> Lin:
 
 
 class Split:
-    """main on the primes its form represents, other on the rest."""
+    """main on the primes a form represents, other on the rest.  The form
+    is main's, or given when main reads no x or y: for p > 3, p == 1 (mod 3)
+    is F3 and p == 1 (mod 4) is F4."""
 
-    __slots__ = ("main", "other")
+    __slots__ = ("main", "other", "form")
 
-    def __init__(self, main: Lin, other: Lin):
-        self.main, self.other = main, other
-
-    @property
-    def form(self) -> str:
-        return self.main.form
+    def __init__(self, main: Lin, other: Lin, form: str | None = None):
+        self.main, self.other, self.form = main, other, form or main.form
 
     def value(self, ctx: PrimeContext) -> Coef:
         part = self.main if quadform.applicable(ctx.p, self.form) else self.other
@@ -296,25 +323,13 @@ class Split:
         return f"{self.main.body()} if {_FORM_TEXT[self.form]} else {self.other.body()}"
 
 
-class Closed:
-    """A closed form that is not linear in the atoms, with its claim text."""
-
-    __slots__ = ("value", "text")
-
-    def __init__(self, value: Value, text: str):
-        self.value, self.text = value, text
-
-    def __str__(self) -> str:
-        return self.text
-
-
-def _leg3(p: int) -> int:
-    """Legendre symbol (p|3) for p not divisible by 3."""
-    return 1 if p % 3 == 1 else -1
-
-
 def _atom(text: str, value: Value, **kw) -> Lin:
     return Lin(((1, Atom(text, value, **kw)),))
+
+
+def _sign(exponent: str, e: Callable[[int], int]) -> Lin:
+    """(-1)^exponent, with the exponent's value e(p)."""
+    return _atom(f"(-1)^{exponent}", lambda ctx: -1 if e(ctx.p) % 2 else 1, word=True)
 
 
 _ONE = Atom("", lambda ctx: 1)
@@ -322,15 +337,20 @@ ZERO = Lin()
 P = _atom("p", lambda ctx: ctx.p, over="p/{}")
 R1 = _atom("R1(p)", lambda ctx: ctx.r1(), word=True)
 R3 = _atom("R3(p)", lambda ctx: ctx.r3(), word=True)
-SIGN2 = _atom("(-1)^((p-1)/2)", lambda ctx: prefactor_sign(SIGN_HALF, ctx.p), word=True)
-SIGN4 = _atom("(-1)^((p-1)/4)", lambda ctx: prefactor_sign(SIGN_QUARTER, ctx.p), word=True)
-SIGN2_P = _atom(
-    "(-1)^((p-1)/2) p", lambda ctx: prefactor_sign(SIGN_HALF, ctx.p) * ctx.p, word=True
-)
-SIGN4_P = _atom(
-    "(-1)^((p-1)/4) p", lambda ctx: prefactor_sign(SIGN_QUARTER, ctx.p) * ctx.p, word=True
-)
-LEG3_P = _atom("(p|3) p", lambda ctx: _leg3(ctx.p) * ctx.p, word=True)
+SIGN2 = _sign("((p-1)/2)", lambda p: (p - 1) // 2)
+SIGN4 = _sign("((p-1)/4)", lambda p: (p - 1) // 4)
+# p = 3 (mod 4)
+SIGN4_PLUS = _sign("((p+1)/4)", lambda p: (p + 1) // 4)
+SIGN4_MINUS = _sign("((p-3)/4)", lambda p: (p - 3) // 4)
+SIGN_FLOOR4 = _sign("floor(p/4)", lambda p: p // 4)
+LEG3 = _atom("(p|3)", lambda ctx: 1 if ctx.p % 3 == 1 else -1, word=True)
+LEG6 = _atom("(6|p)", lambda ctx: ctx.legendre(6), word=True)
+# (x|3) with p = x^2 + 3y^2, where 3 does not divide x
+X_LEG3 = _atom("(x|3)", lambda ctx: 1 if ctx.xy(F3)[0] % 3 == 1 else -1, form=F3, word=True)
+Q2 = _atom("q_2(p)", lambda ctx: ctx.fermat_quotient(2), word=True)
+POW2 = _atom("2^(p-1)", lambda ctx: pow(2, ctx.p - 1, ctx.P), word=True)
+POW2_1 = _atom("(2^(p-1)-1)", lambda ctx: pow(2, ctx.p - 1, ctx.P) - 1, word=True)
+POW3_1 = _atom("(3^(p-1)-1)", lambda ctx: pow(3, ctx.p - 1, ctx.P) - 1, word=True)
 P3_U = _atom("p^3 U(p-3)", lambda ctx: ctx.p**3 * ctx.u_number(ctx.p - 3), word=True)
 P3_E = _atom("p^3 E(p-3)", lambda ctx: ctx.p**3 * ctx.euler_number(ctx.p - 3), word=True)
 # (2p+1) C(floor(2p/3), floor(p/3))^2, a p-unit binomial for p = 2 (mod 3)
@@ -360,25 +380,57 @@ def p2_y2(form: str) -> Lin:
     )
 
 
-def binom_sq(n: str, k: str, nk: Callable[[int], tuple[int, int]]) -> Lin:
-    """C(n, k)^2 with (n, k) = nk(p), printed as n and k."""
-    return _atom(f"C({n}, {k})^2", lambda ctx: ctx.binom(*nk(ctx.p)) ** 2, word=True)
+def _x(ctx: PrimeContext, form: str) -> int:
+    return ctx.x_one_mod_4() if form == F4 else ctx.xy(form)[0]
 
 
-def p2_over_binom_sq(n: str, k: str, nk: Callable[[int], tuple[int, int]]) -> Lin:
-    """p^2 / C(n, k)^2 with (n, k) = nk(p), printed as n and k."""
+def _x_where(form: str) -> str:
+    return _FORM_TEXT[form] + (", x == 1 (mod 4)" if form == F4 else "")
+
+
+def x1(form: str) -> Lin:
+    """x, which over F4 is signed so that x == 1 (mod 4), as its text says."""
+    return _atom("x", lambda ctx: _x(ctx, form), form=form, where=_x_where(form), over="x/{}")
+
+
+def p_x1(form: str) -> Lin:
+    """p/x, with x as in x1."""
     return _atom(
-        f"p^2 / C({n}, {k})^2", lambda ctx: Fr(ctx.p, ctx.binom(*nk(ctx.p))) ** 2, word=True
+        "p/x", lambda ctx: Fr(ctx.p, _x(ctx, form)), form=form, where=_x_where(form),
+        over="p/({}x)",
     )
 
 
+def binom(n: str, k: str, nk: Callable[[int], tuple[int, int]], e: int = 1) -> Lin:
+    """C(n, k)^e with (n, k) = nk(p), printed as n and k."""
+    power = f"^{e}" if e > 1 else ""
+    return _atom(f"C({n}, {k}){power}", lambda ctx: ctx.binom(*nk(ctx.p)) ** e, word=True)
 
-# C(floor(3p/7), floor(p/7)), a p-unit for p = 3, 5, 6 (mod 7)
+
+def p_over_binom(n: str, k: str, nk: Callable[[int], tuple[int, int]], e: int = 1) -> Lin:
+    """p^e / C(n, k)^e with (n, k) = nk(p), printed as n and k."""
+    power = f"^{e}" if e > 1 else ""
+    return _atom(
+        f"p{power} / C({n}, {k}){power}", lambda ctx: Fr(ctx.p, ctx.binom(*nk(ctx.p))) ** e,
+        word=True,
+    )
+
+
+# The p-unit binomials of the closed forms, each at the primes it is read at:
+# C(floor(3p/7), floor(p/7)) for p = 3, 5, 6 (mod 7)
 _C7 = ("floor(3p/7)", "floor(p/7)", lambda p: (3 * p // 7, p // 7))
-C7_SQ = binom_sq(*_C7)
-P2_OVER_C7_SQ = p2_over_binom_sq(*_C7)
+# C((2p-2)/3, (p-1)/3) for p = 1 (mod 3), C((2p+2)/3, (p+1)/3) for p = 2 (mod 3)
+_C31 = ("(2p-2)/3", "(p-1)/3", lambda p: ((2 * p - 2) // 3, (p - 1) // 3))
+_C32 = ("(2p+2)/3", "(p+1)/3", lambda p: ((2 * p + 2) // 3, (p + 1) // 3))
+# C((p+1)/2, (p+1)/6) for p = 5 (mod 6)
+_C6 = ("(p+1)/2", "(p+1)/6", lambda p: ((p + 1) // 2, (p + 1) // 6))
+# C((p-1)/2, (p-1)/4) for p = 1 (mod 4), C((p-1)/2, (p-3)/4) for p = 3 (mod 4)
+_C41 = ("(p-1)/2", "(p-1)/4", lambda p: ((p - 1) // 2, (p - 1) // 4))
+_C43 = ("(p-1)/2", "(p-3)/4", lambda p: ((p - 1) // 2, (p - 3) // 4))
+C7_SQ = binom(*_C7, e=2)
+P2_OVER_C7_SQ = p_over_binom(*_C7, e=2)
 
-Rhs = Union[Lin, Split, Closed]
+Rhs = Union[Lin, Split]
 
 
 # -- registration helpers ------------------------------------------------------
@@ -401,7 +453,8 @@ def _sum_lhs(spec: SumSpec) -> Side:
     return lhs
 
 
-def _mod_text(modexp: ModExp) -> str:
+def mod_text(modexp: ModExp) -> str:
+    """The text of a modulus: p, p^t, or a ByClass's two powers."""
     return str(modexp) if isinstance(modexp, ByClass) else "p" if modexp == 1 else f"p^{modexp}"
 
 
@@ -412,21 +465,19 @@ def _add(stmt: Statement) -> None:
 
 
 def _fixed(
-    sid: str, status: str, cond: Cond, modexp: ModExp, spec: SumSpec, rhs: Rhs, *, note: str = "",
+    sid: str, status: str, cond: Cond, modexp: ModExp, lhs: SumSpec | Lin, rhs: Rhs, *,
+    note: str = "",
 ) -> None:
-    """Register spec's sum == rhs where cond holds; the claim is printed from
-    spec and rhs, and rhs's exact value is reduced once, mod P."""
-    claim = f"{spec} == {rhs} (mod {_mod_text(modexp)})"
-    lhs = _sum_lhs(spec)
-    _add(Fixed(sid, status, claim, str(cond), cond, modexp, lhs, _reduced(rhs.value), note))
-    SUM_SPECS[sid] = spec
-
-
-def _fixed_custom(
-    sid: str, status: str, cond: Cond, modexp: ModExp, lhs: Value, rhs: Value, claim: str,
-) -> None:
-    """Register lhs == rhs for two closed forms, each reduced once, mod P."""
-    _add(Fixed(sid, status, claim, str(cond), cond, modexp, _reduced(lhs), _reduced(rhs)))
+    """Register lhs == rhs where cond holds: lhs is a sum, or a closed form
+    like rhs.  The claim is printed from both sides, and a closed form's
+    exact value is reduced once, mod P."""
+    claim = f"{lhs} == {rhs} (mod {mod_text(modexp)})"
+    if isinstance(lhs, SumSpec):
+        SUM_SPECS[sid] = lhs
+        side = _sum_lhs(lhs)
+    else:
+        side = _reduced(lhs.value)
+    _add(Fixed(sid, status, claim, str(cond), cond, modexp, side, _reduced(rhs.value), note))
 
 
 def _param(
@@ -460,17 +511,10 @@ _fixed(
 )
 
 
-def _rhs_rv3(ctx: PrimeContext) -> int:
-    if ctx.p % 4 != 1:
-        return 0
-    x, _ = ctx.xy(F4)
-    return _leg3(ctx.p) * (4 * x * x - 2 * ctx.p)
-
-
 _fixed(
     "S-RV3", "cited", Cond(above=3), 2,
     SumSpec(CB31B63, Fr(1728), W_ONE, FULL),
-    Closed(_rhs_rv3, "(p|3) * (4x^2 - 2p) if p = x^2 + 4y^2 else 0"),
+    Split(LEG3 * (4 * x2(F4) - 2 * P), ZERO),
 )
 
 # Conjectured full-range and (k+1)-weighted cube sums tied to x^2 + 7y^2
@@ -521,164 +565,63 @@ _fixed(
 # ==============================================================================
 
 
-def _rhs_l23a(ctx: PrimeContext) -> Fraction:
-    xt = ctx.x_one_mod_4()
-    return prefactor_sign(SIGN_QUARTER, ctx.p) * (Fr(-xt, 2) + Fr(ctx.p, 4 * xt))
-
-
 _fixed(
     "S-L2.3a", "lemma", Cond(4, (1,)), 2,
     SumSpec(C2, Fr(-16), W_K, HALF),
-    Closed(_rhs_l23a, "(-1)^((p-1)/4) * (-x/2 + p/(4x)) with p = x^2 + 4y^2, x == 1 (mod 4)"),
+    SIGN4 * (-Fr(1, 2) * x1(F4) + Fr(1, 4) * p_x1(F4)),
 )
-
-
-def _rhs_l23b(ctx: PrimeContext) -> Fraction:
-    p = ctx.p
-    b = ctx.binom((p - 1) // 2, (p - 3) // 4)
-    q2 = ctx.fermat_quotient(2)
-    sign = -1 if (p + 1) // 4 % 2 else 1
-    return Fr(sign, 4) * (b + (b + Fr(1, b) - Fr(q2 * b, 2)) * p)
-
-
 _fixed(
     "S-L2.3b", "lemma", Cond(4, (3,)), 2,
     SumSpec(C2, Fr(-16), W_K, HALF),
-    Closed(
-        _rhs_l23b,
-        "(-1)^((p+1)/4)/4 * (B + (B + 1/B - q_2(p) B / 2) p), B = C((p-1)/2, (p-3)/4)",
-    ),
+    Fr(1, 4) * SIGN4_PLUS * (binom(*_C43) * (1 + P - Fr(1, 2) * Q2 * P) + p_over_binom(*_C43)),
 )
-
-
-def _c1(ctx: PrimeContext) -> int:
-    return ctx.binom((2 * ctx.p - 2) // 3, (ctx.p - 1) // 3)
-
-
-def _c2(ctx: PrimeContext) -> int:
-    return ctx.binom((2 * ctx.p + 2) // 3, (ctx.p + 1) // 3)
-
-
-def _rhs_l24a(ctx: PrimeContext) -> Fraction | int:
-    if ctx.p % 3 == 1:
-        return _c1(ctx)
-    return Fr(ctx.p, _c2(ctx))
-
-
-def _rhs_l24b(ctx: PrimeContext) -> Fraction:
-    p = ctx.p
-    if p % 3 == 1:
-        c = _c1(ctx)
-        return Fr(p, c) - c
-    c = _c2(ctx)
-    return -(p + 1) * c - Fr(p, c)
-
-
 _fixed(
     "S-L2.4a", "lemma", Cond(above=3), 2,
     SumSpec(CB31, Fr(24), W_ONE, FULL),
-    Closed(_rhs_l24a, "C((2p-2)/3, (p-1)/3) if p == 1 (mod 3) else p / C((2p+2)/3, (p+1)/3)"),
+    Split(binom(*_C31), p_over_binom(*_C32), form=F3),
 )
 _fixed(
     "S-L2.4b", "lemma", Cond(above=3), 2,
     SumSpec(CB31, Fr(24), W_K, FULL),
-    Closed(
-        _rhs_l24b,
-        "p/C1 - C1 (C1 = C((2p-2)/3,(p-1)/3)) if p == 1 (mod 3) "
-        "else -(p+1) C2 - p/C2 (C2 = C((2p+2)/3,(p+1)/3))",
+    Split(
+        p_over_binom(*_C31) - binom(*_C31),
+        -binom(*_C32) * (1 + P) - p_over_binom(*_C32),
+        form=F3,
     ),
 )
-
-
-def _c3b(ctx: PrimeContext) -> int:
-    return ctx.binom((ctx.p + 1) // 2, (ctx.p + 1) // 6)
-
-
-def _rhs_l25a(ctx: PrimeContext) -> Fraction:
-    p = ctx.p
-    if p % 3 == 1:
-        x, _ = ctx.xy(F3)
-        sx = 1 if x % 3 == 1 else -1
-        return sx * (2 * x - Fr(p, 2 * x))
-    return Fr(3 * p, 2 * _c3b(ctx))
-
-
-def _rhs_l25b(ctx: PrimeContext) -> Fraction:
-    p = ctx.p
-    if p % 3 == 1:
-        x, _ = ctx.xy(F3)
-        sx = 1 if x % 3 == 1 else -1
-        return sx * (-x + Fr(p, 2 * x))
-    c = _c3b(ctx)
-    e2, e3 = pow(2, p - 1, ctx.P) - 1, pow(3, p - 1, ctx.P) - 1
-    return (Fr(-1 - p, 3) - Fr(2 * e2, 9) + Fr(e3, 4)) * c - Fr(3 * p, 4 * c)
-
-
 _fixed(
     "S-L2.5a", "lemma", Cond(above=3), 2,
     SumSpec(CB42, Fr(48), W_ONE, FULL),
-    Closed(
-        _rhs_l25a,
-        "(x|3)(2x - p/(2x)) with p = x^2 + 3y^2 if p == 1 (mod 3) "
-        "else 3p / (2 C((p+1)/2, (p+1)/6))",
-    ),
+    Split(X_LEG3 * (2 * x1(F3) - Fr(1, 2) * p_x1(F3)), Fr(3, 2) * p_over_binom(*_C6)),
 )
 _fixed(
     "S-L2.5b", "lemma", Cond(above=3), 2,
     SumSpec(CB42, Fr(48), W_K, FULL),
-    Closed(
-        _rhs_l25b,
-        "(x|3)(-x + p/(2x)) if p == 1 (mod 3) else "
-        "(-1/3 - p/3 - (2/9)(2^(p-1)-1) + (1/4)(3^(p-1)-1)) C3 - 3p/(4 C3), "
-        "C3 = C((p+1)/2, (p+1)/6)",
+    Split(
+        X_LEG3 * (-x1(F3) + Fr(1, 2) * p_x1(F3)),
+        binom(*_C6) * (Fr(-1, 3) - Fr(1, 3) * P - Fr(2, 9) * POW2_1 + Fr(1, 4) * POW3_1)
+        - Fr(3, 4) * p_over_binom(*_C6),
     ),
 )
-
-
-def _c4(ctx: PrimeContext) -> int:
-    return ctx.binom((ctx.p - 1) // 2, (ctx.p - 1) // 4)
-
-
-def _c5(ctx: PrimeContext) -> int:
-    return ctx.binom((ctx.p - 1) // 2, (ctx.p - 3) // 4)
-
-
-def _rhs_l26a(ctx: PrimeContext) -> Fraction:
-    p = ctx.p
-    eps = ctx.legendre(6)
-    if p % 4 == 1:
-        e2 = pow(2, p - 1, ctx.P) - 1
-        return eps * _c4(ctx) * (1 - Fr(e2, 2))
-    return eps * Fr(p, 3 * _c5(ctx))
-
-
-def _rhs_l26b(ctx: PrimeContext) -> Fraction:
-    p = ctx.p
-    eps = ctx.legendre(6)
-    e2 = pow(2, p - 1, ctx.P) - 1
-    if p % 4 == 1:
-        c = _c4(ctx)
-        return eps * (-Fr(p, 2 * c) + c * (1 - Fr(e2, 2)) / 2)
-    c = _c5(ctx)
-    return eps * (Fr(p, 6 * c) + (Fr(3 * (1 + p), 2) - Fr(3 * e2, 4)) * c)
-
-
 _fixed(
     "S-L2.6a", "lemma", Cond(above=3), 2,
     SumSpec(CB42, Fr(72), W_ONE, FULL),
-    Closed(
-        _rhs_l26a,
-        "(6|p) C((p-1)/2,(p-1)/4) (1 - (2^(p-1)-1)/2) if p == 1 (mod 4) "
-        "else (6|p) p / (3 C((p-1)/2,(p-3)/4))",
+    Split(
+        LEG6 * binom(*_C41) * (1 - Fr(1, 2) * POW2_1),
+        Fr(1, 3) * LEG6 * p_over_binom(*_C43),
+        form=F4,
     ),
 )
 _fixed(
     "S-L2.6b", "lemma", Cond(above=3), 2,
     SumSpec(CB42, Fr(72), W_K, FULL),
-    Closed(
-        _rhs_l26b,
-        "(6|p)(-p/(2 C4) + C4 (1 - (2^(p-1)-1)/2)/2) if p == 1 (mod 4) else "
-        "(6|p)(p/(6 C5) + (3/2 + 3p/2 - 3(2^(p-1)-1)/4) C5)",
+    Split(
+        LEG6 * (-Fr(1, 2) * p_over_binom(*_C41) + binom(*_C41) * (Fr(1, 2) - Fr(1, 4) * POW2_1)),
+        LEG6 * (
+            Fr(1, 6) * p_over_binom(*_C43)
+            + binom(*_C43) * (Fr(3, 2) + Fr(3, 2) * P - Fr(3, 4) * POW2_1)
+        ),
+        form=F4,
     ),
 )
 
@@ -823,44 +766,20 @@ _fixed(
 )
 
 
-def _rhs_s216(ctx: PrimeContext) -> Fraction:
-    xt = ctx.x_one_mod_4()
-    return prefactor_sign(SIGN_QUARTER, ctx.p) * (2 * xt - Fr(ctx.p, 2 * xt))
-
-
 _fixed(
     "S-2.16", "cited", Cond(4, (1,)), 2,
     SumSpec(C2, Fr(-16), W_ONE, FULL),
-    Closed(_rhs_s216, "(-1)^((p-1)/4)(2x - p/(2x)) with p = x^2 + 4y^2, x == 1 (mod 4)"),
+    SIGN4 * (2 * x1(F4) - Fr(1, 2) * p_x1(F4)),
 )
-
-
-def _rhs_s217(ctx: PrimeContext) -> Fraction:
-    sign = -1 if (ctx.p - 3) // 4 % 2 else 1
-    return sign * Fr(ctx.p, _c5(ctx))
-
-
 _fixed(
     "S-2.17", "cited", Cond(4, (3,)), 2,
     SumSpec(C2, Fr(-16), W_ONE, FULL),
-    Closed(_rhs_s217, "(-1)^((p-3)/4) p / C((p-1)/2, (p-3)/4)"),
+    SIGN4_MINUS * p_over_binom(*_C43),
 )
-
-
-def _lhs_s218(ctx: PrimeContext) -> int:
-    return _c4(ctx) ** 2
-
-
-def _rhs_s218(ctx: PrimeContext) -> int:
-    x, _ = ctx.xy(F4)
-    return pow(2, ctx.p - 1, ctx.P) * (4 * x * x - 2 * ctx.p)
-
-
-_fixed_custom(
+_fixed(
     "S-2.18", "cited", Cond(4, (1,)), 2,
-    _lhs_s218,
-    _rhs_s218,
-    "C((p-1)/2, (p-1)/4)^2 == 2^(p-1) (4x^2 - 2p) (mod p^2) with p = x^2 + 4y^2",
+    binom(*_C41, e=2),
+    POW2 * (4 * x2(F4) - 2 * P),
 )
 _fixed(
     "S-Su1", "cited", Cond(excluded=(2, 7)), 3,
@@ -870,27 +789,27 @@ _fixed(
 _fixed(
     "S-OZ", "cited", Cond(), 2,
     SumSpec(C3, Fr(4096), linear_weight(5, 42), HALF),
-    5 * SIGN2_P,
+    5 * SIGN2 * P,
 )
 _fixed(
     "S-L1", "cited", Cond(3, (1,)), 4,
     SumSpec(C3, Fr(256), linear_weight(1, 6), HALF),
-    SIGN2_P,
+    SIGN2 * P,
 )
 _fixed(
     "S-M2", "cited", Cond(8, (1, 3)), 3,
     SumSpec(C3, Fr(-64), linear_weight(1, 4), HALF),
-    SIGN2_P,
+    SIGN2 * P,
 )
 _fixed(
     "S-L2", "cited", Cond(4, (1,)), 2,
     SumSpec(C3, Fr(-512), linear_weight(1, 6), HALF),
-    SIGN4_P,
+    SIGN4 * P,
 )
 _fixed(
     "S-GZ", "cited", Cond(above=3), 3,
     SumSpec(C3, Fr(-8), linear_weight(1, 3), HALF),
-    SIGN2_P,
+    SIGN2 * P,
 )
 _fixed(
     "S-2.19", "cited", Cond(above=3), 2,
@@ -919,22 +838,10 @@ _fixed(
 )
 
 
-def _rhs_cj222(ctx: PrimeContext) -> int:
-    sign = -1 if ctx.p // 4 % 2 else 1
-    if ctx.p % 4 == 1:
-        _, y = ctx.xy(F4)
-        return sign * (-32 * y * y + 2 * ctx.p)
-    return sign * (-4 * ctx.r1() - 2 * ctx.p)
-
-
 _fixed(
     "CJ-R2.2-2", "conjecture", Cond(above=3), ByClass(F4, 3, 2),
     SumSpec(C3, Fr(-512), W_INV_K1, HALF),
-    Closed(
-        _rhs_cj222,
-        "(-1)^floor(p/4) (-32y^2 + 2p) if p = x^2 + 4y^2 "
-        "else (-1)^floor(p/4) (-4 R1(p) - 2p)",
-    ),
+    Split(SIGN_FLOOR4 * (-32 * y2(F4) + 2 * P), SIGN_FLOOR4 * (-4 * R1 - 2 * P)),
 )
 _fixed(
     "CJ-R2.2-3", "conjecture", Cond(above=3), ByClass(F3, 3, 2),
@@ -961,7 +868,7 @@ _fixed(
     SumSpec(C2B31, Fr(-192), W_ONE, FULL),
     Split(
         x2(F27) - 2 * P - p2_x2(F27),
-        Fr(3, 4) * p2_over_binom_sq("floor(2p/3)", "floor(p/3)", lambda p: (2 * p // 3, p // 3)),
+        Fr(3, 4) * p_over_binom("floor(2p/3)", "floor(p/3)", lambda p: (2 * p // 3, p // 3), 2),
     ),
 )
 _fixed(
@@ -969,7 +876,7 @@ _fixed(
     SumSpec(C2B42, Fr(-144), W_ONE, FULL),
     Split(
         4 * x2(F3) - 2 * P - Fr(1, 4) * p2_x2(F3),
-        p2_over_binom_sq("(p-1)/2", "(p-5)/6", lambda p: ((p - 1) // 2, (p - 5) // 6)),
+        p_over_binom("(p-1)/2", "(p-5)/6", lambda p: ((p - 1) // 2, (p - 5) // 6), 2),
     ),
 )
 _fixed(
@@ -977,7 +884,7 @@ _fixed(
     SumSpec(C2B42, Fr(648), W_ONE, FULL),
     Split(
         4 * x2(F4) - 2 * P - Fr(1, 4) * p2_x2(F4),
-        -Fr(5, 36) * p2_over_binom_sq("(p-3)/2", "(p-3)/4", lambda p: ((p - 3) // 2, (p - 3) // 4)),
+        -Fr(5, 36) * p_over_binom("(p-3)/2", "(p-3)/4", lambda p: ((p - 3) // 2, (p - 3) // 4), 2),
     ),
 )
 _fixed(
@@ -1000,14 +907,14 @@ _fixed(
 _fixed(
     "CJ-2.22", "conjecture", Cond(above=3), 4,
     SumSpec(C2B42, Fr(-144), linear_weight(1, 5), FULL),
-    LEG3_P + Fr(5, 2) * P3_U,
+    LEG3 * P + Fr(5, 2) * P3_U,
 )
 
 
 _fixed(
     "CJ-2.23", "conjecture", Cond(above=3, excluded=(149,)), 4,
     SumSpec(C2B42, Fr(648), linear_weight(1, 7), FULL),
-    SIGN2_P - Fr(745, 447) * P3_E,
+    SIGN2 * P - Fr(745, 447) * P3_E,
     note="excluded prime: 149",
 )
 
@@ -1015,7 +922,7 @@ _fixed(
 _fixed(
     "CJ-2.24", "conjecture", Cond(above=3), 4,
     SumSpec(C2B31, Fr(-192), linear_weight(1, 5), FULL),
-    LEG3_P + Fr(5, 3) * P3_U,
+    LEG3 * P + Fr(5, 3) * P3_U,
 )
 
 # ==============================================================================

@@ -8,7 +8,7 @@ from oracles import EXACT, rational_binomial
 
 from supercong.binomials import (
     B22,
-    KINDS,
+    RATIOS,
     batch_invert,
     binomial_mod,
     exact_binomial,
@@ -29,7 +29,7 @@ def exact_vp(n: int, p: int) -> int:
 
 
 @pytest.mark.parametrize("p", (11, 101, 997))
-@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("kind", list(RATIOS))
 def test_stream_matches_exact_binomials(p, kind):
     """Every stream term equals the exact binomial, reduced mod p^2 and p^4."""
     vs, us = stream_arrays(kind, p, 4)
@@ -42,7 +42,7 @@ def test_stream_matches_exact_binomials(p, kind):
 
 
 @pytest.mark.parametrize("p", (11, 101))
-@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("kind", list(RATIOS))
 def test_stream_iterator_agrees_with_arrays(p, kind):
     """A context's stream at working exponent 3, with no headroom, gives
     every term exactly mod p^3."""
@@ -62,7 +62,7 @@ def test_central_binomial_divisible_in_upper_half(p):
 def test_consecutive_ratios_against_exact_for_k_up_to_200():
     """Stream recursions reproduce exact binomials for k <= 200 (prime 211)."""
     p = 211
-    for kind in KINDS:
+    for kind in RATIOS:
         vs, us = stream_arrays(kind, p, 4)
         m = p**4
         for k in range(201):

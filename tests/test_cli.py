@@ -106,6 +106,17 @@ def test_verify_rejects_unknown_status_choice(capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("value", ["0", "-4"])
+def test_verify_rejects_fewer_than_one_job(capsys, value):
+    """--jobs 0 and --jobs -4 are usage errors, not a quiet run on one job."""
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--primes", "5..20", "--ids", "T2.7", "--jobs", value])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert f"argument --jobs: must be >= 1, got {value}" in captured.err
+    assert captured.out == "" and "Traceback" not in captured.err
+
+
 def injected(sid: str, status: str) -> Fixed:
     return Fixed(
         sid, status, "0 == 1 (mod p^2)", "p > 3",

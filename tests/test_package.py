@@ -42,10 +42,10 @@ def test_every_public_name_resolves():
 
 
 def test_src_defines_only_what_src_uses():
-    """Every top-level function and class of the package's modules is read by
-    one of them: as a name, an attribute, or a from-import.  ``__init__`` only
-    re-exports, so it counts neither way; what only tests call lives in
-    ``tests/oracles.py``."""
+    """Every top-level function, class and assigned name of the package's
+    modules is read by one of them: as a name, an attribute, or a
+    from-import.  ``__init__`` only re-exports, so it counts neither way;
+    what only tests call lives in ``tests/oracles.py``."""
     defined, read = [], set()
     for path in sorted(PACKAGE.glob("*.py")):
         if path.name == "__init__.py":
@@ -54,6 +54,10 @@ def test_src_defines_only_what_src_uses():
         for node in tree.body:
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 defined.append((path.stem, node.name))
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                for target in targets:
+                    defined += [(path.stem, n.id) for n in ast.walk(target) if isinstance(n, ast.Name)]
         for node in ast.walk(tree):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 read.add(node.id)

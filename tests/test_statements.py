@@ -25,7 +25,7 @@ from supercong.registry import (
     Parametric,
     _fr,
     _sum_lhs,
-    p2_over_binom_sq,
+    p_over_binom,
     statement_modexp,
 )
 from supercong.report import LEGACY_GUARD, ReportRow, VerificationReport
@@ -322,7 +322,7 @@ class TestRunRange:
         )
         REGISTRY["X-BIN"] = Fixed(
             "X-BIN", "theorem", "0 == p^2 / C(p,1)^2 (mod p^2)", "p > 3",
-            lambda p: p > 3, 2, lambda ctx: 0, p2_over_binom_sq("p", "1", lambda p: (p, 1)).value,
+            lambda p: p > 3, 2, lambda ctx: 0, p_over_binom("p", "1", lambda p: (p, 1), 2).value,
         )
         try:
             r = run_range(5, 30, ids=["X-DEN", "X-FR", "X-R1", "X-BIN", "T2.7"])

@@ -23,7 +23,7 @@ from oracles import evaluate_jacobi_sum_exact
 
 import supercong
 from supercong import context
-from supercong.binomials import KINDS, stream_arrays
+from supercong.binomials import RATIOS, stream_arrays
 from supercong.context import JACOBI_CACHE, PrimeContext
 from supercong.errors import BaseNotUnit, DenominatorNotUnit, NegativeValuation, SupercongError
 from supercong.identities import PRODUCT_FORMS
@@ -464,10 +464,10 @@ def test_views_reduce_the_root_streams():
             view = root.at(t)
             assert view is root.at(t) and view.at(t) is view
             assert (view.p, view.workexp, view.P) == (p, t, p**t)
-            for kind in KINDS:
+            for kind in RATIOS:
                 assert view.stream(kind) == stream_arrays(kind, p, t), (kind, t)
     assert root.at(MAX_MODEXP) is root
-    assert sorted(built) == [(kind, MAX_MODEXP) for kind in sorted(KINDS)]
+    assert sorted(built) == [(kind, MAX_MODEXP) for kind in sorted(RATIOS)]
     for t in (0, MAX_MODEXP + 1):
         with pytest.raises(ValueError):
             root.at(t)
