@@ -40,6 +40,15 @@ def _int_at_least(low: int):
     return parse
 
 
+def _ids(text: str) -> list[str]:
+    """An argparse type: the ids and patterns of a comma-separated list,
+    else a usage error when it names none (``""`` or ``,``)."""
+    ids = [s for s in text.split(",") if s]
+    if not ids:
+        raise argparse.ArgumentTypeError(f"names no statement id: {text!r}")
+    return ids
+
+
 def _statuses_for(token: str) -> set[str] | None:
     if token == "all":
         return None
@@ -58,11 +67,10 @@ def _emit(text: str, out: str | None) -> None:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     p_lo, p_hi = _parse_primes(args.primes)
-    ids = [s for s in args.ids.split(",") if s] if args.ids else None
     report = run_range(
         p_lo,
         p_hi,
-        ids=ids,
+        ids=args.ids,
         statuses=_statuses_for(args.status),
         seed=args.seed,
         jobs=args.jobs,
@@ -182,7 +190,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="sweep statements over a prime range")
     p_verify.add_argument("--primes", required=True, metavar="A..B",
                           help="inclusive prime range, 3 < A <= B")
-    p_verify.add_argument("--ids", help="comma-separated ids or glob patterns")
+    p_verify.add_argument("--ids", type=_ids,
+                          help="comma-separated ids or glob patterns, at least one")
     p_verify.add_argument("--status", choices=status_choices, default="default",
                           help="statement class filter (default: all but conjecture)")
     p_verify.add_argument("--format", choices=["text", "json", "csv"], default="text")

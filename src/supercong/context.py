@@ -280,8 +280,9 @@ class PrimeContext:
         return r.x, r.y
 
     def x_one_mod_4(self) -> int:
-        """x with p = x^2 + 4y^2 and x = 1 (mod 4)."""
-        return quadform.normalize_x(self.rep(quadform.F4)).x
+        """x with p = x^2 + 4y^2 and x = 1 (mod 4), one of +-x since x is odd."""
+        x = self.rep(quadform.F4).x
+        return x if x % 4 == 1 else -x
 
     def legendre(self, a: int) -> int:
         return special.legendre(a, self.p)

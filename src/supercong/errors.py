@@ -21,16 +21,8 @@ class ModulusTooHigh(SupercongError):
     """A right-hand side is known only modulo a lower power of p than requested."""
 
 
-class NonResidue(SupercongError):
-    """Square root requested for a quadratic non-residue."""
-
-
 class NotRepresentable(SupercongError):
     """Prime is not represented by the requested quadratic form."""
-
-
-class WrongForm(SupercongError):
-    """Normalization convention applied to an incompatible form."""
 
 
 class NotCoprime(SupercongError):

@@ -7,9 +7,10 @@ statements check a family of congruences at deterministically sampled
 parameter tuples.
 
 Claims are data, so ``list --claims`` prints the values the engine
-checks.  A ``Cond`` is both the predicate on p and its text, and a
-``ByClass`` modulus exponent and a ``SumSpec`` left-hand side print
-themselves too.  A fixed right-hand side is a ``Lin``, a sum of
+checks.  A ``Cond`` is both the predicate on p and its text, a ``Hyp``
+both the predicate on a parametric statement's parameters and its
+text, and a ``ByClass`` modulus exponent and a ``SumSpec`` left-hand
+side print themselves too.  A fixed right-hand side is a ``Lin``, a sum of
 rational multiples of atoms and of their products, or a ``Split`` of two
 such forms by the class of p; each gives its exact value at a context
 and its claim text.  The atoms are x, x^2, y^2, p/x, p^2/x^2 and p^2/y^2
@@ -40,7 +41,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from typing import Callable, Union
+from typing import Callable, Iterable, Union
 
 from . import quadform
 from .binomials import B22, B31, B42, B63
@@ -112,20 +113,28 @@ class Fixed:
 class Parametric:
     """A congruence family checked at sampled parameter tuples.
 
-    ``check`` returns (lhs, rhs) pairs for one admissible tuple, or None
-    when the tuple fails a stated unit hypothesis and must be skipped.
+    ``admissible`` is the parameters' hypothesis, a ``Hyp``: it names the
+    parameters, admits a tuple and prints the condition.  ``check``
+    returns (lhs, rhs) pairs for one admissible tuple, or None when the
+    tuple fails the hypothesis's unit requirement and must be skipped.
     """
 
     sid: str
     status: str
     claim: str
-    condition: str
     applies: Applies
     modexp: ModExp
-    params: tuple[str, ...]
-    admissible: Callable[[int, tuple[int, ...]], bool]
+    admissible: Hyp
     check: Check
     note: str = ""
+
+    @property
+    def params(self) -> tuple[str, ...]:
+        return tuple(self.admissible.avoid)
+
+    @property
+    def condition(self) -> str:
+        return str(self.admissible)
 
 
 Statement = Union[Fixed, Parametric]
@@ -139,16 +148,7 @@ SUM_SPECS: dict[str, SumSpec] = {}
 
 # -- conditions and moduli -----------------------------------------------------
 
-_FORM_TEXT = {
-    F4: "p = x^2 + 4y^2",
-    F2: "p = x^2 + 2y^2",
-    F3: "p = x^2 + 3y^2",
-    F7: "p = x^2 + 7y^2",
-    F27: "4p = x^2 + 27y^2",
-}
-
-
-def _ints(ns: tuple[int, ...]) -> str:
+def _ints(ns: Iterable[int]) -> str:
     return ", ".join(map(str, ns))
 
 
@@ -178,6 +178,34 @@ class Cond:
         return " and ".join(parts) or "p odd"
 
 
+class Hyp:
+    """A parametric hypothesis: each parameter, in order, avoids the given
+    residues mod p, and ``unit`` names a sum the relation needs to be a
+    unit.  Called as (p, params), it is the predicate; str() is its text,
+    where a set closed under x -> -1-x prints through x(x+1)."""
+
+    __slots__ = ("unit", "avoid")
+
+    def __init__(self, unit: str = "", **avoid: tuple[int, ...]):
+        self.unit, self.avoid = unit, avoid
+
+    def __call__(self, p: int, ps: tuple[int, ...]) -> bool:
+        return all((x - c) % p for x, cs in zip(ps, self.avoid.values()) for c in cs)
+
+    def without(self, name: str) -> Hyp:
+        return Hyp(self.unit, **{x: cs for x, cs in self.avoid.items() if x != name})
+
+    def __str__(self) -> str:
+        parts = []
+        for x, cs in self.avoid.items():
+            if cs and all(-1 - c in cs for c in cs):
+                parts.append(f"{x}({x}+1) != {_ints(dict.fromkeys(c * (c + 1) for c in cs))}")
+            elif cs:
+                parts.append(f"{x} != {_ints(cs)}")
+        text = f"{' and '.join(parts)} (mod p)" if parts else "none"
+        return text + (f"; requires {self.unit} a unit" if self.unit else "")
+
+
 class ByClass:
     """Modulus exponent hi on the primes a form represents, lo elsewhere."""
 
@@ -190,7 +218,7 @@ class ByClass:
         return self.hi if quadform.applicable(p, self.form) else self.lo
 
     def __str__(self) -> str:
-        return f"p^{self.hi} if {_FORM_TEXT[self.form]} else p^{self.lo}"
+        return f"p^{self.hi} if {quadform.TEXT[self.form]} else p^{self.lo}"
 
 
 # -- right-hand sides -----------------------------------------------------------
@@ -213,7 +241,7 @@ class Atom:
         over: str = "", where: str = "",
     ):
         self.text, self.value, self.form, self.word, self.over = text, value, form, word, over
-        self.where = where or (_FORM_TEXT[form] if form else "")
+        self.where = where or (quadform.TEXT[form] if form else "")
 
     def __mul__(self, other: Atom) -> Atom:
         if not other.text:
@@ -320,7 +348,7 @@ class Split:
         return part.value(ctx)
 
     def __str__(self) -> str:
-        return f"{self.main.body()} if {_FORM_TEXT[self.form]} else {self.other.body()}"
+        return f"{self.main.body()} if {quadform.TEXT[self.form]} else {self.other.body()}"
 
 
 def _atom(text: str, value: Value, **kw) -> Lin:
@@ -385,7 +413,7 @@ def _x(ctx: PrimeContext, form: str) -> int:
 
 
 def _x_where(form: str) -> str:
-    return _FORM_TEXT[form] + (", x == 1 (mod 4)" if form == F4 else "")
+    return quadform.TEXT[form] + (", x == 1 (mod 4)" if form == F4 else "")
 
 
 def x1(form: str) -> Lin:
@@ -478,21 +506,6 @@ def _fixed(
     else:
         side = _reduced(lhs.value)
     _add(Fixed(sid, status, claim, str(cond), cond, modexp, side, _reduced(rhs.value), note))
-
-
-def _param(
-    sid: str,
-    status: str,
-    condition: str,
-    applies: Cond,
-    modexp: int,
-    params: tuple[str, ...],
-    admissible: Callable[[int, tuple[int, ...]], bool],
-    check: Check,
-    claim: str,
-    note: str = "",
-) -> None:
-    _add(Parametric(sid, status, claim, condition, applies, modexp, params, admissible, check, note))
 
 
 # ==============================================================================
@@ -1361,10 +1374,11 @@ _fixed(
 # ==============================================================================
 #
 # Every check is a relation of aa = a(a+1), of one sampled x and of the
-# Jacobi sums at a: _theorem(rel) draws a with x, _corollary(rel, a) fixes a
-# to -1/2, -1/3, -1/4 or -1/6.  Unlike the fixed closed forms, relations
-# stay in modular arithmetic: they run once per sample, where a Fraction
-# expression costs about twice as much.
+# Jacobi sums at a: _theorem(rel) draws a with x, _at(rel, a) fixes a to
+# -1/2, -1/3, -1/4 or -1/6, and a corollary is its theorem at such an a,
+# with the theorem's hypothesis less a.  Unlike the fixed closed forms,
+# relations stay in modular arithmetic: they run once per sample, where a
+# Fraction expression costs about twice as much.
 
 # S(mult=, base=, central=) -> T(weight, limit=FULL): one sample's sums at a
 Sums = Callable[..., Callable[..., int]]
@@ -1398,7 +1412,7 @@ def _jacobi_sums(
 
 
 def _theorem(rel: Relation) -> Check:
-    """The check of a statement over sampled (a, x)."""
+    """The check of a relation over sampled (a, x)."""
 
     def check(ctx: PrimeContext, ps: tuple[int, ...]):
         a, x = ps
@@ -1407,39 +1421,33 @@ def _theorem(rel: Relation) -> Check:
     return check
 
 
-def _corollary(rel: Relation, a: Fraction) -> Check:
-    """The check of a statement over sampled x at a fixed a: a corollary
-    is its theorem's relation at a, and P-T5.2 is stated at a = -1/2 only."""
+def _at(rel: Relation, a: Fraction) -> Check:
+    """The check of a relation over sampled x at a fixed a."""
     aa = a * (a + 1)
     return lambda ctx, ps: rel(ctx, aa, ps[0], partial(_jacobi_sums, ctx, a))
 
 
-def _adm_none(p: int, ps: tuple[int, ...]) -> bool:
-    return True
+# id -> the relation its check evaluates, which a corollary reads at its a
+_RELATIONS: dict[str, Relation] = {}
 
 
-def _adm_t_unit(p: int, ps: tuple[int, ...]) -> bool:
-    tt = ps[-1]
-    return tt % p != 0 and (tt + 1) % p != 0
+def _param(
+    sid: str, status: str, applies: Cond, modexp: int, hyp: Hyp, rel: Relation, claim: str,
+    a: Fraction | None = None,
+) -> None:
+    """Register rel over sampled (a, x), or over sampled x at a fixed a:
+    P-T5.2 is stated at a = -1/2 only."""
+    _RELATIONS[sid] = rel
+    check = _theorem(rel) if a is None else _at(rel, a)
+    _add(Parametric(sid, status, claim, applies, modexp, hyp, check))
 
 
-def _adm_a_t(p: int, ps: tuple[int, ...]) -> bool:
-    a, tt = ps
-    return a % p not in (0, p - 1) and tt % p != 0 and (tt + 1) % p != 0
-
-
-def _adm_a_m(p: int, ps: tuple[int, ...]) -> bool:
-    a, mm = ps
-    return a % p not in (0, p - 1) and mm % p != 0
-
-
-def _adm_m_unit(p: int, ps: tuple[int, ...]) -> bool:
-    return ps[0] % p != 0
-
-
-def _adm_a_m_wide(p: int, ps: tuple[int, ...]) -> bool:
-    a, mm = ps
-    return a % p not in (0, 1, p - 1, p - 2) and mm % p != 0
+def _corollary(sid: str, of: str, a: Fraction, applies: Cond, claim: str) -> None:
+    """Register theorem ``of`` at a fixed a: its relation, modulus exponent
+    and hypothesis less a, on the primes ``applies`` admits."""
+    thm = REGISTRY[of]
+    hyp = thm.admissible.without("a")
+    _param(sid, "corollary", applies, thm.modexp, hyp, _RELATIONS[of], claim, a)
 
 
 def _rel_l22(ctx: PrimeContext, aa: Fraction | int, tt: int, S: Sums):
@@ -1448,7 +1456,7 @@ def _rel_l22(ctx: PrimeContext, aa: Fraction | int, tt: int, S: Sums):
 
 
 _param(
-    "P-L2.2", "lemma", "none", Cond(), 2, ("a", "t"), _adm_none, _theorem(_rel_l22),
+    "P-L2.2", "lemma", Cond(), 2, Hyp(a=(), t=()), _rel_l22,
     "(sum_{k=0..p-1} C(a,k) C(-1-a,k) (-t)^k)^2 == "
     "sum_{k=0..p-1} C(2k,k) C(a,k) C(-1-a,k) (-t(t+1))^k (mod p^2)",
 )
@@ -1464,8 +1472,7 @@ def _rel_t21(ctx: PrimeContext, aa: Fraction | int, tt: int, S: Sums):
 
 
 _param(
-    "P-T2.1", "theorem", "a != 0, -1 and t(t+1) != 0 (mod p)", Cond(), 2,
-    ("a", "t"), _adm_a_t, _theorem(_rel_t21),
+    "P-T2.1", "theorem", Cond(), 2, Hyp(a=(0, -1), t=(0, -1)), _rel_t21,
     "sum_{k=0..p-2} C(2k,k) C(a,k) C(-1-a,k) (-t(t+1))^k / (k+1) == "
     "S0^2 - (t+1)/(a(a+1)t) S1^2 (mod p^2), "
     "S_i = sum_{k=0..p-1} k^i C(a,k) C(-1-a,k) (-t)^k",
@@ -1482,8 +1489,7 @@ def _rel_eq22(ctx: PrimeContext, aa: Fraction | int, tt: int, S: Sums):
 
 
 _param(
-    "P-eq2.2", "lemma", "t(t+1) != 0 (mod p)", Cond(), 2,
-    ("a", "t"), _adm_t_unit, _theorem(_rel_eq22),
+    "P-eq2.2", "lemma", Cond(), 2, Hyp(a=(), t=(0, -1)), _rel_eq22,
     "2 S0 S1 == (2t+1)/(t+1) sum_{k=0..p-1} k C(2k,k) C(a,k) C(-1-a,k) "
     "(-t(t+1))^k (mod p^2), S_i = sum_{k=0..p-1} k^i C(a,k) C(-1-a,k) (-t)^k",
 )
@@ -1502,70 +1508,56 @@ def _rel_t22(ctx: PrimeContext, aa: Fraction | int, tt: int, S: Sums):
 
 
 _param(
-    "P-T2.2", "theorem",
-    "a != 0, -1 and t(t+1) != 0 (mod p); requires D a unit", Cond(), 2,
-    ("a", "t"), _adm_a_t, _theorem(_rel_t22),
+    "P-T2.2", "theorem", Cond(), 2, Hyp("D", a=(0, -1), t=(0, -1)), _rel_t22,
     "sum_{k=0..p-2} C(2k,k) C(a,k) C(-1-a,k) (-t(t+1))^k / (k+1) == "
     "D - (2t+1)^2/(4a(a+1)t(t+1)) N^2/D (mod p^2), D and N the plain and "
     "k-weighted sums of C(2k,k) C(a,k) C(-1-a,k) (-t(t+1))^k over k=0..p-1",
 )
 
-_param(
-    "P-C2.1", "corollary", "t(t+1) != 0 (mod p)", Cond(), 2,
-    ("t",), _adm_t_unit, _corollary(_rel_t21, Fr(-1, 2)),
+_corollary(
+    "P-C2.1", "P-T2.1", Fr(-1, 2), Cond(),
     "sum_{k=0..(p-1)/2} C(2k,k)^3 (-t(t+1)/16)^k / (k+1) == "
     "S0^2 + 4(t+1)/t S1^2 (mod p^2), "
     "S_i = sum_{k=0..(p-1)/2} k^i C(2k,k)^2 (-t/16)^k",
 )
-_param(
-    "P-C2.2", "corollary", "t(t+1) != 0 (mod p)", Cond(above=3), 2,
-    ("t",), _adm_t_unit, _corollary(_rel_t21, Fr(-1, 3)),
+_corollary(
+    "P-C2.2", "P-T2.1", Fr(-1, 3), Cond(above=3),
     "sum_{k=0..p-2} C(2k,k)^2 C(3k,k) (-t(t+1)/27)^k / (k+1) == "
     "S0^2 + 9(t+1)/(2t) S1^2 (mod p^2), "
     "S_i = sum_{k=0..p-1} k^i C(2k,k) C(3k,k) (-t/27)^k",
 )
-_param(
-    "P-C2.3", "corollary", "t(t+1) != 0 (mod p)", Cond(above=3), 2,
-    ("t",), _adm_t_unit, _corollary(_rel_t21, Fr(-1, 4)),
+_corollary(
+    "P-C2.3", "P-T2.1", Fr(-1, 4), Cond(above=3),
     "sum_{k=0..p-2} C(2k,k)^2 C(4k,2k) (-t(t+1)/64)^k / (k+1) == "
     "S0^2 + 16(t+1)/(3t) S1^2 (mod p^2), "
     "S_i = sum_{k=0..p-1} k^i C(2k,k) C(4k,2k) (-t/64)^k",
 )
-_param(
-    "P-C2.4", "corollary", "t(t+1) != 0 (mod p)", Cond(above=5), 2,
-    ("t",), _adm_t_unit, _corollary(_rel_t21, Fr(-1, 6)),
+_corollary(
+    "P-C2.4", "P-T2.1", Fr(-1, 6), Cond(above=5),
     "sum_{k=0..p-2} C(2k,k) C(3k,k) C(6k,3k) (-t(t+1)/432)^k / (k+1) == "
     "S0^2 + 36(t+1)/(5t) S1^2 (mod p^2), "
     "S_i = sum_{k=0..p-1} k^i C(3k,k) C(6k,3k) (-t/432)^k",
 )
-_param(
-    "P-C2.5", "corollary",
-    "t(t+1) != 0 (mod p); requires D a unit", Cond(), 2,
-    ("t",), _adm_t_unit, _corollary(_rel_t22, Fr(-1, 2)),
+_corollary(
+    "P-C2.5", "P-T2.2", Fr(-1, 2), Cond(),
     "sum_{k=0..(p-1)/2} C(2k,k)^3 (-t(t+1)/16)^k / (k+1) == "
     "D + (2t+1)^2/(t(t+1)) N^2/D (mod p^2), D and N the plain and k-weighted "
     "half-range sums of C(2k,k)^3 (-t(t+1)/16)^k",
 )
-_param(
-    "P-C2.6", "corollary",
-    "t(t+1) != 0 (mod p); requires D a unit", Cond(above=3), 2,
-    ("t",), _adm_t_unit, _corollary(_rel_t22, Fr(-1, 3)),
+_corollary(
+    "P-C2.6", "P-T2.2", Fr(-1, 3), Cond(above=3),
     "sum_{k=0..p-2} C(2k,k)^2 C(3k,k) (-t(t+1)/27)^k / (k+1) == "
     "D + 9(2t+1)^2/(8t(t+1)) N^2/D (mod p^2), D and N the plain and "
     "k-weighted full-range sums of C(2k,k)^2 C(3k,k) (-t(t+1)/27)^k",
 )
-_param(
-    "P-C2.7", "corollary",
-    "t(t+1) != 0 (mod p); requires D a unit", Cond(above=3), 2,
-    ("t",), _adm_t_unit, _corollary(_rel_t22, Fr(-1, 4)),
+_corollary(
+    "P-C2.7", "P-T2.2", Fr(-1, 4), Cond(above=3),
     "sum_{k=0..p-2} C(2k,k)^2 C(4k,2k) (-t(t+1)/64)^k / (k+1) == "
     "D + 4(2t+1)^2/(3t(t+1)) N^2/D (mod p^2), D and N the plain and "
     "k-weighted full-range sums of C(2k,k)^2 C(4k,2k) (-t(t+1)/64)^k",
 )
-_param(
-    "P-C2.8", "corollary",
-    "t(t+1) != 0 (mod p); requires D a unit", Cond(above=5), 2,
-    ("t",), _adm_t_unit, _corollary(_rel_t22, Fr(-1, 6)),
+_corollary(
+    "P-C2.8", "P-T2.2", Fr(-1, 6), Cond(above=5),
     "sum_{k=0..p-2} C(2k,k) C(3k,k) C(6k,3k) (-t(t+1)/432)^k / (k+1) == "
     "D + 9(2t+1)^2/(5t(t+1)) N^2/D (mod p^2), D and N the plain and "
     "k-weighted full-range sums of C(2k,k) C(3k,k) C(6k,3k) (-t(t+1)/432)^k",
@@ -1588,8 +1580,7 @@ def _rel_t31(ctx: PrimeContext, aa: Fraction | int, mm: int, S: Sums):
 
 
 _param(
-    "P-T3.1", "theorem", "a != 0, -1 and m != 0 (mod p)", Cond(), 3,
-    ("a", "m"), _adm_a_m, _theorem(_rel_t31),
+    "P-T3.1", "theorem", Cond(), 3, Hyp(a=(0, -1), m=(0,)), _rel_t31,
     "with T_i = sum k^i C(2k,k) C(a,k) C(-1-a,k) / m^k (full range) and "
     "V = sum_{k=0..p-2} C(2k,k) C(a,k) C(-1-a,k) / (m^k (k+1)): "
     "(m-4)/2 T_2 == T_1 - 2a(a+1) T_0 + a(a+1) V, "
@@ -1597,9 +1588,8 @@ _param(
     "T_3 == ((2-4a(a+1))(m-4)+12)/(m-4)^2 T_1 - 2a(a+1)(m+8)/(m-4)^2 T_0 "
     "+ 12a(a+1)/(m-4)^2 V (mod p^3)",
 )
-_param(
-    "P-C3.1", "corollary", "m != 0 (mod p)", Cond(), 3,
-    ("m",), _adm_m_unit, _corollary(_rel_t31, Fr(-1, 2)),
+_corollary(
+    "P-C3.1", "P-T3.1", Fr(-1, 2), Cond(),
     "with T_i = sum_{k=0..(p-1)/2} k^i C(2k,k)^3 / (16m)^k and "
     "V the 1/(k+1)-weighted half-range sum: "
     "(m-4)/2 T_2 == T_1 + T_0/2 - V/4, (m-4)/2 T_3 == 3 T_2 + (3/2) T_1 + T_0/4, "
@@ -1620,16 +1610,14 @@ def _rel_t41(ctx: PrimeContext, aa: Fraction | int, mm: int, S: Sums):
 
 
 _param(
-    "P-T4.1", "theorem", "a != 0, -1 and m != 0 (mod p)", Cond(), 3,
-    ("a", "m"), _adm_a_m, _theorem(_rel_t41),
+    "P-T4.1", "theorem", Cond(), 3, Hyp(a=(0, -1), m=(0,)), _rel_t41,
     "with T_i and V_e = sum_{k=0..p-2} C(2k,k) C(a,k) C(-1-a,k)/(m^k (k+1)^e): "
     "2a(a+1) V_2 == (m-4) T_1 + 2 T_0 + (4a(a+1)-2) V_1 and "
     "2a(a+1) V_3 == -m + (2m-8-(m-4)/(a(a+1))) T_1 + (m-2/(a(a+1))) T_0 "
     "+ (8a(a+1)-2+2/(a(a+1))) V_1 (mod p^3)",
 )
-_param(
-    "P-C4.1", "corollary", "m != 0 (mod p)", Cond(), 3,
-    ("m",), _adm_m_unit, _corollary(_rel_t41, Fr(-1, 2)),
+_corollary(
+    "P-C4.1", "P-T4.1", Fr(-1, 2), Cond(),
     "with half-range T_i and V_e = sum C(2k,k)^3/((16m)^k (k+1)^e): "
     "V_2 == (8-2m) T_1 - 4 T_0 + 6 V_1 and "
     "V_3 == 2m - 12(m-4) T_1 - 2(m+8) T_0 + 24 V_1 (mod p^3)",
@@ -1644,15 +1632,13 @@ def _rel_t51(ctx: PrimeContext, aa: Fraction | int, mm: int, S: Sums):
 
 
 _param(
-    "P-T5.1", "theorem", "a != 0, -1 and m != 0 (mod p)", Cond(), 3,
-    ("a", "m"), _adm_a_m, _theorem(_rel_t51),
+    "P-T5.1", "theorem", Cond(), 3, Hyp(a=(0, -1), m=(0,)), _rel_t51,
     "sum_{k=0..p-1} C(2k,k) C(a,k) C(-1-a,k)/(m^k (2k-1)) == "
     "(8/m - 2) T_1 - T_0 - 8a(a+1)/m V_1 (mod p^3), with T_i the k^i-weighted "
     "full-range sums and V_1 the 1/(k+1)-weighted sum over k=0..p-2",
 )
-_param(
-    "P-C5.1", "corollary", "m != 0 (mod p)", Cond(), 3,
-    ("m",), _adm_m_unit, _corollary(_rel_t51, Fr(-1, 2)),
+_corollary(
+    "P-C5.1", "P-T5.1", Fr(-1, 2), Cond(),
     "sum_{k=0..p-1} C(2k,k)^3/((16m)^k (2k-1)) == (8/m - 2) T_1 - T_0 "
     "+ (2/m) V_1 (mod p^3), with T_i, V_1 the half-range k^i- and "
     "1/(k+1)-weighted sums of C(2k,k)^3/(16m)^k",
@@ -1669,11 +1655,11 @@ def _rel_t52(ctx: PrimeContext, aa: Fraction | int, mm: int, S: Sums):
 
 
 _param(
-    "P-T5.2", "theorem", "m != 0 (mod p)", Cond(), 3,
-    ("m",), _adm_m_unit, _corollary(_rel_t52, Fr(-1, 2)),
+    "P-T5.2", "theorem", Cond(), 3, Hyp(m=(0,)), _rel_t52,
     "sum_{k=0..p-1} C(2k,k)^3/((16m)^k (2k-1)^2) == (4 - 16/m) T_1 "
     "+ (1 + 4/m) T_0 - (6/m) V_1 (mod p^3), with T_i, V_1 the half-range "
     "k^i- and 1/(k+1)-weighted sums of C(2k,k)^3/(16m)^k",
+    a=Fr(-1, 2),
 )
 
 
@@ -1687,15 +1673,13 @@ def _rel_t61(ctx: PrimeContext, aa: Fraction | int, mm: int, S: Sums):
 
 
 _param(
-    "P-T6.1", "theorem", "a != 0, 1, -1, -2 and m != 0 (mod p)", Cond(above=3), 3,
-    ("a", "m"), _adm_a_m_wide, _theorem(_rel_t61),
+    "P-T6.1", "theorem", Cond(above=3), 3, Hyp(a=(0, -1, 1, -2), m=(0,)), _rel_t61,
     "sum_{k=0..p-3} C(2k,k) C(a,k) C(-1-a,k)/(m^k (k+2)) == "
     "(4-m)/(6(a-1)(a+2)) T_1 + (m-6)/(6(a-1)(a+2)) T_0 "
     "+ (2a(a+1)-m)/(6(a-1)(a+2)) V_1 (mod p^3)",
 )
-_param(
-    "P-C6.1", "corollary", "m != 0 (mod p)", Cond(above=3), 3,
-    ("m",), _adm_m_unit, _corollary(_rel_t61, Fr(-1, 2)),
+_corollary(
+    "P-C6.1", "P-T6.1", Fr(-1, 2), Cond(above=3),
     "sum_{k=0..(p-1)/2} C(2k,k)^3/((16m)^k (k+2)) == (2m-8)/27 T_1 "
     "- (2m-12)/27 T_0 + (2m+1)/27 V_1 (mod p^3), with T_i, V_1 the "
     "half-range k^i- and 1/(k+1)-weighted sums of C(2k,k)^3/(16m)^k",

@@ -61,9 +61,11 @@ def _read_hypothesis(text: str, params: tuple[str, ...]):
         if m := re.fullmatch(r"(\w) != ([-\d, ]+)", part):
             i, cs = params.index(m[1]), [int(c) for c in m[2].split(", ")]
             tests.append(lambda p, ps, i=i, cs=cs: all((ps[i] - c) % p for c in cs))
-        elif m := re.fullmatch(r"(\w)\(\1\+1\) != 0", part):
-            i = params.index(m[1])
-            tests.append(lambda p, ps, i=i: ps[i] * (ps[i] + 1) % p != 0)
+        elif m := re.fullmatch(r"(\w)\(\1\+1\) != ([-\d, ]+)", part):
+            i, cs = params.index(m[1]), [int(c) for c in m[2].split(", ")]
+            tests.append(
+                lambda p, ps, i=i, cs=cs: all((ps[i] * (ps[i] + 1) - c) % p for c in cs)
+            )
         else:
             raise ValueError(f"unreadable hypothesis part {part!r}")
     return lambda p, ps: all(t(p, ps) for t in tests)
@@ -309,8 +311,8 @@ def test_claim_reader_rejects_a_wrong_factor():
 
 # -- the listing ---------------------------------------------------------------------
 
-LIST_SHA256 = "0890804f3aae373cabffa47d7835da009f7d2ec35139512d12bac84b8f66375a"
-CLAIMS_SHA256 = "2b42dbd143b3bf65cdd9c8d3e61da727a84166ce0c886027ed03aabd6a1e51b0"
+LIST_SHA256 = "f0d45da7e8c3a9d9959911a6e07ed87ea497d3e477a77a3a7b2d4c7eafc8fb7e"
+CLAIMS_SHA256 = "37063feb3d0e0e0149f7dcb6b719b9a89a1f75fcaed92361477d0490d9221cb4"
 
 
 def _listing(capsys, *extra: str) -> str:

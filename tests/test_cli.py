@@ -117,6 +117,18 @@ def test_verify_rejects_fewer_than_one_job(capsys, value):
     assert captured.out == "" and "Traceback" not in captured.err
 
 
+@pytest.mark.parametrize("value", ["", ","])
+def test_verify_rejects_ids_that_name_no_id(capsys, value):
+    """--ids "" would run every statement and --ids , none: both are usage
+    errors, not a sweep that exits 0."""
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--primes", "5..7", "--ids", value, "--jobs", "1"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert "argument --ids: " in captured.err
+    assert captured.out == "" and "Traceback" not in captured.err
+
+
 def injected(sid: str, status: str) -> Fixed:
     return Fixed(
         sid, status, "0 == 1 (mod p^2)", "p > 3",

@@ -4,20 +4,9 @@ import math
 
 import pytest
 
-from supercong.errors import NonResidue, NotRepresentable, WrongForm
-from supercong.quadform import (
-    F2,
-    F3,
-    F4,
-    F7,
-    F27,
-    FORMS,
-    applicable,
-    is_prime,
-    normalize_x,
-    represent,
-    sqrt_mod,
-)
+from supercong.context import PrimeContext
+from supercong.errors import NotRepresentable
+from supercong.quadform import F2, F3, F4, F7, F27, FORMS, applicable, is_prime, represent
 
 # Independent shape table: (coefficient D, multiplier on p) per form tag,
 # for target = multiplier * p = x^2 + D * y^2.
@@ -95,27 +84,34 @@ def test_known_small_representations():
 
 
 def test_normalize_x_one_mod_4():
+    """The context's x over p = x^2 + 4y^2 is the represented x, signed so
+    that x = 1 (mod 4)."""
     for p in (13, 17, 29, 37, 41, 53):
         rep = represent(p, F4)
-        fixed = normalize_x(rep)
-        assert fixed.x % 4 == 1
-        assert fixed.x**2 + 4 * fixed.y**2 == p
-        assert normalize_x(fixed) == fixed  # idempotent
-    with pytest.raises(WrongForm):
-        normalize_x(represent(11, F2))
+        x = PrimeContext(p, 2).x_one_mod_4()
+        assert x % 4 == 1
+        assert x**2 + 4 * rep.y**2 == p
+        assert abs(x) == rep.x
+    with pytest.raises(NotRepresentable):
+        PrimeContext(11, 2).x_one_mod_4()
 
 
-def test_sqrt_mod():
-    for p in (5, 13, 101, 997):
-        for a in range(1, 30):
-            if a % p == 0:
-                continue
-            if pow(a, (p - 1) // 2, p) == 1:
-                r = sqrt_mod(a, p)
-                assert r * r % p == a % p
-            else:
-                with pytest.raises(NonResidue):
-                    sqrt_mod(a, p)
+# Far above the primes the registry reads: 999983 is in no form's classes,
+# 1000003 in all but F4's, 1000000009 in all five.
+LARGE = {999_983: set(), 1_000_003: {F2, F3, F7, F27}, 1_000_000_009: set(FORMS)}
+
+
+@pytest.mark.parametrize("p", sorted(LARGE))
+def test_represent_above_the_gate(p):
+    for form in FORMS:
+        if form in LARGE[p]:
+            rep = represent(p, form)
+            d, mult = SHAPES[form]
+            assert rep.x > 0 and rep.y > 0
+            assert rep.x**2 + d * rep.y**2 == mult * p, (form, rep)
+        else:
+            with pytest.raises(NotRepresentable):
+                represent(p, form)
 
 
 def test_is_prime():
