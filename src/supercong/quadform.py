@@ -73,9 +73,10 @@ class QuadRep(NamedTuple):
 
 
 def applicable(p: int, form: str) -> bool:
-    """Does the representability dictionary admit (p, form)?"""
+    """Does the representability dictionary admit (p, form)?  Never at p = 2,
+    which no form represents with x, y > 0."""
     _, _, mod, residues = _TABLE[form]
-    return p % mod in residues
+    return p > 2 and p % mod in residues
 
 
 def represent(p: int, form: str) -> QuadRep:
@@ -83,8 +84,6 @@ def represent(p: int, form: str) -> QuadRep:
     over y that takes sqrt(mp/D) steps at most."""
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
-    if p == 2:
-        raise NotRepresentable("p = 2 is not an odd prime")
     if not applicable(p, form):
         raise NotRepresentable(f"p={p} is not in the residue classes of {form}")
     d, m, _, _ = _TABLE[form]

@@ -21,7 +21,8 @@ and their powers and quotients p^e / C(n, k)^e, q_2(p), 2^(p-1),
 2^(p-1) - 1 and 3^(p-1) - 1, and the Euler and U tails p^3 E(p-3) and
 p^3 U(p-3).  A product prints its factors side by side, and a single
 term times a form of several terms prints factored, as in
-(x|3) (2x - p/(2x)).
+(x|3) (2x - p/(2x)).  A parametric statement's ``Rel``, equations between
+Lins in one sample's named sums, is both its check and its claim.
 
 Every statement runs on a context at its own modulus exponent t, so
 ``ctx.P`` = p^t is its modulus.  A closed form's value is exact, a
@@ -38,15 +39,16 @@ binomial, so no division by a residue can cancel a factor p unseen.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
+from functools import cache, partial
 from typing import Callable, Iterable, Union
 
 from . import quadform
 from .binomials import B22, B31, B42, B63
 from .context import PrimeContext
-from .padic import residue_from_fraction
+from .padic import residue_from_rational
 from .quadform import F2, F3, F4, F7, F27
 from .sums import (
     FULL,
@@ -229,25 +231,30 @@ Coef = Union[Fraction, int]
 class Atom:
     """A quantity right-hand sides are linear in: its claim text, its exact
     value at ctx, the form its x and y are read over and the text that
-    states that form.  A coefficient prints before the text, after a space
-    when the text is word-like; a coefficient 1/d prints as ``over`` with d
-    filled in, when given.  Atoms multiply: a product prints its factors
-    side by side."""
+    states that form.  A fraction coefficient prints in parentheses before
+    the text, as in (3/2)p and (1/2)p / C(n, k); an integer one prints
+    before it too, after a space when the text is word-like, as in 2p and
+    2 (2^(p-1)-1); a coefficient 1/d prints as ``over`` with d filled in,
+    when given.  Atoms multiply: a product prints its factors side by
+    side, and a product of monomials (``key`` set) is their merged monomial."""
 
-    __slots__ = ("text", "value", "form", "where", "word", "over")
+    __slots__ = ("text", "value", "form", "where", "word", "over", "key")
 
     def __init__(
         self, text: str, value: Value, form: str | None = None, word: bool = False,
-        over: str = "", where: str = "",
+        over: str = "", where: str = "", key: tuple | None = None,
     ):
         self.text, self.value, self.form, self.word, self.over = text, value, form, word, over
         self.where = where or (quadform.TEXT[form] if form else "")
+        self.key = key
 
     def __mul__(self, other: Atom) -> Atom:
         if not other.text:
             return self
         if not self.text:
             return other
+        if self.key is not None and other.key is not None:
+            return _mono(self.key + other.key)
         return Atom(
             f"{self.text} {other.text}", lambda ctx: self.value(ctx) * other.value(ctx),
             self.form or other.form, word=True, where=self.where or other.where,
@@ -255,13 +262,13 @@ class Atom:
 
     def term(self, n: int, d: int) -> str:
         """The text of n/d times this atom, for n > 0."""
-        c = f"{n}/{d}" if d > 1 else str(n)
         if not self.text:
-            return c
+            return f"{n}/{d}" if d > 1 else str(n)
         if self.over and n == 1 and d > 1:
             return self.over.format(d)
-        coef = "" if c == "1" else c if d == 1 else f"({c})"
-        return coef + (" " if coef and self.word else "") + self.text
+        if d > 1:
+            return f"({n}/{d}){self.text}"
+        return ("" if n == 1 else f"{n} " if self.word else str(n)) + self.text
 
 
 class Lin:
@@ -297,6 +304,11 @@ class Lin:
             factor = Atom(f"({other.body()})", other.value, other.form, where=other.where)
             return Lin(((c, atom * factor),))
         return Lin(tuple([(c * k, a * b) for c, a in self.terms for k, b in other.terms]))
+
+    def __truediv__(self, other: Lin) -> Lin:
+        """This form over a single monomial term."""
+        (c, atom), = other.terms
+        return Fr(1, c) * self * Lin(((1, _mono(tuple((s, -e) for s, e in atom.key))),))
 
     def __neg__(self) -> Lin:
         return Lin(tuple([(-k, atom) for k, atom in self.terms]))
@@ -360,7 +372,7 @@ def _sign(exponent: str, e: Callable[[int], int]) -> Lin:
     return _atom(f"(-1)^{exponent}", lambda ctx: -1 if e(ctx.p) % 2 else 1, word=True)
 
 
-_ONE = Atom("", lambda ctx: 1)
+_ONE = Atom("", lambda ctx: 1, key=())
 ZERO = Lin()
 P = _atom("p", lambda ctx: ctx.p, over="p/{}")
 R1 = _atom("R1(p)", lambda ctx: ctx.r1(), word=True)
@@ -464,9 +476,9 @@ Rhs = Union[Lin, Split]
 # -- registration helpers ------------------------------------------------------
 
 
-def _fr(ctx: PrimeContext, q: Fraction | int) -> int:
-    """Exact rational constant mod P; DenominatorNotUnit if p divides its denominator."""
-    return residue_from_fraction(q, ctx.p, ctx.workexp).value
+def _fr(ctx: PrimeContext, q: Fraction | int, den: int = 1) -> int:
+    """Exact rational q/den mod P; DenominatorNotUnit if p divides its denominator."""
+    return residue_from_rational(q.numerator, q.denominator * den, ctx.p, ctx.workexp).value
 
 
 def _reduced(value: Value) -> Side:
@@ -1373,317 +1385,303 @@ _fixed(
 # Parametric families over sampled p-adic parameters
 # ==============================================================================
 #
-# Every check is a relation of aa = a(a+1), of one sampled x and of the
-# Jacobi sums at a: _theorem(rel) draws a with x, _at(rel, a) fixes a to
-# -1/2, -1/3, -1/4 or -1/6, and a corollary is its theorem at such an a,
-# with the theorem's hypothesis less a.  Unlike the fixed closed forms,
-# relations stay in modular arithmetic: they run once per sample, where a
-# Fraction expression costs about twice as much.
-
-# S(mult=, base=, central=) -> T(weight, limit=FULL): one sample's sums at a
-Sums = Callable[..., Callable[..., int]]
-# (ctx, aa, x, S) -> the pairs a Check returns
-Relation = Callable[
-    [PrimeContext, Union[Fraction, int], int, Sums], "list[tuple[int, int]] | None"
-]
+# A relation (``Rel``) is a list of equations between Lins in one sample's
+# named sums.  Each term is a rational times a monomial atom, whose ``key``
+# is sorted (symbol, exponent) pairs: a symbol is a named sum or a factor
+# (u, v, w, x), u a(a+1) + v x + w with x the sampled t or m.  A corollary
+# is its theorem's relation at a fixed a: ``Rel.at`` substitutes a(a+1),
+# makes each factor left in x primitive and collects like terms.
 
 
-def _jacobi_sums(
-    ctx: PrimeContext, a: Fraction | int, *, mult: int = 1, base: int | None = None,
-    central: bool = False,
-) -> Callable[..., int]:
-    """T(weight, limit=FULL): the sums of one sample at a sampled int a or a
-    fixed rational a over one stream, sum_k w(k) C(a,k) C(-1-a,k) [C(2k,k)]
-    mult^k / base^k mod P.  At a = -1/2 both binomials are C(2k,k)/(-4)^k,
-    which p divides for (p-1)/2 < k < p, so every sum stops at (p-1)/2
-    except the 1/(2k-1)^e sums, whose pole term at 2k - 1 = p keeps them
-    at p-1."""
-    half = a == Fr(-1, 2)
+@cache
+def _factor_text(u: int, v: int, w: int, x: str) -> str:
+    lin = Lin(tuple((c, Atom(t, None)) for c, t in ((u, "a(a+1)"), (v, x), (w, "")) if c))
+    return lin.body() if len(lin.terms) == 1 and not w else f"({lin.body()})"
 
-    def T(weight: Weight, limit: str = FULL) -> int:
-        if half:
-            limit = FULL if weight.tag in POLE_TAGS else HALF
-        return evaluate_jacobi_sum(
-            a, ctx.p, ctx.workexp, weight=weight, limit=limit, mult=mult, base=base,
-            central=central, ctx=ctx,
+
+def _order(item: tuple) -> tuple:
+    # factors first, those in a(a+1) alone before those in x, then sums by name
+    return (True, item[0]) if isinstance(item[0], str) else (False, item[0][::-1])
+
+
+@cache
+def _mono(pairs: tuple) -> Atom:
+    """The monomial of (symbol, exponent) pairs, like powers merged: its text
+    is the factors with positive exponents over the rest; ``_exact`` values it."""
+    exps: dict = {}
+    for sym, e in pairs:
+        exps[sym] = exps.get(sym, 0) + e
+    key = tuple(sorted(((s, e) for s, e in exps.items() if e), key=_order))
+    up, down = [], []
+    for sym, e in key:
+        text = sym if isinstance(sym, str) else _factor_text(*sym)
+        (up if e > 0 else down).append(text + (f"^{abs(e)}" if abs(e) > 1 else ""))
+    text = " ".join(up)
+    if down:
+        den = " ".join(down)
+        single = len(down) == 1 and (den[0] == "(" or "(" not in den)
+        text = f"{text or '1'}/{den if single else f'({den})'}"
+    return Atom(text, None, word=True, key=key)
+
+
+def _sym(sym: str | tuple) -> Lin:
+    return Lin(((1, _mono(((sym, 1),))),))
+
+
+A = _sym((1, 0, 0, ""))
+
+
+def F(lin: Lin) -> Lin:
+    """A linear form in a(a+1) and x as one factor: F(X + 1) prints (t + 1)."""
+    u, v, w, x = 0, 0, 0, ""
+    for c, atom in lin.terms:
+        f = atom.key[0][0] if atom.key else (0, 0, 1, "")
+        u, v, w, x = u + c * f[0], v + c * f[1], w + c * f[2], x or f[3]
+    return _sym((u, v, w, x))
+
+
+def _at_aa(lin: Lin, aa: Fraction) -> Lin:
+    """lin with a(a+1) = aa: a factor left in x alone is made primitive with
+    a positive x coefficient, its content moving into the term's rational,
+    and like terms are collected."""
+    out: dict = {}
+    for c, atom in lin.terms:
+        pairs = []
+        for sym, e in atom.key:
+            if not isinstance(sym, str) and sym[0]:
+                u, v, w, x = sym
+                w = Fr(w + u * aa)
+                if not v:
+                    c *= w**e
+                    continue
+                g = math.gcd(v * w.denominator, w.numerator) * (1 if v > 0 else -1)
+                sym = (0, v * w.denominator // g, w.numerator // g, x)
+                c *= Fr(g, w.denominator) ** e
+            pairs.append((sym, e))
+        key = _mono(tuple(pairs)).key
+        out[key] = out.get(key, 0) + c
+    return Lin(tuple((c, _mono(key)) for key, c in out.items() if c))
+
+
+# a -> (stream kinds, base) with C(a,k) C(-1-a,k) = prod(streams at k) / base^k
+# at the corollaries' fixed a, as identities.PRODUCT_FORMS checks
+_PRODUCTS = {
+    Fr(-1, 2): ((B22, B22), 16), Fr(-1, 3): ((B22, B31), 27),
+    Fr(-1, 4): ((B22, B42), 64), Fr(-1, 6): ((B31, B63), 432),
+}
+# family -> (central, (mult, base) at x, its text with a fixed a's base as
+# d = "/16" or b = "16"): C(2k,k) or not, then (-x)^k, (-x(x+1))^k or 1/x^k
+_FAMILIES = {
+    "S": (False, lambda x: (-x, None), "(-{x}{d})^k"),
+    "D": (True, lambda x: (-x * (x + 1), None), "(-{x}({x}+1){d})^k"),
+    "T": (True, lambda x: (1, x), "/ ({b}{x})^k"),
+}
+_HALF = Fr(-1, 2)
+
+
+def _limit(half: bool, weight: Weight, limit: str) -> str:
+    """At a = -1/2, C(a,k) = C(2k,k)/(-4)^k, which p divides for (p-1)/2 < k < p: every
+    sum stops at (p-1)/2 but the 1/(2k-1)^e ones, whose pole at 2k - 1 = p keeps p-1."""
+    return (FULL if weight.tag in POLE_TAGS else HALF) if half else limit
+
+
+# Each named sum is one Jacobi sum, evaluated once per sample in the legend's
+# order.  At p = 101 a sample's sums take 29 to 59 us and its relation
+# arithmetic (exact ints over one denominator per side, one _fr each) 6 to
+# 20 us, P-T3.1 the most (shared 2-core x86, Python 3.11).
+def _jacobi_sums(ctx: PrimeContext, a: Fraction | int, x: int, sums: dict, unit: str):
+    """name -> sum_k w(k) C(a,k) C(-1-a,k) [C(2k,k)] mult^k / base^k mod P for one
+    sample's named sums, or None when the sum named ``unit`` is not a p-unit."""
+    vals = {}
+    half = a == _HALF
+    for name, (fam, weight, limit) in sums.items():
+        central, at, _ = _FAMILIES[fam]
+        mult, base = at(x)
+        vals[name] = evaluate_jacobi_sum(
+            a, ctx.p, ctx.workexp, weight=weight, limit=_limit(half, weight, limit), mult=mult,
+            base=base, central=central, ctx=ctx,
         ).value
-
-    return T
-
-
-def _theorem(rel: Relation) -> Check:
-    """The check of a relation over sampled (a, x)."""
-
-    def check(ctx: PrimeContext, ps: tuple[int, ...]):
-        a, x = ps
-        return rel(ctx, a * (a + 1), x, partial(_jacobi_sums, ctx, a))
-
-    return check
+        if name == unit and vals[name] % ctx.p == 0:
+            return None
+    return vals
 
 
-def _at(rel: Relation, a: Fraction) -> Check:
-    """The check of a relation over sampled x at a fixed a."""
-    aa = a * (a + 1)
-    return lambda ctx, ps: rel(ctx, aa, ps[0], partial(_jacobi_sums, ctx, a))
+def _exact(lin: Lin, vals: dict) -> tuple[int, int]:
+    """(numerator, denominator) of a side's exact value at one sample, vals
+    holding each named sum and factor: its terms over one common denominator."""
+    num, den = 0, 1
+    for c, atom in lin.terms:
+        n, d = c.numerator, c.denominator
+        for sym, e in atom.key:
+            n, d = (n * vals[sym] ** e, d) if e > 0 else (n, d * vals[sym] ** -e)
+        num, den = num * d + n * den, den * d
+    return num, den
+
+
+@cache
+def _sum_text(a: Fraction | None, x: str, fam: str, weight: Weight, limit: str) -> str:
+    """A named sum as a legend prints it, at a fixed a over the product it is."""
+    central, _, mult = _FAMILIES[fam]
+    kinds, base, jacobi = (B22,) * central, "", "C(a,k) C(-1-a,k)"
+    if a is not None:
+        kinds, base, jacobi = kinds + _PRODUCTS[a][0], str(_PRODUCTS[a][1]), ""
+    head = str(SumSpec(kinds, Fr(1), weight, _limit(a == _HALF, weight, limit))).rstrip()
+    tail = mult.format(x=x, d=base and f"/{base}", b=base)
+    return " ".join(filter(None, (head, jacobi, tail)))
+
+
+class Rel:
+    """Equations lhs == rhs between Lins in one sample's named sums, each checked
+    where x != its guard g, if any, over sampled (a, x) or sampled x at a fixed a.
+    str() is the claim; ``pairs`` is the check, one sample's (lhs, rhs) residues."""
+
+    __slots__ = ("x", "a", "modexp", "sums", "eqs", "factors")
+
+    def __init__(self, x: str, a: Fraction | None, modexp: int, sums: dict, eqs: tuple):
+        self.x, self.a, self.modexp, self.sums, self.eqs = x, a, modexp, sums, eqs
+        terms = [t for lhs, rhs, _ in eqs for t in lhs.terms + rhs.terms]
+        self.factors = {s for _, atom in terms for s, _ in atom.key if not isinstance(s, str)}
+
+    def at(self, a: Fraction) -> Rel:
+        aa = a * (a + 1)
+        eqs = tuple((_at_aa(lhs, aa), _at_aa(rhs, aa), g) for lhs, rhs, g in self.eqs)
+        return Rel(self.x, a, self.modexp, self.sums, eqs)
+
+    def pairs(self, ctx: PrimeContext, ps: tuple[int, ...], unit: str = ""):
+        a, x = (ps[0] if self.a is None else self.a), ps[-1]
+        vals = _jacobi_sums(ctx, a, x, self.sums, unit)
+        if vals is None:
+            return None
+        aa = a * (a + 1) if self.a is None else 0
+        for f in self.factors:
+            vals[f] = f[0] * aa + f[1] * x + f[2]
+        return [
+            (_fr(ctx, *_exact(lhs, vals)), _fr(ctx, *_exact(rhs, vals)))
+            for lhs, rhs, g in self.eqs
+            if g is None or (x - g) % ctx.p
+        ]
+
+    def __str__(self) -> str:
+        eqs = "; ".join(
+            f"{lhs} == {rhs}" + ("" if g is None else f" for {self.x} != {g}")
+            for lhs, rhs, g in self.eqs
+        )
+        legend = "; ".join(f"{n} = {_sum_text(self.a, self.x, *d)}" for n, d in self.sums.items())
+        return f"{eqs} (mod {mod_text(self.modexp)}), where {legend}"
 
 
 # id -> the relation its check evaluates, which a corollary reads at its a
-_RELATIONS: dict[str, Relation] = {}
+_RELATIONS: dict[str, Rel] = {}
 
 
-def _param(
-    sid: str, status: str, applies: Cond, modexp: int, hyp: Hyp, rel: Relation, claim: str,
-    a: Fraction | None = None,
-) -> None:
-    """Register rel over sampled (a, x), or over sampled x at a fixed a:
-    P-T5.2 is stated at a = -1/2 only."""
+def _param(sid: str, status: str, applies: Cond, hyp: Hyp, rel: Rel) -> None:
+    """Register rel: its claim is str(rel), its check rel.pairs, skipping a
+    sample whose ``hyp.unit`` sum is not a unit."""
     _RELATIONS[sid] = rel
-    check = _theorem(rel) if a is None else _at(rel, a)
-    _add(Parametric(sid, status, claim, applies, modexp, hyp, check))
+    check = partial(rel.pairs, unit=hyp.unit)
+    _add(Parametric(sid, status, str(rel), applies, rel.modexp, hyp, check))
 
 
-def _corollary(sid: str, of: str, a: Fraction, applies: Cond, claim: str) -> None:
-    """Register theorem ``of`` at a fixed a: its relation, modulus exponent
-    and hypothesis less a, on the primes ``applies`` admits."""
-    thm = REGISTRY[of]
-    hyp = thm.admissible.without("a")
-    _param(sid, "corollary", applies, thm.modexp, hyp, _RELATIONS[of], claim, a)
+def _theorem(
+    sid: str, status: str, applies: Cond, hyp: Hyp, x: str, modexp: int, sums: dict,
+    build: Callable[..., list], a: Fraction | None = None,
+) -> None:
+    """Register build(X, **sums), X being x, over sampled (a, x) or sampled x at a
+    fixed a: each sum is (family, weight[, limit]), each equation (lhs, rhs[, guard])."""
+    sums = {name: (*spec, FULL)[:3] for name, spec in sums.items()}
+    eqs = build(_sym((0, 1, 0, x)), **{name: _sym(name) for name in sums})
+    _param(sid, status, applies, hyp, Rel(x, a, modexp, sums, tuple((*e, None)[:3] for e in eqs)))
 
 
-def _rel_l22(ctx: PrimeContext, aa: Fraction | int, tt: int, S: Sums):
-    s0 = S(mult=-tt)(W_ONE)
-    return [(s0 * s0 % ctx.P, S(mult=-tt * (tt + 1), central=True)(W_ONE))]
+def _corollary(sid: str, of: str, a: Fraction, applies: Cond) -> None:
+    """Register theorem ``of`` at a fixed a: its relation at a, with its
+    hypothesis less a, on the primes ``applies`` admits."""
+    _param(sid, "corollary", applies, REGISTRY[of].admissible.without("a"), _RELATIONS[of].at(a))
 
 
-_param(
-    "P-L2.2", "lemma", Cond(), 2, Hyp(a=(), t=()), _rel_l22,
-    "(sum_{k=0..p-1} C(a,k) C(-1-a,k) (-t)^k)^2 == "
-    "sum_{k=0..p-1} C(2k,k) C(a,k) C(-1-a,k) (-t(t+1))^k (mod p^2)",
+_theorem(
+    "P-L2.2", "lemma", Cond(), Hyp(a=(), t=()), "t", 2, dict(S_0=("S", W_ONE), D=("D", W_ONE)),
+    lambda X, S_0, D: [(S_0 * S_0, D)],
 )
-
-
-def _rel_t21(ctx: PrimeContext, aa: Fraction | int, tt: int, S: Sums):
-    m = ctx.P
-    lhs = S(mult=-tt * (tt + 1), central=True)(W_INV_K1, FULL_MINUS_1)
-    T = S(mult=-tt)
-    s0, s1 = T(W_ONE), T(W_K)
-    c = _fr(ctx, Fr(tt + 1, tt * aa))
-    return [(lhs, (s0 * s0 - c * s1 % m * s1) % m)]
-
-
-_param(
-    "P-T2.1", "theorem", Cond(), 2, Hyp(a=(0, -1), t=(0, -1)), _rel_t21,
-    "sum_{k=0..p-2} C(2k,k) C(a,k) C(-1-a,k) (-t(t+1))^k / (k+1) == "
-    "S0^2 - (t+1)/(a(a+1)t) S1^2 (mod p^2), "
-    "S_i = sum_{k=0..p-1} k^i C(a,k) C(-1-a,k) (-t)^k",
+_theorem(
+    "P-T2.1", "theorem", Cond(), Hyp(a=(0, -1), t=(0, -1)), "t", 2,
+    dict(V_1=("D", W_INV_K1, FULL_MINUS_1), S_0=("S", W_ONE), S_1=("S", W_K)),
+    lambda X, V_1, S_0, S_1: [(V_1, S_0 * S_0 - F(X + 1) / (A * X) * S_1 * S_1)],
 )
-
-
-def _rel_eq22(ctx: PrimeContext, aa: Fraction | int, tt: int, S: Sums):
-    m = ctx.P
-    T = S(mult=-tt)
-    s0, s1 = T(W_ONE), T(W_K)
-    n1 = S(mult=-tt * (tt + 1), central=True)(W_K)
-    c = _fr(ctx, Fr(2 * tt + 1, tt + 1))
-    return [(2 * s0 * s1 % m, c * n1 % m)]
-
-
-_param(
-    "P-eq2.2", "lemma", Cond(), 2, Hyp(a=(), t=(0, -1)), _rel_eq22,
-    "2 S0 S1 == (2t+1)/(t+1) sum_{k=0..p-1} k C(2k,k) C(a,k) C(-1-a,k) "
-    "(-t(t+1))^k (mod p^2), S_i = sum_{k=0..p-1} k^i C(a,k) C(-1-a,k) (-t)^k",
+_theorem(
+    "P-eq2.2", "lemma", Cond(), Hyp(a=(), t=(0, -1)), "t", 2,
+    dict(S_0=("S", W_ONE), S_1=("S", W_K), N=("D", W_K)),
+    lambda X, S_0, S_1, N: [(2 * S_0 * S_1, F(2 * X + 1) / F(X + 1) * N)],
 )
-
-
-def _rel_t22(ctx: PrimeContext, aa: Fraction | int, tt: int, S: Sums):
-    p, m = ctx.p, ctx.P
-    T = S(mult=-tt * (tt + 1), central=True)
-    d = T(W_ONE)
-    if d % p == 0:
-        return None
-    n = T(W_K)
-    lhs = T(W_INV_K1, FULL_MINUS_1)
-    c = _fr(ctx, Fr((2 * tt + 1) ** 2, 4 * tt * (tt + 1) * aa))
-    return [(lhs, (d - c * n % m * n % m * pow(d, -1, m)) % m)]
-
-
-_param(
-    "P-T2.2", "theorem", Cond(), 2, Hyp("D", a=(0, -1), t=(0, -1)), _rel_t22,
-    "sum_{k=0..p-2} C(2k,k) C(a,k) C(-1-a,k) (-t(t+1))^k / (k+1) == "
-    "D - (2t+1)^2/(4a(a+1)t(t+1)) N^2/D (mod p^2), D and N the plain and "
-    "k-weighted sums of C(2k,k) C(a,k) C(-1-a,k) (-t(t+1))^k over k=0..p-1",
+_theorem(
+    "P-T2.2", "theorem", Cond(), Hyp("D", a=(0, -1), t=(0, -1)), "t", 2,
+    dict(D=("D", W_ONE), N=("D", W_K), V_1=("D", W_INV_K1, FULL_MINUS_1)),
+    lambda X, D, N, V_1: [
+        (V_1, D - Fr(1, 4) * F(2 * X + 1) * F(2 * X + 1) * N * N / (A * X * F(X + 1) * D))
+    ],
 )
+_corollary("P-C2.1", "P-T2.1", Fr(-1, 2), Cond())
+_corollary("P-C2.2", "P-T2.1", Fr(-1, 3), Cond(above=3))
+_corollary("P-C2.3", "P-T2.1", Fr(-1, 4), Cond(above=3))
+_corollary("P-C2.4", "P-T2.1", Fr(-1, 6), Cond(above=5))
+_corollary("P-C2.5", "P-T2.2", Fr(-1, 2), Cond())
+_corollary("P-C2.6", "P-T2.2", Fr(-1, 3), Cond(above=3))
+_corollary("P-C2.7", "P-T2.2", Fr(-1, 4), Cond(above=3))
+_corollary("P-C2.8", "P-T2.2", Fr(-1, 6), Cond(above=5))
 
-_corollary(
-    "P-C2.1", "P-T2.1", Fr(-1, 2), Cond(),
-    "sum_{k=0..(p-1)/2} C(2k,k)^3 (-t(t+1)/16)^k / (k+1) == "
-    "S0^2 + 4(t+1)/t S1^2 (mod p^2), "
-    "S_i = sum_{k=0..(p-1)/2} k^i C(2k,k)^2 (-t/16)^k",
+# The m-families: T_i and V_e weigh C(2k,k) C(a,k) C(-1-a,k) / m^k by k^i
+# and 1/(k+1)^e, W_e by 1/(2k-1)^e and U by 1/(k+2).
+_T = dict(T_0=("T", W_ONE), T_1=("T", W_K))
+_V = dict(V_1=("T", W_INV_K1, FULL_MINUS_1))
+_theorem(
+    "P-T3.1", "theorem", Cond(), Hyp(a=(0, -1), m=(0,)), "m", 3,
+    dict(**_T, T_2=("T", W_K2), **_V, T_3=("T", W_K3)),
+    lambda X, T_0, T_1, T_2, V_1, T_3: [
+        (Fr(1, 2) * F(X - 4) * T_2, T_1 - 2 * A * T_0 + A * V_1),
+        (Fr(1, 2) * F(X - 4) * T_3, 3 * T_2 - F(2 * A - 1) * T_1 - A * T_0),
+        (
+            T_3,
+            -2 * F(2 * A - 1) * T_1 / F(X - 4)
+            + (12 * T_1 - 2 * A * F(X + 8) * T_0 + 12 * A * V_1) / (F(X - 4) * F(X - 4)),
+            4,
+        ),
+    ],
 )
-_corollary(
-    "P-C2.2", "P-T2.1", Fr(-1, 3), Cond(above=3),
-    "sum_{k=0..p-2} C(2k,k)^2 C(3k,k) (-t(t+1)/27)^k / (k+1) == "
-    "S0^2 + 9(t+1)/(2t) S1^2 (mod p^2), "
-    "S_i = sum_{k=0..p-1} k^i C(2k,k) C(3k,k) (-t/27)^k",
+_corollary("P-C3.1", "P-T3.1", Fr(-1, 2), Cond())
+_theorem(
+    "P-T4.1", "theorem", Cond(), Hyp(a=(0, -1), m=(0,)), "m", 3,
+    dict(**_T, **_V, V_2=("T", W_INV_K1_SQ, FULL_MINUS_1), V_3=("T", W_INV_K1_CU, FULL_MINUS_1)),
+    lambda X, T_0, T_1, V_1, V_2, V_3: [
+        (2 * A * V_2, F(X - 4) * T_1 + 2 * T_0 + 2 * F(2 * A - 1) * V_1),
+        (
+            2 * A * V_3,
+            -X + 2 * F(X - 4) * T_1 + X * T_0 + 2 * F(4 * A - 1) * V_1
+            + (-F(X - 4) * T_1 - 2 * T_0 + 2 * V_1) / A,
+        ),
+    ],
 )
-_corollary(
-    "P-C2.3", "P-T2.1", Fr(-1, 4), Cond(above=3),
-    "sum_{k=0..p-2} C(2k,k)^2 C(4k,2k) (-t(t+1)/64)^k / (k+1) == "
-    "S0^2 + 16(t+1)/(3t) S1^2 (mod p^2), "
-    "S_i = sum_{k=0..p-1} k^i C(2k,k) C(4k,2k) (-t/64)^k",
+_corollary("P-C4.1", "P-T4.1", Fr(-1, 2), Cond())
+_theorem(
+    "P-T5.1", "theorem", Cond(), Hyp(a=(0, -1), m=(0,)), "m", 3,
+    dict(W_1=("T", W_INV_2K1), **_T, **_V),
+    lambda X, W_1, T_0, T_1, V_1: [(W_1, -2 * T_1 - T_0 + (8 * T_1 - 8 * A * V_1) / X)],
 )
-_corollary(
-    "P-C2.4", "P-T2.1", Fr(-1, 6), Cond(above=5),
-    "sum_{k=0..p-2} C(2k,k) C(3k,k) C(6k,3k) (-t(t+1)/432)^k / (k+1) == "
-    "S0^2 + 36(t+1)/(5t) S1^2 (mod p^2), "
-    "S_i = sum_{k=0..p-1} k^i C(3k,k) C(6k,3k) (-t/432)^k",
-)
-_corollary(
-    "P-C2.5", "P-T2.2", Fr(-1, 2), Cond(),
-    "sum_{k=0..(p-1)/2} C(2k,k)^3 (-t(t+1)/16)^k / (k+1) == "
-    "D + (2t+1)^2/(t(t+1)) N^2/D (mod p^2), D and N the plain and k-weighted "
-    "half-range sums of C(2k,k)^3 (-t(t+1)/16)^k",
-)
-_corollary(
-    "P-C2.6", "P-T2.2", Fr(-1, 3), Cond(above=3),
-    "sum_{k=0..p-2} C(2k,k)^2 C(3k,k) (-t(t+1)/27)^k / (k+1) == "
-    "D + 9(2t+1)^2/(8t(t+1)) N^2/D (mod p^2), D and N the plain and "
-    "k-weighted full-range sums of C(2k,k)^2 C(3k,k) (-t(t+1)/27)^k",
-)
-_corollary(
-    "P-C2.7", "P-T2.2", Fr(-1, 4), Cond(above=3),
-    "sum_{k=0..p-2} C(2k,k)^2 C(4k,2k) (-t(t+1)/64)^k / (k+1) == "
-    "D + 4(2t+1)^2/(3t(t+1)) N^2/D (mod p^2), D and N the plain and "
-    "k-weighted full-range sums of C(2k,k)^2 C(4k,2k) (-t(t+1)/64)^k",
-)
-_corollary(
-    "P-C2.8", "P-T2.2", Fr(-1, 6), Cond(above=5),
-    "sum_{k=0..p-2} C(2k,k) C(3k,k) C(6k,3k) (-t(t+1)/432)^k / (k+1) == "
-    "D + 9(2t+1)^2/(5t(t+1)) N^2/D (mod p^2), D and N the plain and "
-    "k-weighted full-range sums of C(2k,k) C(3k,k) C(6k,3k) (-t(t+1)/432)^k",
-)
-
-
-def _rel_t31(ctx: PrimeContext, aa: Fraction | int, mm: int, S: Sums):
-    p, m = ctx.p, ctx.P
-    T = S(base=mm, central=True)
-    s, sk, sk2, sinv, sk3 = T(W_ONE), T(W_K), T(W_K2), T(W_INV_K1, FULL_MINUS_1), T(W_K3)
-    A, half = _fr(ctx, aa), _fr(ctx, Fr(mm - 4, 2))
-    pairs = [
-        (half * sk2 % m, (sk - 2 * A * s + A * sinv) % m),
-        (half * sk3 % m, (3 * sk2 - (2 * A - 1) * sk - A * s) % m),
-    ]
-    if (mm - 4) % p:
-        rhs = ((2 - 4 * A) * (mm - 4) + 12) * sk - 2 * A * (mm + 8) * s + 12 * A * sinv
-        pairs.append((sk3, rhs % m * _fr(ctx, Fr(1, (mm - 4) ** 2)) % m))
-    return pairs
-
-
-_param(
-    "P-T3.1", "theorem", Cond(), 3, Hyp(a=(0, -1), m=(0,)), _rel_t31,
-    "with T_i = sum k^i C(2k,k) C(a,k) C(-1-a,k) / m^k (full range) and "
-    "V = sum_{k=0..p-2} C(2k,k) C(a,k) C(-1-a,k) / (m^k (k+1)): "
-    "(m-4)/2 T_2 == T_1 - 2a(a+1) T_0 + a(a+1) V, "
-    "(m-4)/2 T_3 == 3 T_2 - (2a(a+1)-1) T_1 - a(a+1) T_0, and for m != 4: "
-    "T_3 == ((2-4a(a+1))(m-4)+12)/(m-4)^2 T_1 - 2a(a+1)(m+8)/(m-4)^2 T_0 "
-    "+ 12a(a+1)/(m-4)^2 V (mod p^3)",
-)
-_corollary(
-    "P-C3.1", "P-T3.1", Fr(-1, 2), Cond(),
-    "with T_i = sum_{k=0..(p-1)/2} k^i C(2k,k)^3 / (16m)^k and "
-    "V the 1/(k+1)-weighted half-range sum: "
-    "(m-4)/2 T_2 == T_1 + T_0/2 - V/4, (m-4)/2 T_3 == 3 T_2 + (3/2) T_1 + T_0/4, "
-    "and for m != 4: "
-    "T_3 == 3m/(m-4)^2 T_1 + (m+8)/(2(m-4)^2) T_0 - 3/(m-4)^2 V (mod p^3)",
-)
-
-
-def _rel_t41(ctx: PrimeContext, aa: Fraction | int, mm: int, S: Sums):
-    m = ctx.P
-    T = S(base=mm, central=True)
-    s, sk = T(W_ONE), T(W_K)
-    sinv, sinv2, sinv3 = (T(w, FULL_MINUS_1) for w in (W_INV_K1, W_INV_K1_SQ, W_INV_K1_CU))
-    A, B = _fr(ctx, aa), _fr(ctx, Fr(1, aa))
-    rhs1 = (mm - 4) * sk + 2 * s + (4 * A - 2) * sinv
-    rhs2 = -mm + (2 * mm - 8 - (mm - 4) * B) * sk + (mm - 2 * B) * s + (8 * A - 2 + 2 * B) * sinv
-    return [(2 * A * sinv2 % m, rhs1 % m), (2 * A * sinv3 % m, rhs2 % m)]
-
-
-_param(
-    "P-T4.1", "theorem", Cond(), 3, Hyp(a=(0, -1), m=(0,)), _rel_t41,
-    "with T_i and V_e = sum_{k=0..p-2} C(2k,k) C(a,k) C(-1-a,k)/(m^k (k+1)^e): "
-    "2a(a+1) V_2 == (m-4) T_1 + 2 T_0 + (4a(a+1)-2) V_1 and "
-    "2a(a+1) V_3 == -m + (2m-8-(m-4)/(a(a+1))) T_1 + (m-2/(a(a+1))) T_0 "
-    "+ (8a(a+1)-2+2/(a(a+1))) V_1 (mod p^3)",
-)
-_corollary(
-    "P-C4.1", "P-T4.1", Fr(-1, 2), Cond(),
-    "with half-range T_i and V_e = sum C(2k,k)^3/((16m)^k (k+1)^e): "
-    "V_2 == (8-2m) T_1 - 4 T_0 + 6 V_1 and "
-    "V_3 == 2m - 12(m-4) T_1 - 2(m+8) T_0 + 24 V_1 (mod p^3)",
-)
-
-
-def _rel_t51(ctx: PrimeContext, aa: Fraction | int, mm: int, S: Sums):
-    T = S(base=mm, central=True)
-    lhs, s, sk, sinv = T(W_INV_2K1), T(W_ONE), T(W_K), T(W_INV_K1, FULL_MINUS_1)
-    inv = _fr(ctx, Fr(1, mm))
-    return [(lhs, ((8 * inv - 2) * sk - s - 8 * _fr(ctx, aa) * inv * sinv) % ctx.P)]
-
-
-_param(
-    "P-T5.1", "theorem", Cond(), 3, Hyp(a=(0, -1), m=(0,)), _rel_t51,
-    "sum_{k=0..p-1} C(2k,k) C(a,k) C(-1-a,k)/(m^k (2k-1)) == "
-    "(8/m - 2) T_1 - T_0 - 8a(a+1)/m V_1 (mod p^3), with T_i the k^i-weighted "
-    "full-range sums and V_1 the 1/(k+1)-weighted sum over k=0..p-2",
-)
-_corollary(
-    "P-C5.1", "P-T5.1", Fr(-1, 2), Cond(),
-    "sum_{k=0..p-1} C(2k,k)^3/((16m)^k (2k-1)) == (8/m - 2) T_1 - T_0 "
-    "+ (2/m) V_1 (mod p^3), with T_i, V_1 the half-range k^i- and "
-    "1/(k+1)-weighted sums of C(2k,k)^3/(16m)^k",
-)
-
-
-def _rel_t52(ctx: PrimeContext, aa: Fraction | int, mm: int, S: Sums):
-    T = S(base=mm, central=True)
-    lhs = T(W_INV_2K1_SQ)
-    c1 = _fr(ctx, 4 - Fr(16, mm))
-    c2 = _fr(ctx, 1 + Fr(4, mm))
-    c3 = _fr(ctx, Fr(6, mm))
-    return [(lhs, (c1 * T(W_K) + c2 * T(W_ONE) - c3 * T(W_INV_K1)) % ctx.P)]
-
-
-_param(
-    "P-T5.2", "theorem", Cond(), 3, Hyp(m=(0,)), _rel_t52,
-    "sum_{k=0..p-1} C(2k,k)^3/((16m)^k (2k-1)^2) == (4 - 16/m) T_1 "
-    "+ (1 + 4/m) T_0 - (6/m) V_1 (mod p^3), with T_i, V_1 the half-range "
-    "k^i- and 1/(k+1)-weighted sums of C(2k,k)^3/(16m)^k",
+_corollary("P-C5.1", "P-T5.1", Fr(-1, 2), Cond())
+# P-T5.2 is stated at a = -1/2 only.
+_theorem(
+    "P-T5.2", "theorem", Cond(), Hyp(m=(0,)), "m", 3,
+    dict(W_2=("T", W_INV_2K1_SQ), T_1=("T", W_K), T_0=("T", W_ONE), V_1=("T", W_INV_K1)),
+    lambda X, W_2, T_1, T_0, V_1: [(W_2, 4 * T_1 + T_0 + (-16 * T_1 + 4 * T_0 - 6 * V_1) / X)],
     a=Fr(-1, 2),
 )
-
-
-def _rel_t61(ctx: PrimeContext, aa: Fraction | int, mm: int, S: Sums):
-    m = ctx.P
-    T = S(base=mm, central=True)
-    lhs, s, sk, sinv = T(W_INV_K2, FULL_MINUS_2), T(W_ONE), T(W_K), T(W_INV_K1, FULL_MINUS_1)
-    rhs = (4 - mm) * sk + (mm - 6) * s + (2 * _fr(ctx, aa) - mm) * sinv
-    # all over 6(a-1)(a+2) = 6(aa-2)
-    return [(lhs, rhs % m * _fr(ctx, Fr(1, 6 * (aa - 2))) % m)]
-
-
-_param(
-    "P-T6.1", "theorem", Cond(above=3), 3, Hyp(a=(0, -1, 1, -2), m=(0,)), _rel_t61,
-    "sum_{k=0..p-3} C(2k,k) C(a,k) C(-1-a,k)/(m^k (k+2)) == "
-    "(4-m)/(6(a-1)(a+2)) T_1 + (m-6)/(6(a-1)(a+2)) T_0 "
-    "+ (2a(a+1)-m)/(6(a-1)(a+2)) V_1 (mod p^3)",
+_theorem(
+    "P-T6.1", "theorem", Cond(above=3), Hyp(a=(0, -1, 1, -2), m=(0,)), "m", 3,
+    dict(U=("T", W_INV_K2, FULL_MINUS_2), **_T, **_V),
+    lambda X, U, T_0, T_1, V_1: [
+        (U, (-F(X - 4) * T_1 + F(X - 6) * T_0 + F(2 * A - X) * V_1) / (6 * F(A - 2)))
+    ],
 )
-_corollary(
-    "P-C6.1", "P-T6.1", Fr(-1, 2), Cond(above=3),
-    "sum_{k=0..(p-1)/2} C(2k,k)^3/((16m)^k (k+2)) == (2m-8)/27 T_1 "
-    "- (2m-12)/27 T_0 + (2m+1)/27 V_1 (mod p^3), with T_i, V_1 the "
-    "half-range k^i- and 1/(k+1)-weighted sums of C(2k,k)^3/(16m)^k",
-)
+_corollary("P-C6.1", "P-T6.1", Fr(-1, 2), Cond(above=3))
 
 
 def statement_modexp(stmt: Statement, p: int) -> int:

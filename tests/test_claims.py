@@ -8,14 +8,17 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
-from oracles import euler_numbers_exact, u_numbers_exact
+from oracles import EXACT, evaluate_jacobi_sum_exact, euler_numbers_exact, u_numbers_exact
 
 from supercong.cli import main
 from supercong.context import PrimeContext
 from supercong.padic import residue_from_fraction
 from supercong.quadform import F2, F3, F4, F7, F27, applicable, is_prime, represent
+from supercong.binomials import TEXT
 from supercong.registry import REGISTRY, SUM_SPECS, Fixed, Parametric, statement_modexp
 from supercong.special import r1, r3
+from supercong.statements import draw_params
+from supercong.sums import FULL, FULL_MINUS_1, FULL_MINUS_2, HALF, limit_bound
 
 FIXED = {sid: s for sid, s in REGISTRY.items() if isinstance(s, Fixed)}
 PARAMETRIC = {sid: s for sid, s in REGISTRY.items() if isinstance(s, Parametric)}
@@ -309,10 +312,160 @@ def test_claim_reader_rejects_a_wrong_factor():
         assert _reduced(_read_side(wrong, p), stmt, p) != _engine(stmt.rhs, stmt, p), p
 
 
+# -- parametric claims -----------------------------------------------------------------
+
+_LIMIT_TAGS = {"(p-1)/2": HALF, "p-1": FULL, "p-2": FULL_MINUS_1, "p-3": FULL_MINUS_2}
+_KINDS = {text: kind for kind, text in TEXT.items()}
+_LEGEND = re.compile(
+    r"(\w+) = sum_\{k=0\.\.(\S+)\} (?:(k(?:\^(\d))?|1/\((\d?)k([+-]\d)\)(?:\^(\d))?) \* )?"
+    r"((?:C\(\dk,\d?k\)(?:\^\d)? ?)*?) ?(C\(a,k\) C\(-1-a,k\) )?"
+    r"(?:\(-([tm])(\(\10\+1\))?(?:/(\d+))?\)\^k|/ \((\d*)([tm])\)\^k)"
+)
+
+
+class _Shape:
+    """A weight as oracles.weight_value reads it: (a0, a1, exp, inverted, 1)."""
+
+    def __init__(self, m: re.Match):
+        if m[3] is None:
+            self.shape = (1, 0, 1, False, 1)
+        elif m[3].startswith("k"):
+            self.shape = (0, 1, int(m[4] or 1), False, 1)
+        else:
+            self.shape = (int(m[6]), int(m[5] or 1), int(m[7] or 1), True, 1)
+
+
+def _legend_sum(text: str, p: int, a, x: int) -> Fraction:
+    """The exact value of one printed named sum: a Jacobi sum at a sampled
+    a, or at a fixed a the printed product of exact binomials."""
+    m = _LEGEND.fullmatch(text)
+    assert m, text
+    weight, bound = _Shape(m), limit_bound(_LIMIT_TAGS[m[2]], p)
+    scale = int(m[12] or m[13] or 1)
+    mult = Fraction(-x * (x + 1) if m[11] else -x, scale) if m[10] else Fraction(1, scale * x)
+    if m[9]:  # sampled a: C(2k,k) or not, then C(a,k) C(-1-a,k)
+        central = m[8].strip() == "C(2k,k)"
+        assert central or not m[8], text
+        return evaluate_jacobi_sum_exact(
+            a, p, weight=weight, limit=_LIMIT_TAGS[m[2]], mult=mult.numerator,
+            base=mult.denominator, central=central,
+        )
+    kinds = [re.fullmatch(r"(C\(\dk,\d?k\))(?:\^(\d))?", f) for f in m[8].split()]
+    total = Fraction(0)
+    for k in range(bound + 1):
+        term = Fraction(math.prod(EXACT[_KINDS[f[1]]](k) ** int(f[2] or 1) for f in kinds))
+        a0, a1, exp, inverted, _ = weight.shape
+        w = Fraction(a0 + a1 * k) ** (-exp if inverted else exp)
+        total += w * term * mult**k
+    return total
+
+
+class _RelReader(_Reader):
+    """A printed equation side: terms of a coefficient times factors side by
+    side, each an a(a+1), t or m, a named sum or a parenthesised form, with
+    an optional power and an optional /factor."""
+
+    def __init__(self, text: str, values: dict):
+        self.text, self.i, self.values = text, 0, values
+
+    def at_end(self) -> bool:
+        return self.i == len(self.text) or self.text.startswith((" + ", " - ", ")"), self.i)
+
+    def factor(self) -> Fraction:
+        if m := re.compile(r"a\(a\+1\)|[tm](?![\w(])|[A-Z](?:_\d)?").match(self.text, self.i):
+            self.i, value = m.end(), Fraction(self.values[m[0]])
+        else:
+            assert self.text.startswith("(", self.i), (self.text, self.text[self.i:])
+            self.i += 1
+            value = self.form()
+            assert self.text.startswith(")", self.i), (self.text, self.text[self.i:])
+            self.i += 1
+        if m := re.compile(r"\^(\d+)").match(self.text, self.i):
+            self.i, value = m.end(), value ** int(m[1])
+        if self.text.startswith("/", self.i):
+            self.i += 1
+            value /= self.factor()
+        return value
+
+
+def _read_relation(claim: str, p: int, a, x: int, xname: str) -> list:
+    """The residues of each equation a parametric claim prints, at (a, x):
+    its legend's sums valued exactly, each side read, equations guarded by
+    "for x != g" dropped where x == g (mod p)."""
+    eqs, legend = claim.split(" (mod ", 1)
+    t = int(m[1]) if (m := re.match(r"p\^(\d)\), where ", legend)) else 1
+    values = {xname: x} if a is None else {"a(a+1)": a * (a + 1), xname: x}
+    for entry in legend.split(", where ", 1)[1].split("; "):
+        name, _ = entry.split(" = ", 1)
+        values[name] = _legend_sum(entry, p, a, x)
+    pairs = []
+    for eq in eqs.split("; "):
+        eq, _, guard = eq.partition(f" for {xname} != ")
+        if guard and (x - int(guard)) % p == 0:
+            continue
+        pairs.append(
+            tuple(
+                residue_from_fraction(_RelReader(side, values).read(), p, t).value
+                for side in eq.split(" == ")
+            )
+        )
+    return pairs
+
+
+def _samples(stmt: Parametric):
+    """Two admissible tuples at each prime 7, 11, 13 the statement applies to,
+    with the sampled a, or None at a fixed a, whose legend prints products."""
+    for p in (p for p in (7, 11, 13) if stmt.applies(p)):
+        for i in range(2):
+            ps = draw_params(stmt, p, 0, i)
+            a = ps[0] if stmt.params[0] == "a" else None
+            yield p, ps, a
+
+
+def _check_pairs(stmt: Parametric, p: int, ps) -> list:
+    return stmt.check(PrimeContext(p, statement_modexp(stmt, p)), ps)
+
+
+@pytest.mark.parametrize("sid", sorted(PARAMETRIC))
+def test_parametric_claim_reads_as_its_check(sid):
+    """Each equation of the claim, read from its text alone at two sampled
+    tuples per prime, gives the residues of the check's pair in its place."""
+    stmt = PARAMETRIC[sid]
+    seen = 0
+    for p, ps, a in _samples(stmt):
+        pairs = _check_pairs(stmt, p, ps)
+        if pairs is None:  # P-T2.2's unit hypothesis fails
+            continue
+        read = _read_relation(stmt.claim, p, a, ps[-1], stmt.params[-1])
+        assert read == pairs, (sid, p, ps)
+        seen += 1
+    assert seen >= 3, sid
+
+
+@pytest.mark.parametrize(
+    "sid, old, new",
+    [("P-C2.4", "(36/5)", "(35/5)"), ("P-T3.1", "12 a(a+1) V_1", "11 a(a+1) V_1")],
+)
+def test_relation_reader_rejects_a_wrong_coefficient(sid, old, new):
+    """A changed figure shows: P-C2.4's 36, and a coefficient of P-T3.1's
+    third congruence, the one guarded by m != 4."""
+    stmt = PARAMETRIC[sid]
+    assert old in stmt.claim
+    wrong = stmt.claim.replace(old, new)
+    differs = 0
+    for p, ps, a in _samples(stmt):
+        if (ps[-1] - 4) % p == 0:
+            continue
+        pairs = _check_pairs(stmt, p, ps)
+        assert _read_relation(stmt.claim, p, a, ps[-1], stmt.params[-1]) == pairs
+        differs += _read_relation(wrong, p, a, ps[-1], stmt.params[-1]) != pairs
+    assert differs >= 2, sid
+
+
 # -- the listing ---------------------------------------------------------------------
 
 LIST_SHA256 = "f0d45da7e8c3a9d9959911a6e07ed87ea497d3e477a77a3a7b2d4c7eafc8fb7e"
-CLAIMS_SHA256 = "37063feb3d0e0e0149f7dcb6b719b9a89a1f75fcaed92361477d0490d9221cb4"
+CLAIMS_SHA256 = "f1257aacf851a11dc717e8043b79d0d44cd041a6b1bc749dc27eddd1d78b6681"
 
 
 def _listing(capsys, *extra: str) -> str:

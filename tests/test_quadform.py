@@ -125,3 +125,16 @@ def test_is_prime():
 def test_represent_requires_prime_input():
     with pytest.raises(Exception):
         represent(15, F4)
+
+
+def test_applicable_exactly_where_represent_succeeds():
+    """For every prime below 400, 2 included, and every form, the residue
+    classes admit p exactly when the search finds a representation."""
+    for p in [2] + odd_primes_up_to(400):
+        for form in FORMS:
+            try:
+                represent(p, form)
+                found = True
+            except NotRepresentable:
+                found = False
+            assert applicable(p, form) is found, (p, form)

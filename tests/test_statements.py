@@ -3,16 +3,17 @@
 import io
 import json
 from fractions import Fraction
-from itertools import permutations
+from itertools import permutations, product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import evaluate_jacobi_sum_exact
 
 from supercong import quadform, registry, sums
 from supercong.context import PrimeContext
 from supercong.errors import SupercongError, UnknownStatement
-from supercong.padic import Residue
+from supercong.padic import Residue, residue_from_fraction
 from supercong.binomials import B22
 from supercong.identities import PRODUCT_FORMS
 from supercong.registry import (
@@ -392,6 +393,8 @@ def test_parametric_check_depends_on_every_sum(sid, monkeypatch):
 
     pairs = check(None)
     assert calls and pairs and all(lhs == rhs for lhs, rhs in pairs)
+    requests = [(a, sorted((k, repr(v)) for k, v in kw.items() if k != "ctx")) for a, kw in calls]
+    assert len({repr(r) for r in requests}) == len(calls), "a sum was requested twice"
     for a, kw in calls:
         if isinstance(a, Fraction):  # "sum_{k=0..(p-1)/2} C(2k,k)^3" -> "C(2k,k)^3"
             kinds, _ = PRODUCT_FORMS[a]
@@ -449,3 +452,45 @@ def test_random_cell_gives_verdict_or_typed_error(sid, p, seed):
         return
     assert isinstance(v, Verdict)
     assert v.outcome in {HOLDS, FAILS, NOT_APPLICABLE, SKIPPED}
+
+
+def _admissible(stmt, p: int):
+    """Every admissible tuple of residues mod p, in order."""
+    return [ps for ps in product(range(p), repeat=len(stmt.params)) if stmt.admissible(p, ps)]
+
+
+@pytest.mark.parametrize("sid", ["P-T2.2", "P-C2.5", "P-C2.6", "P-C2.7", "P-C2.8"])
+def test_non_unit_d_skips_the_sample(sid):
+    """P-T2.2 and its corollaries divide by D: a tuple whose D, summed
+    exactly, is 0 (mod p) gives None, and any other gives pairs that hold."""
+    stmt, p = REGISTRY[sid], 11
+    ctx = PrimeContext(p, statement_modexp(stmt, p))
+    a = None if stmt.params[0] == "a" else {"5": -2, "6": -3, "7": -4, "8": -6}[sid[-1]]
+    skipped = 0
+    for ps in _admissible(stmt, p):
+        t = ps[-1]
+        at = ps[0] if a is None else Fraction(1, a)
+        d = evaluate_jacobi_sum_exact(
+            at, p, limit=HALF if at == Fraction(-1, 2) else FULL, mult=-t * (t + 1), central=True
+        )
+        pairs = stmt.check(ctx, ps)
+        if residue_from_fraction(d, p, 1).value == 0:
+            assert pairs is None, ps
+            skipped += 1
+        else:
+            assert pairs and all(lhs == rhs for lhs, rhs in pairs), ps
+    assert skipped, sid
+
+
+@pytest.mark.parametrize("sid", ["P-T3.1", "P-C3.1"])
+def test_third_congruence_is_guarded_by_m_not_4(sid):
+    """P-T3.1 and P-C3.1 check two congruences where m == 4 (mod p) and
+    three elsewhere."""
+    stmt, p = REGISTRY[sid], 11
+    ctx = PrimeContext(p, statement_modexp(stmt, p))
+    for ps in _admissible(stmt, p)[:40] + [(3, 4), (3, 4 + p), (4,), (4 + 2 * p,)]:
+        if len(ps) != len(stmt.params):
+            continue
+        pairs = stmt.check(ctx, ps)
+        assert len(pairs) == (2 if (ps[-1] - 4) % p == 0 else 3), ps
+        assert all(lhs == rhs for lhs, rhs in pairs), ps
