@@ -39,6 +39,17 @@ RATIOS: dict[str, Callable[[int], tuple[tuple[int, ...], tuple[int, ...]]]] = {
     B63: lambda k: ((8, 6 * k + 1, 6 * k + 5, 2 * k + 1), (k + 1, 3 * k + 1, 3 * k + 2)),
 }
 
+#: a -> (stream kinds, base) with C(a,k)C(-1-a,k) = prod(streams at k)/base^k
+#: at the corollaries' four fixed a: checked by
+#: ``identities.check_product_identities``, the products the parametric
+#: legends print, and the tests' oracle for the engine's Jacobi sums there.
+PRODUCT_FORMS: dict[Fraction, tuple[tuple[str, str], int]] = {
+    Fraction(-1, 2): ((B22, B22), 16),
+    Fraction(-1, 3): ((B22, B31), 27),
+    Fraction(-1, 4): ((B22, B42), 64),
+    Fraction(-1, 6): ((B31, B63), 432),
+}
+
 #: kind -> its text in a claim.
 TEXT = {B22: "C(2k,k)", B31: "C(3k,k)", B42: "C(4k,2k)", B63: "C(6k,3k)"}
 

@@ -36,15 +36,16 @@ A residue mod p^2 fits in one 30-bit CPython digit for p < 32768 where one
 mod p^4 needs two, so most statements run on the smaller integers.
 
 Caches are kept by lifetime.  What is finite per prime lives as long as
-the context: stream kinds, products, weights, product term arrays (each
-belongs to one of the fixed statements' (product, base) groups) and
-Jacobi streams at a fixed rational a (the corollaries' four points).  What
-belongs to one sample lives in LRU caches of ``JACOBI_CACHE`` entries:
-streams at a sampled int a, and every Jacobi term array, whose multiplier
-is sampled even at a fixed a.  A sample reads at most two of each and
-evicts nothing a fixed statement reads, so the order of the ids does not
-matter; only a draw that repeats an earlier one (mod p^2, so at the
-smallest primes) may find that sample's arrays evicted.
+the context: stream kinds, products, weights, right-hand-side binomials,
+product term arrays (each belongs to one of the fixed statements'
+(product, base) groups) and Jacobi streams at a fixed rational a (the
+corollaries' four points).  What belongs to one sample lives in LRU
+caches of ``JACOBI_CACHE`` entries: streams at a sampled int a, and every
+Jacobi term array, whose multiplier is sampled even at a fixed a.  A
+sample reads at most two of each and evicts nothing a fixed statement
+reads, so the order of the ids does not matter; only a draw that repeats
+an earlier one (mod p^2, so at the smallest primes) may find that
+sample's arrays evicted.
 """
 
 from __future__ import annotations
@@ -104,6 +105,7 @@ class PrimeContext:
         self._fixed_a, self._sampled_a = Cache(), Cache(JACOBI_CACHE)
         self._group_terms, self._sample_terms = Cache(), Cache(JACOBI_CACHE)
         self._weights = Cache()
+        self._binoms = Cache()
         self._inv: list[int] | None = None
         self._inv_sq: list[int] | None = None
         self._reps: dict[str, quadform.QuadRep | None] = {}
@@ -306,11 +308,11 @@ class PrimeContext:
     def binom(self, n: int, k: int) -> int:
         """C(n,k) mod P for the p-unit binomials in right-hand sides.
 
-        Raises DenominatorNotUnit when p divides C(n,k): a closed form may
-        divide by this residue, and dividing by a non-unit residue would
-        cancel p silently.
+        Built once per context and raises DenominatorNotUnit on every read
+        when p divides C(n,k): a closed form may divide by this residue, and
+        dividing by a non-unit residue would cancel p silently.
         """
-        b = binomial_mod(n, k, self.p, self.workexp)
+        b = self._binoms.get_or_build((n, k), lambda: binomial_mod(n, k, self.p, self.workexp))
         if b % self.p == 0:
             raise DenominatorNotUnit(f"C({n},{k}) is divisible by {self.p}")
         return b

@@ -27,9 +27,14 @@ were multiplied by (the shift helper, whose check need not form it, names
 it in its docstring).
 
 J_k = prod_{j<k} (j(j+1) - a(a+1)) / (k!)^2 is a polynomial of degree k in
-a(a+1), so both sides of the convolution identity at n are polynomials of
-degree <= n+1 in a(a+1), and the n+2 points a = 0..n+1, whose a(a+1) are
-distinct, prove it for that n.
+a(a+1), so each identity, multiplied through by its a-free denominators,
+equates two polynomials in a(a+1) of degree <= d, and agreement at the d+1
+distinct a(a+1), a = 0..d, proves it for every a.  ``supercong identities``
+checks each at those points, for d = n+1 at the convolution identity and
+its recurrence at n (S(m) has degree m+1, and the recurrence's coefficients
+are linear in a(a+1)), d = order at the series square through t^order (its
+t^i coefficient has degree <= i) and d = k+1 at the shift identity at k,
+which one row per integer a walks through every k it reaches.
 
 The two rows are built independently and multiplied entry by entry, never
 stepped by the ratio J_{k+1}/J_k: that ratio is what check_shift_identity
@@ -49,7 +54,7 @@ from fractions import Fraction
 from math import prod
 from operator import add, mul
 
-from .binomials import RATIOS, exact_binomial
+from .binomials import PRODUCT_FORMS, RATIOS, exact_binomial
 
 
 def _numerator_row(r: int, s: int, n: int, start: int = 0) -> list[int]:
@@ -109,9 +114,7 @@ def _rhs_weights(n: int) -> list[int]:
 
 
 def check_convolution_identity(n: int) -> bool:
-    """J_k = prod_{j<k} (j(j+1) - a(a+1)) / (k!)^2, so both sides are
-    polynomials in a(a+1) of degree <= n+1, and agreement at the n+2
-    distinct values a(a+1), a = 0..n+1, proves the identity for that n."""
+    """The convolution identity at n, proved at its n+2 points a = 0..n+1."""
     m = n + 1
     # at an integer a, J_k = P_k / (k!)^2: one scale brings every point over (m!)^2
     scale = _common_scale(1, m)
@@ -143,17 +146,6 @@ def check_convolution_recurrence(n: int, a: Fraction | int) -> bool:
     """(n^3-n) S(n) = 2(n^3-(2a^2+2a+1)n+a(a+1)) S(n-1) - (n^3-(2a+1)^2 n) S(n-2)."""
     lhs, rhs, _ = _recurrence_sides(n, a)
     return lhs == rhs
-
-
-#: a -> (stream kinds, base) with C(a,k)C(-1-a,k) = prod(streams at k)/base^k
-#: at the corollaries' four fixed a: checked by ``check_product_identities``,
-#: and the tests' oracle for the engine's Jacobi sums at these a.
-PRODUCT_FORMS: dict[Fraction, tuple[tuple[str, str], int]] = {
-    Fraction(-1, 2): (("B22", "B22"), 16),
-    Fraction(-1, 3): (("B22", "B31"), 27),
-    Fraction(-1, 4): (("B22", "B42"), 64),
-    Fraction(-1, 6): (("B31", "B63"), 432),
-}
 
 
 def _family_rows(kinds, k_max: int) -> dict[str, list[int]]:
@@ -252,19 +244,24 @@ def check_series_square(a: Fraction | int, order: int) -> bool:
     return lhs == rhs
 
 
-def _shift_sides(a: Fraction | int, k: int) -> tuple[int, int]:
-    """Both sides of the shift identity times s^(2k+2) k! (k+1)!, a factor
-    the check need not form."""
+def _shift_sides(a: Fraction | int, k_lo: int, k_hi: int):
+    """For k = k_lo..k_hi-1: both sides of the shift identity times
+    s^(2k+2) k! (k+1)!, a factor the check need not form.  One row reaches
+    k_lo with one product per side and then steps, and so does C(2k,k)."""
     r, s = a.as_integer_ratio()
-    jac_k, jac_next = _jacobi_numerators(a, k + 1, start=k)  # over (s^k k!)^2, (s^(k+1) (k+1)!)^2
-    aa = r * (r + s)
-    lhs = (k + 1) * jac_next * exact_binomial(2 * k + 2, k + 1)
-    rhs = ((4 * k * k + 2 * k) * (k + 1) * s * s - (4 * k + 2) * aa) * jac_k
-    return lhs, rhs * exact_binomial(2 * k, k)
+    jac = _jacobi_numerators(a, k_hi, start=k_lo)  # P_k over (s^k k!)^2
+    aa, ss = r * (r + s), s * s
+    central = exact_binomial(2 * k_lo, k_lo)
+    for k, jac_k, jac_next in zip(range(k_lo, k_hi), jac, jac[1:]):
+        nxt = central * (4 * k + 2) // (k + 1)
+        lhs = (k + 1) * jac_next * nxt
+        rhs = ((4 * k * k + 2 * k) * (k + 1) * ss - (4 * k + 2) * aa) * jac_k * central
+        yield lhs, rhs
+        central = nxt
 
 
-def check_shift_identity(a: Fraction | int, k: int) -> bool:
+def check_shift_identity(a: Fraction | int, k: int, k_hi: int | None = None) -> bool:
     """(k+1)^2 C(a,k+1)C(-1-a,k+1)C(2k+2,k+1) equals
-    (4k^2 + 2k - 4a(a+1) + 2a(a+1)/(k+1)) C(a,k)C(-1-a,k)C(2k,k)."""
-    lhs, rhs = _shift_sides(a, k)
-    return lhs == rhs
+    (4k^2 + 2k - 4a(a+1) + 2a(a+1)/(k+1)) C(a,k)C(-1-a,k)C(2k,k), at k or,
+    given k_hi, at every k..k_hi-1 along one row."""
+    return all(lhs == rhs for lhs, rhs in _shift_sides(a, k, k + 1 if k_hi is None else k_hi))

@@ -46,7 +46,7 @@ from functools import cache, partial
 from typing import Callable, Iterable, Union
 
 from . import quadform
-from .binomials import B22, B31, B42, B63
+from .binomials import B22, B31, B42, B63, PRODUCT_FORMS
 from .context import PrimeContext
 from .padic import residue_from_rational
 from .quadform import F2, F3, F4, F7, F27
@@ -1463,12 +1463,6 @@ def _at_aa(lin: Lin, aa: Fraction) -> Lin:
     return Lin(tuple((c, _mono(key)) for key, c in out.items() if c))
 
 
-# a -> (stream kinds, base) with C(a,k) C(-1-a,k) = prod(streams at k) / base^k
-# at the corollaries' fixed a, as identities.PRODUCT_FORMS checks
-_PRODUCTS = {
-    Fr(-1, 2): ((B22, B22), 16), Fr(-1, 3): ((B22, B31), 27),
-    Fr(-1, 4): ((B22, B42), 64), Fr(-1, 6): ((B31, B63), 432),
-}
 # family -> (central, (mult, base) at x, its text with a fixed a's base as
 # d = "/16" or b = "16"): C(2k,k) or not, then (-x)^k, (-x(x+1))^k or 1/x^k
 _FAMILIES = {
@@ -1524,7 +1518,7 @@ def _sum_text(a: Fraction | None, x: str, fam: str, weight: Weight, limit: str) 
     central, _, mult = _FAMILIES[fam]
     kinds, base, jacobi = (B22,) * central, "", "C(a,k) C(-1-a,k)"
     if a is not None:
-        kinds, base, jacobi = kinds + _PRODUCTS[a][0], str(_PRODUCTS[a][1]), ""
+        kinds, base, jacobi = kinds + PRODUCT_FORMS[a][0], str(PRODUCT_FORMS[a][1]), ""
     head = str(SumSpec(kinds, Fr(1), weight, _limit(a == _HALF, weight, limit))).rstrip()
     tail = mult.format(x=x, d=base and f"/{base}", b=base)
     return " ".join(filter(None, (head, jacobi, tail)))

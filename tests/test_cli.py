@@ -241,14 +241,29 @@ def test_represent_errors(capsys):
     assert err.count("error:") == 3
 
 
+IDENTITY_SUITES = ("convolution", "recurrence", "products", "series-square", "shift")
+
+
 def test_identities_subcommand(capsys):
-    code = main(
-        ["identities", "--nmax", "6", "--kmax", "20", "--order", "6", "--seed", "1"]
-    )
+    code = main(["identities", "--nmax", "6", "--kmax", "20", "--order", "6"])
     assert code == 0
     out = capsys.readouterr().out
-    for name in ("convolution", "recurrence", "products", "series-square", "shift"):
+    for name in IDENTITY_SUITES:
         assert f"{name}: pass" in out
+
+
+def test_identities_proves_every_suite_at_its_defaults(capsys):
+    """nmax 40, kmax 200 and order 30: every suite at its degree-bound points."""
+    assert main(["identities"]) == 0
+    assert capsys.readouterr().out.splitlines() == [f"{s}: pass" for s in IDENTITY_SUITES]
+
+
+def test_identities_has_no_seed(capsys):
+    """The suites check fixed points, so there is nothing to seed."""
+    with pytest.raises(SystemExit) as exc:
+        main(["identities", "--seed", "1"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -256,7 +271,7 @@ def test_identities_subcommand(capsys):
     [("--nmax", "1"), ("--kmax", "0"), ("--order", "1"), ("--nmax", "-3")],
 )
 def test_identities_rejects_sizes_that_check_nothing(capsys, flag, value):
-    """--nmax 1 has no recurrence n, --kmax 0 no shift pair, and at --order 1
+    """--nmax 1 has no recurrence n, --kmax 0 no shift k, and at --order 1
     both series are 0 through t^1: each would print ``pass`` unchecked."""
     with pytest.raises(SystemExit) as exc:
         main(["identities", flag, value])

@@ -250,17 +250,21 @@ def test_rows_and_sides_match_fraction_oracles(a, n, data):
         assert over(den, lhs, rhs) == fraction_recurrence_sides(n, a)
     lhs, rhs, den = identities._series_square_sides(a, n)
     assert over(den, lhs, rhs) == fraction_series_square_sides(a, n)
-    lhs, rhs = identities._shift_sides(a, n)
-    assert over(shift_den(a, n), lhs, rhs) == fraction_shift_sides(a, n)
+    sides = list(identities._shift_sides(a, start, n + 1))
+    assert len(sides) == n + 1 - start
+    for k, (lhs, rhs) in zip(ks, sides):
+        assert over(shift_den(a, k), lhs, rhs) == fraction_shift_sides(a, k)
 
 
 @pytest.mark.parametrize("k", [150, 199])
 @pytest.mark.parametrize("a", [Fraction(-37, 12), Fraction(5, 7), Fraction(59, 11), Fraction(-42)])
 def test_shift_sides_match_fraction_oracle_at_large_k(a, k):
-    """The per-k denominators grow with k, past the property test's k <= 15."""
-    lhs, rhs = identities._shift_sides(a, k)
+    """The per-k denominators grow with k, past the property test's k <= 15:
+    alone, as ``check_shift_identity`` reads k, and two steps into a row."""
+    [(lhs, rhs)] = identities._shift_sides(a, k, k + 1)
     assert lhs == rhs
     assert over(shift_den(a, k), lhs, rhs) == fraction_shift_sides(a, k)
+    assert list(identities._shift_sides(a, k - 2, k + 1))[-1] == (lhs, rhs)
 
 
 def test_convolution_points_reach_a_equal_n_plus_1(monkeypatch):
@@ -284,6 +288,71 @@ def test_convolution_points_reach_a_equal_n_plus_1(monkeypatch):
             patch.setattr(identities, name, wrong)
             for n in range(1, 13):
                 assert check_convolution_identity(n) is False, (name, n)
+
+
+SUITES = ("convolution", "recurrence", "products", "series-square", "shift")
+
+
+def _top_entry(a, k):
+    """P_k(a) = prod_{j<k} (j(j+1) - a(a+1)), the numerator of C(a,k)C(-1-a,k):
+    of degree k in a(a+1), 0 at the integers a = 0..k-1 and not at a = k.
+    Added to one side of an identity of degree >= k, it is an error only the
+    point a = k sees."""
+    return identities._jacobi_numerators(a, k, start=k)[0]
+
+
+def _recurrence_plus_top(sides, at):
+    def wrong(n, a):
+        lhs, rhs, den = sides(n, a)
+        return lhs + (n == at) * _top_entry(a, n + 1), rhs, den
+
+    return wrong
+
+
+def _series_square_plus_top(sides, at):
+    def wrong(a, order):
+        lhs, rhs, den = sides(a, order)
+        lhs[order] += (order == at) * _top_entry(a, order)
+        return lhs, rhs, den
+
+    return wrong
+
+
+def _shift_plus_top(sides, at):
+    def wrong(a, k_lo, k_hi):
+        for k, (lhs, rhs) in zip(range(k_lo, k_hi), sides(a, k_lo, k_hi)):
+            yield lhs + (k == at) * _top_entry(a, k + 1), rhs
+
+    return wrong
+
+
+@pytest.mark.parametrize(
+    "suite, name, wrong, check, top, cli_size",
+    [
+        ("recurrence", "_recurrence_sides", _recurrence_plus_top,
+         lambda a, n: check_convolution_recurrence(n, a), lambda n: n + 1, 6),
+        ("series-square", "_series_square_sides", _series_square_plus_top,
+         check_series_square, lambda order: order, 6),
+        ("shift", "_shift_sides", _shift_plus_top, check_shift_identity, lambda k: k + 1, 19),
+    ],
+    ids=["recurrence", "series_square", "shift"],
+)
+def test_suite_points_reach_their_degree_bound(
+    monkeypatch, capsys, suite, name, wrong, check, top, cli_size
+):
+    """Each suite's top point (a = n+1, a = order, a = k+1) is the one point
+    that sees an error of the full degree, so the CLI, which must reach the
+    top point of its largest size (n = nmax, order, k = kmax - 1), fails that
+    suite alone."""
+    sides = getattr(identities, name)
+    for size in range(2, 9):
+        monkeypatch.setattr(identities, name, wrong(sides, size))
+        assert all(check(a, size) for a in range(top(size))), size
+        assert check(top(size), size) is False, size
+    monkeypatch.setattr(identities, name, wrong(sides, cli_size))
+    assert main(["identities", "--nmax", "6", "--kmax", "20", "--order", "6"]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert out == [f"{s}: {'FAIL' if s == suite else 'pass'}" for s in SUITES]
 
 
 def test_product_sides_match_fraction_oracle():
@@ -357,6 +426,6 @@ def test_cli_reports_failing_suites(monkeypatch, capsys):
     monkeypatch.setattr(identities, "_numerator_row", _c2_off_by_one(identities._numerator_row))
     assert main(argv) == 1
     out = capsys.readouterr().out
-    # the shift suite reads C(a,2) only at k = 1 or 2, which its k < 20 draws include
+    # the shift suite reads C(a,2) at k = 1 and 2, from the rows at a = 0..3
     for name in ("convolution", "recurrence", "products", "series-square", "shift"):
         assert f"{name}: FAIL" in out

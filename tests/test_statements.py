@@ -10,9 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import evaluate_jacobi_sum_exact
 
-from supercong import quadform, registry, sums
+from supercong import context, quadform, registry, sums
 from supercong.context import PrimeContext
-from supercong.errors import SupercongError, UnknownStatement
+from supercong.errors import DenominatorNotUnit, SupercongError, UnknownStatement
 from supercong.padic import Residue, residue_from_fraction
 from supercong.binomials import B22
 from supercong.identities import PRODUCT_FORMS
@@ -494,3 +494,27 @@ def test_third_congruence_is_guarded_by_m_not_4(sid):
         pairs = stmt.check(ctx, ps)
         assert len(pairs) == (2 if (ps[-1] - 4) % p == 0 else 3), ps
         assert all(lhs == rhs for lhs, rhs in pairs), ps
+
+
+def test_context_builds_each_binomial_once(monkeypatch):
+    """A right-hand side that reads C(n,k) and p / C(n,k) builds C(n,k) once
+    per context view: 187 builds for the fixed ids over 5..150, not 528, and
+    9 for every id at p = 1997 and 2011, not 29.  A binomial that p divides
+    still raises on every read."""
+    calls = []
+    build = context.binomial_mod
+    monkeypatch.setattr(context, "binomial_mod", lambda *args: calls.append(args) or build(*args))
+    fixed = [sid for sid, s in REGISTRY.items() if not isinstance(s, Parametric)]
+    run_range(5, 150, ids=fixed)
+    assert len(calls) == len(set(calls)) == 187
+    calls.clear()
+    for p in (1997, 2011):
+        for ids in (fixed, ["P-*"]):
+            run_range(p, p, ids=ids)
+    assert len(calls) == len(set(calls)) == 9
+    calls.clear()
+    ctx = PrimeContext(7, 2)
+    for _ in range(2):
+        with pytest.raises(DenominatorNotUnit):
+            ctx.binom(7, 3)
+    assert calls == [(7, 3, 7, 2)]
