@@ -102,8 +102,6 @@ def cmd_eval(args: argparse.Namespace) -> int:
             f"{args.id} is parametric; use `verify --ids {args.id}`"
         )
     p = args.p
-    if not quadform.is_prime(p) or p == 2:
-        raise ValueError(f"p must be an odd prime, got {p}")
     ctx = context_for(None, p, args.t if args.t is not None else statement_modexp(stmt, p))
     lhs = stmt.lhs(ctx)
     if stmt.applies(p):

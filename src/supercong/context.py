@@ -87,10 +87,17 @@ class Cache(dict):
         return value
 
 
+def _times(a: Stream, b: Stream, P: int) -> Stream:
+    """The elementwise product of two streams mod P."""
+    return [x + y for x, y in zip(a[0], b[0])], [x * y % P for x, y in zip(a[1], b[1])]
+
+
 class PrimeContext:
-    """Shared per-prime caches at a fixed working exponent."""
+    """Shared per-prime caches at a fixed working exponent for an odd prime p."""
 
     def __init__(self, p: int, workexp: int):
+        if p == 2 or not quadform.is_prime(p):
+            raise ValueError(f"p must be an odd prime, got {p}")
         self.p = p
         self.workexp = workexp
         self.P = p**workexp
@@ -142,15 +149,10 @@ class PrimeContext:
         key = tuple(sorted(kinds))
 
         def build() -> Stream:
-            P = self.P
-            vs, us = self.stream(key[0])
-            vs, us = list(vs), list(us)
+            out = self.stream(key[0])
             for kind in key[1:]:
-                v2, u2 = self.stream(kind)
-                for k in range(self.p):
-                    vs[k] += v2[k]
-                    us[k] = us[k] * u2[k] % P
-            return vs, us
+                out = _times(out, self.stream(kind), self.P)
+            return out
 
         return self._products.get_or_build(key, build)
 
@@ -166,16 +168,9 @@ class PrimeContext:
     def jacobi_central(self, a: Fraction | int) -> Stream:
         """C(a,k)C(-1-a,k)C(2k,k) arrays for a p-integral a."""
 
-        def build() -> Stream:
-            vs, us = self.jacobi(a)
-            cv, cu = self.stream("B22")
-            P = self.P
-            return (
-                [v + c for v, c in zip(vs, cv)],
-                [u * c % P for u, c in zip(us, cu)],
-            )
-
-        return self._jacobi_cache(a).get_or_build((a, True), build)
+        return self._jacobi_cache(a).get_or_build(
+            (a, True), lambda: _times(self.jacobi(a), self.stream("B22"), self.P)
+        )
 
     def arrays(self, source: Source) -> Stream:
         """The stream a term array is built from (see the module docstring)."""

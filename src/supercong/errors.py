@@ -34,7 +34,7 @@ class WrongClass(SupercongError):
 
 
 class BaseNotUnit(SupercongError):
-    """Sum base m (or its inverse) is divisible by p."""
+    """A sum's multiplier z (1/m for base m) has a denominator divisible by p."""
 
 
 class UnknownStatement(SupercongError):

@@ -1440,11 +1440,19 @@ def F(lin: Lin) -> Lin:
     return _sym((u, v, w, x))
 
 
+def _primitive(v: Fraction, w: Fraction, x: str) -> tuple[Fraction, tuple]:
+    """(c, f) with v x + w = c f, f = (0, v', w', x) primitive and v' > 0."""
+    d = math.lcm(v.denominator, w.denominator)
+    g = math.gcd(int(v * d), int(w * d)) * (1 if v > 0 else -1)
+    return Fr(g, d), (0, int(v * d / g), int(w * d / g), x)
+
+
 def _at_aa(lin: Lin, aa: Fraction) -> Lin:
-    """lin with a(a+1) = aa: a factor left in x alone is made primitive with
-    a positive x coefficient, its content moving into the term's rational,
-    and like terms are collected."""
-    out: dict = {}
+    """lin with a(a+1) = aa, collected: a factor left in x alone is made
+    primitive with a positive x coefficient, its content moving into the
+    term's rational, and the terms whose monomials differ only by one factor
+    of exponent 1, or by its absence, become one, as m T_0 + 8 T_0 is (m + 8) T_0."""
+    out: dict = {}  # the rest of a monomial -> (v, w, x): its factor v x + w
     for c, atom in lin.terms:
         pairs = []
         for sym, e in atom.key:
@@ -1454,21 +1462,29 @@ def _at_aa(lin: Lin, aa: Fraction) -> Lin:
                 if not v:
                     c *= w**e
                     continue
-                g = math.gcd(v * w.denominator, w.numerator) * (1 if v > 0 else -1)
-                sym = (0, v * w.denominator // g, w.numerator // g, x)
-                c *= Fr(g, w.denominator) ** e
+                g, sym = _primitive(Fr(v), w, x)
+                c *= g**e
             pairs.append((sym, e))
         key = _mono(tuple(pairs)).key
-        out[key] = out.get(key, 0) + c
-    return Lin(tuple((c, _mono(key)) for key, c in out.items() if c))
+        ones = [sym for sym, e in key if not isinstance(sym, str) and e == 1]
+        f = ones[0] if len(ones) == 1 else (0, 0, 1, "")
+        rest = tuple(i for i in key if i != (f, 1))
+        v, w, x = out.get(rest, (0, 0, ""))
+        out[rest] = (v + c * f[1], w + c * f[2], x or f[3])
+    terms = []
+    for rest, (v, w, x) in out.items():
+        c, f = _primitive(Fr(v), Fr(w), x) if v else (w, None)
+        if c:
+            terms.append((c, _mono(rest + (((f, 1),) if f else ()))))
+    return Lin(tuple(terms))
 
 
-# family -> (central, (mult, base) at x, its text with a fixed a's base as
-# d = "/16" or b = "16"): C(2k,k) or not, then (-x)^k, (-x(x+1))^k or 1/x^k
+# family -> (central, the multiplier z at x, its text with a fixed a's base as
+# d = "/16" or b = "16"): C(2k,k) or not, then z = -x, -x(x+1) or 1/x
 _FAMILIES = {
-    "S": (False, lambda x: (-x, None), "(-{x}{d})^k"),
-    "D": (True, lambda x: (-x * (x + 1), None), "(-{x}({x}+1){d})^k"),
-    "T": (True, lambda x: (1, x), "/ ({b}{x})^k"),
+    "S": (False, lambda x: -x, "(-{x}{d})^k"),
+    "D": (True, lambda x: -x * (x + 1), "(-{x}({x}+1){d})^k"),
+    "T": (True, lambda x: Fr(1, x), "/ ({b}{x})^k"),
 }
 _HALF = Fr(-1, 2)
 
@@ -1484,16 +1500,15 @@ def _limit(half: bool, weight: Weight, limit: str) -> str:
 # arithmetic (exact ints over one denominator per side, one _fr each) 6 to
 # 20 us, P-T3.1 the most (shared 2-core x86, Python 3.11).
 def _jacobi_sums(ctx: PrimeContext, a: Fraction | int, x: int, sums: dict, unit: str):
-    """name -> sum_k w(k) C(a,k) C(-1-a,k) [C(2k,k)] mult^k / base^k mod P for one
-    sample's named sums, or None when the sum named ``unit`` is not a p-unit."""
+    """name -> sum_k w(k) C(a,k) C(-1-a,k) [C(2k,k)] z^k mod P for one sample's
+    named sums, or None when the sum named ``unit`` is not a p-unit."""
     vals = {}
     half = a == _HALF
     for name, (fam, weight, limit) in sums.items():
-        central, at, _ = _FAMILIES[fam]
-        mult, base = at(x)
+        central, z, _ = _FAMILIES[fam]
         vals[name] = evaluate_jacobi_sum(
-            a, ctx.p, ctx.workexp, weight=weight, limit=_limit(half, weight, limit), mult=mult,
-            base=base, central=central, ctx=ctx,
+            a, ctx.p, ctx.workexp, weight=weight, limit=_limit(half, weight, limit), z=z(x),
+            central=central, ctx=ctx,
         ).value
         if name == unit and vals[name] % ctx.p == 0:
             return None
@@ -1537,9 +1552,16 @@ class Rel:
         self.factors = {s for _, atom in terms for s, _ in atom.key if not isinstance(s, str)}
 
     def at(self, a: Fraction) -> Rel:
-        aa = a * (a + 1)
-        eqs = tuple((_at_aa(lhs, aa), _at_aa(rhs, aa), g) for lhs, rhs, g in self.eqs)
-        return Rel(self.x, a, self.modexp, self.sums, eqs)
+        """This relation at a fixed a, each equation whose lhs is one rational
+        times named sums divided through by that rational."""
+        eqs = []
+        for lhs, rhs, g in self.eqs:
+            lhs, rhs = _at_aa(lhs, a * (a + 1)), _at_aa(rhs, a * (a + 1))
+            (c, atom), *more = lhs.terms
+            if not more and all(isinstance(sym, str) for sym, _ in atom.key):
+                lhs, rhs = Fr(1, c) * lhs, Fr(1, c) * rhs
+            eqs.append((lhs, rhs, g))
+        return Rel(self.x, a, self.modexp, self.sums, tuple(eqs))
 
     def pairs(self, ctx: PrimeContext, ps: tuple[int, ...], unit: str = ""):
         a, x = (ps[0] if self.a is None else self.a), ps[-1]

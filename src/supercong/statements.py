@@ -21,10 +21,6 @@ SKIPPED = "Skipped"
 SAMPLES_PER_PRIME = 10
 MAX_REDRAWS = 64
 
-# Largest modulus exponent any registered statement uses; a context at this
-# exponent covers every statement for a prime.
-MAX_MODEXP = 4
-
 
 class Verdict(NamedTuple):
     """Outcome of one statement at one prime."""
@@ -147,16 +143,18 @@ def evaluate_statement(
 
     A shared PrimeContext for p may be passed in to reuse cached streams;
     it must reach the statement's modulus exponent t.  Without one, a
-    context at t is built.  The statement runs on the context's view at t
+    context at t is built, which raises ValueError unless p is an odd
+    prime.  The statement runs on the context's view at t
     (``PrimeContext.at``), whose modulus is p^t.
     """
     stmt = REGISTRY.get(sid)
     if stmt is None:
         raise UnknownStatement(f"unknown statement id: {sid}")
+    t = statement_modexp(stmt, p)
+    ctx = context_for(ctx, p, t)
     if not stmt.applies(p):
         return Verdict(NOT_APPLICABLE, detail=f"requires {stmt.condition}")
-    t = statement_modexp(stmt, p)
-    ctx = context_for(ctx, p, t).at(t)
+    ctx = ctx.at(t)
     if isinstance(stmt, Parametric):
         return _check_parametric(stmt, ctx, seed)
     return _check_fixed(stmt, ctx)
@@ -168,7 +166,8 @@ def _verdict_row(p: int, sid: str, v: Verdict) -> ReportRow:
 
 def _run_prime(args: tuple[int, tuple[str, ...], int]) -> list[ReportRow]:
     p, sids, seed = args
-    ctx = PrimeContext(p, MAX_MODEXP)
+    # one root context per prime, at the largest exponent its statements need
+    ctx = PrimeContext(p, max(statement_modexp(REGISTRY[sid], p) for sid in sids))
     rows = []
     for sid in sids:
         try:

@@ -5,22 +5,24 @@ families, a rational base m (terms are divided by m^k), a term weight,
 a truncation limit, and an optional global sign.  Each limit, sign and
 weight tag is one table entry giving its value and its claim text, so
 str(spec) is the sum as a claim prints it.  Jacobi sums take the stream
-C(a,k)C(-1-a,k) [* C(2k,k)], at a sampled int a or a fixed rational a,
-and a multiplier mult^k / base^k instead of the product and base: every
-parametric sum, theorem and corollary alike, is one of them.
+C(a,k)C(-1-a,k) [* C(2k,k)], at a sampled int a or a fixed rational a:
+every parametric sum, theorem and corollary alike, is one of them.
+
+Every sum is sum_k w(k) * (stream term at k) * z^k for one exact z, 1/m
+for a ``SumSpec``: p may divide z's numerator but not its denominator
+(:class:`BaseNotUnit`), and a zero z leaves the k = 0 term alone.
 
 Evaluation has two stages, both cached on the :class:`PrimeContext`:
 
 * the term array t_k = u_k * z^k * p^(v_k) mod P (P = p^workexp), built
-  once per (stream, base) by ``ctx.terms``: u_k p^(v_k) is the stream term
-  and z = p^zv * zu the per-step multiplier (1/m, or mult/base);
-* the weight array w_k of ``ctx.weight``: k^e as plain ints, or the
-  inverses of k+1, k+2, k+3, 2k-1 and their powers.  A linear weight
-  c0 + c1*k is one array too, of the integers a0 + a1*k = clear*(c0 + c1*k),
-  and its sum is scaled by 1/clear.
+  once per (stream, z) by ``ctx.terms``: u_k p^(v_k) is the stream term
+  and z = p^zv * zu the per-step multiplier;
+* the weight array w_k of ``ctx.weight``: k^e as plain ints, the integers
+  c0 + c1*k of a linear weight, or the inverses of k+1, k+2, k+3, 2k-1
+  and their powers.
 
 A sum is then the truncated dot product sum_{k <= bound} w_k t_k mod P, so
-the 4 to 6 weights a statement compares at one (stream, base) share one
+the 4 to 6 weights a statement compares at one (stream, z) share one
 term array.  Every residue is exact: units are carried mod P and terms of
 valuation >= workexp vanish mod P.  The tests compare it with the exact
 Fraction sums of ``tests/oracles.py``.
@@ -43,7 +45,6 @@ the s of a = r/s are units.  A pole term under that floor less e raises
 
 from __future__ import annotations
 
-import math
 from collections import Counter
 from fractions import Fraction
 from itertools import islice
@@ -52,7 +53,7 @@ from typing import Callable, NamedTuple
 
 from .binomials import TEXT
 from .context import PrimeContext, Source, context_for
-from .errors import BaseNotUnit, DenominatorNotUnit, NegativeValuation, PoleFloorViolated
+from .errors import BaseNotUnit, NegativeValuation, PoleFloorViolated
 from .padic import Residue
 
 # Truncation limits: tag -> (the last k at p, its text).
@@ -104,26 +105,23 @@ class Weight:
     Tags: "one", "k", "k2", "k3" multiply by k^e; "inv_k1", "inv_k1_sq",
     "inv_k1_cu" divide by (k+1)^e; "inv_k2", "inv_k3" divide by k+2, k+3;
     "inv_2k1", "inv_2k1_sq" divide by (2k-1)^e; "linear" multiplies by
-    c0 + c1*k.  Weights that evaluate to 0 zero out the term; inverse
-    weights at p-divisible arguments lower the term valuation instead.
-    Immutable, equal and hashed by (tag, c0, c1).
+    c0 + c1*k for integers c0, c1 (ValueError otherwise).  Weights that
+    evaluate to 0 zero out the term; inverse weights at p-divisible
+    arguments lower the term valuation instead.  Immutable, equal and
+    hashed by (tag, c0, c1).
 
-    ``shape`` is (a0, a1, exp, inverted, clear) with w(k) = (a0 + a1*k)^(+-exp)
-    / clear: clear is 1 except for a linear weight, whose c0 + c1*k it
-    clears of denominators.
+    ``shape`` is (a0, a1, exp, inverted) with w(k) = (a0 + a1*k)^(+-exp).
     """
 
     __slots__ = ("tag", "c0", "c1", "shape")
 
-    def __init__(self, tag: str, c0: Fraction = Fraction(0), c1: Fraction = Fraction(0)) -> None:
-        if tag == "linear":
-            clear = math.lcm(c0.denominator, c1.denominator)
-            shape = (int(c0 * clear), int(c1 * clear), 1, False, clear)
-        else:
-            shape = (*_WEIGHTS[tag][0], 1)
+    def __init__(self, tag: str, c0: int = 0, c1: int = 0) -> None:
+        if int(c0) != c0 or int(c1) != c1:
+            raise ValueError(f"weight coefficients must be integers, got {c0}, {c1}")
+        shape = (int(c0), int(c1), 1, False) if tag == "linear" else _WEIGHTS[tag][0]
         object.__setattr__(self, "tag", tag)
-        object.__setattr__(self, "c0", c0)
-        object.__setattr__(self, "c1", c1)
+        object.__setattr__(self, "c0", int(c0))
+        object.__setattr__(self, "c1", int(c1))
         object.__setattr__(self, "shape", shape)
 
     def __setattr__(self, name: str, value: object) -> None:
@@ -167,8 +165,8 @@ W_INV_2K1 = Weight("inv_2k1")
 W_INV_2K1_SQ = Weight("inv_2k1_sq")
 
 
-def linear_weight(c0: Fraction | int, c1: Fraction | int) -> Weight:
-    return Weight("linear", Fraction(c0), Fraction(c1))
+def linear_weight(c0: int, c1: int) -> Weight:
+    return Weight("linear", c0, c1)
 
 
 class SumSpec(NamedTuple):
@@ -203,12 +201,16 @@ def prefactor_sign(prefactor: str, p: int) -> int:
     return _PREFACTORS[prefactor][0](p)
 
 
-def _unit_inverse(base: Fraction, p: int, P: int) -> int:
-    """1/base mod P for a p-adic unit base."""
-    num, den = base.numerator, base.denominator
-    if num % p == 0 or den % p == 0:
-        raise BaseNotUnit(f"base {base} is not a p-adic unit at p={p}")
-    return den % P * pow(num, -1, P) % P
+def _multiplier(num: int, den: int, p: int, P: int) -> tuple[int, int]:
+    """(zv, zu) with z = num/den = p^zv * zu mod P, and (0, 0) for z = 0;
+    BaseNotUnit when p divides den."""
+    if den % p == 0:
+        raise BaseNotUnit(f"multiplier {num}/{den} has a denominator divisible by p={p}")
+    zv = 0
+    while num and num % p == 0:
+        num //= p
+        zv += 1
+    return zv, num * pow(den, -1, P) % P
 
 
 def _weighted_sum(
@@ -226,18 +228,13 @@ def _weighted_sum(
     stream's valuation floor at 2k = p + 1, where a 1/(2k-1)^e weight has
     its pole (see the module docstring).
     """
-    p, P = ctx.p, ctx.P
-    a0, a1, exp, inverted, clear = weight.shape
-    if clear % p == 0:
-        raise DenominatorNotUnit(
-            f"weight {weight.c0} + {weight.c1}*k has denominator {clear}, divisible by p={p}"
-        )
-    ws, poles = ctx.weight(a0, a1, exp, inverted)
-    floor = gain - exp if weight.tag in POLE_TAGS else None
-    n = bound + 1
+    P = ctx.P
+    ws, poles = ctx.weight(*weight.shape)
+    floor = gain - weight.shape[2] if weight.tag in POLE_TAGS else None
+    n = bound + 1 if zu else 1  # a zero z leaves the k = 0 term alone
     acc = sum(map(mul, islice(ws, n), islice(ctx.terms(source, zv, zu), n)))
     for k, d, unit in poles:
-        if k > bound:
+        if k >= n:
             continue
         vs, us = ctx.arrays(source)
         if not us[k]:
@@ -250,8 +247,6 @@ def _weighted_sum(
             raise NegativeValuation(f"term k={k} has valuation {v} < 0; sum is not p-integral")
         if v < ctx.workexp:
             acc += us[k] * pow(zu, k, P) % P * unit % P * ctx.pow_p[v]
-    if clear != 1:
-        acc *= pow(clear, -1, P)
     return acc % P
 
 
@@ -263,10 +258,10 @@ def evaluate_sum(
 ) -> Residue:
     """Evaluate the sum exactly modulo p^t."""
     ctx = context_for(ctx, p, t)
-    zu = _unit_inverse(Fraction(spec.m), p, ctx.P)
+    zv, zu = _multiplier(*spec.m.as_integer_ratio()[::-1], p, ctx.P)  # z = 1/m
     bound = limit_bound(spec.limit, p)
     gain = sum(kind in ("B22", "B63") for kind in spec.product)
-    acc = _weighted_sum(ctx, spec.product, 0, zu, spec.weight, bound, gain)
+    acc = _weighted_sum(ctx, spec.product, zv, zu, spec.weight, bound, gain)
     if prefactor_sign(spec.prefactor, p) < 0:
         acc = -acc % ctx.P
     return Residue(p, t, acc)
@@ -279,30 +274,20 @@ def evaluate_jacobi_sum(
     *,
     weight: Weight = W_ONE,
     limit: str = FULL,
-    mult: int = 1,
-    base: Fraction | int | None = None,
+    z: Fraction | int = 1,
     central: bool = False,
     ctx: PrimeContext | None = None,
 ) -> Residue:
-    """Sum of w(k) * C(a,k)C(-1-a,k) [* C(2k,k)] * mult^k [/ base^k] mod p^t.
+    """Sum of w(k) * C(a,k)C(-1-a,k) [* C(2k,k)] * z^k mod p^t.
 
     a is an int or a Fraction whose denominator p does not divide
-    (DenominatorNotUnit otherwise).  mult is an exact integer; it may be
-    divisible by p (the tail of the series then vanishes on its own) or
-    zero (only k = 0 remains).  base, when given, must be a p-adic unit.
+    (DenominatorNotUnit otherwise).  z is an exact int or Fraction: p may
+    divide its numerator (the tail of the series then vanishes on its
+    own) but not its denominator (BaseNotUnit), and a zero z leaves only
+    the k = 0 term.
     """
     ctx = context_for(ctx, p, t)
-    P, T = ctx.P, ctx.workexp
-    zv, zu = 0, mult
-    if mult == 0:
-        zv, zu = T + 4, 1  # kills every k >= 1
-    else:
-        while zu % p == 0:
-            zu //= p
-            zv += 1
-        zu %= P
-    if base is not None:
-        zu = zu * _unit_inverse(Fraction(base), p, P) % P
+    zv, zu = _multiplier(*z.as_integer_ratio(), p, ctx.P)
     r, s = a.as_integer_ratio()
     gain = central + 1 + ((2 * r + s) % p == 0)
     bound = limit_bound(limit, p)

@@ -38,11 +38,11 @@ def rational_binomial(a: Fraction | int, k: int) -> Fraction:
 
 
 def weight_value(weight: Weight, k: int) -> Fraction:
-    a0, a1, exp, inverted, clear = weight.shape
+    a0, a1, exp, inverted = weight.shape
     b = Fraction(a0 + a1 * k)
     if b == 0:
         return b
-    return (b**-exp if inverted else b**exp) / clear
+    return b**-exp if inverted else b**exp
 
 
 def evaluate_jacobi_sum_exact(

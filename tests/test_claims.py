@@ -324,15 +324,15 @@ _LEGEND = re.compile(
 
 
 class _Shape:
-    """A weight as oracles.weight_value reads it: (a0, a1, exp, inverted, 1)."""
+    """A weight as oracles.weight_value reads it: (a0, a1, exp, inverted)."""
 
     def __init__(self, m: re.Match):
         if m[3] is None:
-            self.shape = (1, 0, 1, False, 1)
+            self.shape = (1, 0, 1, False)
         elif m[3].startswith("k"):
-            self.shape = (0, 1, int(m[4] or 1), False, 1)
+            self.shape = (0, 1, int(m[4] or 1), False)
         else:
-            self.shape = (int(m[6]), int(m[5] or 1), int(m[7] or 1), True, 1)
+            self.shape = (int(m[6]), int(m[5] or 1), int(m[7] or 1), True)
 
 
 def _legend_sum(text: str, p: int, a, x: int) -> Fraction:
@@ -354,7 +354,7 @@ def _legend_sum(text: str, p: int, a, x: int) -> Fraction:
     total = Fraction(0)
     for k in range(bound + 1):
         term = Fraction(math.prod(EXACT[_KINDS[f[1]]](k) ** int(f[2] or 1) for f in kinds))
-        a0, a1, exp, inverted, _ = weight.shape
+        a0, a1, exp, inverted = weight.shape
         w = Fraction(a0 + a1 * k) ** (-exp if inverted else exp)
         total += w * term * mult**k
     return total
@@ -465,7 +465,7 @@ def test_relation_reader_rejects_a_wrong_coefficient(sid, old, new):
 # -- the listing ---------------------------------------------------------------------
 
 LIST_SHA256 = "f0d45da7e8c3a9d9959911a6e07ed87ea497d3e477a77a3a7b2d4c7eafc8fb7e"
-CLAIMS_SHA256 = "f1257aacf851a11dc717e8043b79d0d44cd041a6b1bc749dc27eddd1d78b6681"
+CLAIMS_SHA256 = "0393eac53bccbb4ae2d61f0c359348b56c342f01c1090a56c0d6a8be0b3d14b1"
 
 
 def _listing(capsys, *extra: str) -> str:

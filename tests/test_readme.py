@@ -44,3 +44,20 @@ def test_readme_example_prints_what_it_shows(capsys, line, shown):
         assert printed[:cut] == shown[:cut]
     else:
         assert printed == shown
+
+
+def test_readme_python_block_runs_and_shows_its_values():
+    """README's Python API block runs, and each `# Verdict(...)` or
+    `# QuadRep(...)` comment is the repr of the value its line assigns, up to
+    a trailing `...`."""
+    (block,) = re.findall(r"^```python\n(.*?)^```$", README.read_text(), re.M | re.S)
+    names = {}
+    exec(compile(block, str(README), "exec"), names)
+    shown = re.findall(r"^(\w+) = .*# ((?:Verdict|QuadRep)\(.*\))$", block, re.M)
+    assert [name for name, _ in shown] == ["v", "rep"]
+    for name, text in shown:
+        got = repr(names[name])
+        if text.endswith("...)"):
+            assert got.startswith(text[: -len("...)")]), (got, text)
+        else:
+            assert got == text

@@ -30,11 +30,10 @@ from supercong.registry import (
     statement_modexp,
 )
 from supercong.report import LEGACY_GUARD, ReportRow, VerificationReport
-from supercong.sums import FULL, HALF, SumSpec, linear_weight
+from supercong.sums import FULL, HALF, W_ONE, SumSpec, evaluate_jacobi_sum, evaluate_sum
 from supercong.statements import (
     FAILS,
     HOLDS,
-    MAX_MODEXP,
     NOT_APPLICABLE,
     SAMPLES_PER_PRIME,
     SKIPPED,
@@ -45,6 +44,26 @@ from supercong.statements import (
     run_range,
     select_ids,
 )
+
+
+def top_modexp(p: int) -> int:
+    """The largest modulus exponent of any registered statement at p."""
+    return max(statement_modexp(stmt, p) for stmt in REGISTRY.values())
+
+
+@pytest.mark.parametrize("p", [1, 2, 9, 15])
+def test_entry_points_reject_a_p_that_is_not_an_odd_prime(p):
+    """A context, a statement and both sum evaluators raise ValueError at p
+    = 1, 2, 9 and 15, before any applicability test or sum runs."""
+    with pytest.raises(ValueError, match="p must be an odd prime"):
+        PrimeContext(p, 2)
+    for sid in ("T2.7", "T2.4a", "P-L2.2"):
+        with pytest.raises(ValueError, match="p must be an odd prime"):
+            evaluate_statement(sid, p)
+    with pytest.raises(ValueError, match="p must be an odd prime"):
+        evaluate_sum(SUM_SPECS["T2.7"], p, 2)
+    with pytest.raises(ValueError, match="p must be an odd prime"):
+        evaluate_jacobi_sum(3, p, 2)
 
 
 def test_registry_shape():
@@ -178,7 +197,7 @@ class TestEvaluateStatement:
         p = 73  # 1 (mod 12) and 3 (mod 7): every id below applies
         fixed = ["CJ-S9-intro-b", "T2.7", "CJ-R2.2-1"]  # mod p, p^2, p^3, in registry order
         for sids in ([*fixed, *order], [*order, *reversed(fixed)]):
-            root = PrimeContext(p, MAX_MODEXP)
+            root = PrimeContext(p, top_modexp(p))
             for sid in sids:
                 got = evaluate_statement(sid, p, ctx=root)
                 assert got == evaluate_statement(sid, p), sid
@@ -198,7 +217,7 @@ class TestEvaluateStatement:
             except SupercongError as exc:
                 return type(exc), str(exc)
 
-        root = PrimeContext(p, MAX_MODEXP)
+        root = PrimeContext(p, top_modexp(p))
         for sid in REGISTRY:
             assert outcome(sid, root) == outcome(sid), sid
 
@@ -301,15 +320,10 @@ class TestRunRange:
             del REGISTRY[sid]
 
     def test_engine_errors_stay_in_their_cell(self):
-        """A linear weight whose denominator p divides, a right-hand-side
-        constant whose denominator p divides, a right-hand side divided by
-        the non-unit C(p,1) and an R1 right-hand side asked for mod p^3 each
-        become Skipped rows naming the error type; every other cell of the
-        sweep still runs."""
-        lhs = _sum_lhs(SumSpec(C2, Fraction(16), linear_weight(Fraction(1, 7), 1), HALF))
-        REGISTRY["X-DEN"] = Fixed(
-            "X-DEN", "theorem", "S == S (mod p^2)", "p > 3", lambda p: p > 3, 2, lhs, lhs,
-        )
+        """A right-hand-side constant whose denominator p divides, a
+        right-hand side divided by the non-unit C(p,1) and an R1 right-hand
+        side asked for mod p^3 each become Skipped rows naming the error
+        type; every other cell of the sweep still runs."""
 
         def seventh(ctx):
             return _fr(ctx, Fraction(1, 7))
@@ -326,23 +340,39 @@ class TestRunRange:
             lambda p: p > 3, 2, lambda ctx: 0, p_over_binom("p", "1", lambda p: (p, 1), 2).value,
         )
         try:
-            r = run_range(5, 30, ids=["X-DEN", "X-FR", "X-R1", "X-BIN", "T2.7"])
+            r = run_range(5, 30, ids=["X-FR", "X-R1", "X-BIN", "T2.7"])
         finally:
-            del REGISTRY["X-DEN"], REGISTRY["X-FR"], REGISTRY["X-R1"], REGISTRY["X-BIN"]
+            del REGISTRY["X-FR"], REGISTRY["X-R1"], REGISTRY["X-BIN"]
         skipped = {(row.p, row.sid): row.detail for row in r.rows if row.outcome == SKIPPED}
         primes = primes_in(5, 30)
-        assert set(skipped) == {(7, "X-DEN"), (7, "X-FR")} | {
+        assert set(skipped) == {(7, "X-FR")} | {
             (p, "X-R1") for p in (7, 11, 19, 23)
         } | {(p, "X-BIN") for p in primes}
-        assert skipped[7, "X-DEN"].startswith("DenominatorNotUnit: ")
         assert skipped[7, "X-FR"].startswith("DenominatorNotUnit: ")
         assert skipped[11, "X-R1"].startswith("ModulusTooHigh: ")
         for p in primes:
             assert skipped[p, "X-BIN"].startswith("DenominatorNotUnit: ")
-        assert len(r.rows) == 5 * len(primes)
+        assert len(r.rows) == 4 * len(primes)
         assert {row.outcome for row in r.rows if row.sid == "T2.7"} == {HOLDS}
-        for sid in ("X-DEN", "X-FR"):
-            assert {row.outcome for row in r.rows if row.sid == sid and row.p != 7} == {HOLDS}
+        assert {row.outcome for row in r.rows if row.sid == "X-FR" and row.p != 7} == {HOLDS}
+
+    def test_a_statement_above_every_registered_exponent_runs(self):
+        """A statement mod p^5, above every registered one, holds in a sweep
+        beside a mod-p^2 one: each prime's root context reaches the largest
+        exponent among its selected ids."""
+        lhs = _sum_lhs(SumSpec(C2, Fraction(16), W_ONE, HALF))
+        REGISTRY["X-P5"] = Fixed(
+            "X-P5", "theorem", "S == S (mod p^5)", "p odd", lambda p: True, 5, lhs, lhs,
+        )
+        try:
+            assert evaluate_statement("X-P5", 7).outcome == HOLDS
+            r = run_range(5, 7, ids=["X-P5", "T2.7"])
+        finally:
+            del REGISTRY["X-P5"]
+        assert [(row.p, row.sid, row.outcome, row.modulus) for row in r.rows] == [
+            (5, "T2.7", HOLDS, 25), (5, "X-P5", HOLDS, 5**5),
+            (7, "T2.7", HOLDS, 49), (7, "X-P5", HOLDS, 7**5),
+        ]
 
     def test_conjecture_failures_gate_only_in_strict_mode(self):
         sid = "XJ-FALSE"
