@@ -116,8 +116,6 @@ def cmd_represent(args: argparse.Namespace) -> int:
         raise ValueError(
             f"unknown form {args.form!r}; choose from {', '.join(quadform.FORMS)}"
         )
-    if not quadform.is_prime(args.p):
-        raise ValueError(f"p must be prime, got {args.p}")
     rep = quadform.represent(args.p, args.form)
     print(f"x={rep.x} y={rep.y}")
     return 0
@@ -227,12 +225,13 @@ def main(argv: list[str] | None = None) -> int:
         sys.stdout.flush()
         return code
     except BrokenPipeError:
-        # the reader closed stdout (`supercong list | head`): send what is
-        # still buffered to devnull so that the flush at exit cannot fail
+        # caught before OSError, its base: the reader closed stdout (`supercong
+        # list | head`), so send what is still buffered to devnull so that the
+        # flush at exit cannot fail
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         return 1
-    except (SupercongError, ValueError) as exc:
+    except (SupercongError, ValueError, OSError) as exc:
         kind = f"{type(exc).__name__}: " if isinstance(exc, SupercongError) else ""
         print(f"error: {kind}{exc}", file=sys.stderr)
         return 2

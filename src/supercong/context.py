@@ -1,10 +1,11 @@
 """Per-prime evaluation context.
 
 Everything expensive that more than one statement needs at the same prime
-lives here and is computed once: binomial stream arrays, products of
-streams, inverse tables, term and weight arrays for the sum evaluator, and
-quadratic form representations.  A context is confined to one task; the
-registry itself stays read-only and shareable.
+lives here and is computed once: binomial stream arrays, their products
+and Jacobi streams, term and weight arrays for the sum evaluator, inverse
+tables, the views at lower exponents, and two right-hand-side memos, each
+form's (x, y) and the p-unit binomials.  A context is confined to one
+task; the registry itself stays read-only and shareable.
 
 A stream is a pair (vs, us) of valuations and units, term_k = us[k] *
 p^vs[k] for k = 0..p-1, with us[k] == 0 marking an exact zero.  A sum
@@ -27,8 +28,8 @@ at the largest modulus exponent any statement needs.  ``at(t)`` narrows it
 to exponent t: it returns a *view*, a context at p^t that is cached on the
 root.  Every statement runs on the view at its own exponent, so ``ctx.P``
 is its modulus.  A view reduces the root's streams mod p^t, so the four
-binomial streams are built once per prime, and shares the root's quadratic
-form representations, which do not depend on t.  It holds those two dicts,
+binomial streams are built once per prime, and shares the root's (x, y)
+of each form, which do not depend on t.  It holds those two dicts,
 never the root, so no context is in a reference cycle and each is freed
 as soon as its prime is done.  Everything else a view keeps on its own,
 mod p^t: inverse table, weights, products, Jacobi streams and term arrays.
@@ -53,9 +54,9 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Callable, Hashable, TypeVar
 
-from . import quadform, special
+from . import quadform
 from .binomials import batch_invert, binomial_mod, jacobi_stream_arrays, stream_arrays
-from .errors import DenominatorNotUnit, ModulusTooHigh, NotRepresentable
+from .errors import DenominatorNotUnit
 
 #: Entries kept by each per-sample LRU cache: twice what one sample reads.
 JACOBI_CACHE = 4
@@ -98,6 +99,8 @@ class PrimeContext:
     def __init__(self, p: int, workexp: int):
         if p == 2 or not quadform.is_prime(p):
             raise ValueError(f"p must be an odd prime, got {p}")
+        if workexp < 1:
+            raise ValueError(f"working exponent must be >= 1, got {workexp}")
         self.p = p
         self.workexp = workexp
         self.P = p**workexp
@@ -115,7 +118,7 @@ class PrimeContext:
         self._binoms = Cache()
         self._inv: list[int] | None = None
         self._inv_sq: list[int] | None = None
-        self._reps: dict[str, quadform.QuadRep | None] = {}
+        self._reps = Cache()
 
     # -- streams ---------------------------------------------------------
 
@@ -258,47 +261,13 @@ class PrimeContext:
             self._inv_sq = [self.inv(k) ** 2 % P for k in range(1, self.p)]
         return self._inv_sq
 
-    # -- quadratic forms and specials -------------------------------------
-
-    def rep(self, form: str) -> quadform.QuadRep:
-        """Canonical (x > 0, y > 0) representation; raises NotRepresentable."""
-        if form not in self._reps:
-            try:
-                self._reps[form] = quadform.represent(self.p, form)
-            except NotRepresentable:
-                self._reps[form] = None
-        got = self._reps[form]
-        if got is None:
-            raise NotRepresentable(f"p={self.p} not represented by {form}")
-        return got
+    # -- right-hand sides --------------------------------------------------
 
     def xy(self, form: str) -> tuple[int, int]:
-        r = self.rep(form)
-        return r.x, r.y
-
-    def x_one_mod_4(self) -> int:
-        """x with p = x^2 + 4y^2 and x = 1 (mod 4), one of +-x since x is odd."""
-        x = self.rep(quadform.F4).x
-        return x if x % 4 == 1 else -x
-
-    def legendre(self, a: int) -> int:
-        return special.legendre(a, self.p)
-
-    def r1(self) -> int:
-        """R1(p) mod p^2; ModulusTooHigh above p^2, the only modulus it is known to."""
-        if self.workexp > 2:
-            raise ModulusTooHigh(f"R1 is known mod p^2 only, not mod p^{self.workexp}")
-        return special.r1(self.p).value
-
-    def r3(self) -> int:
-        """R3(p) mod p^2; ModulusTooHigh above p^2, the only modulus it is known to."""
-        if self.workexp > 2:
-            raise ModulusTooHigh(f"R3 is known mod p^2 only, not mod p^{self.workexp}")
-        return special.r3(self.p).value
-
-    def fermat_quotient(self, b: int) -> int:
-        """q_b = (b^(p-1) - 1)/p mod P."""
-        return special.fermat_quotient(b, self.p, self.workexp + 1).value
+        """(x, y), both > 0, of p's representation by the form; raises
+        NotRepresentable."""
+        rep = self._reps.get_or_build(form, lambda: quadform.represent(self.p, form))
+        return rep.x, rep.y
 
     def binom(self, n: int, k: int) -> int:
         """C(n,k) mod P for the p-unit binomials in right-hand sides.
@@ -311,12 +280,6 @@ class PrimeContext:
         if b % self.p == 0:
             raise DenominatorNotUnit(f"C({n},{k}) is divisible by {self.p}")
         return b
-
-    def euler_number(self, n: int) -> int:
-        return special.euler_numbers_mod(n, self.p)
-
-    def u_number(self, n: int) -> int:
-        return special.u_numbers_mod(n, self.p)
 
 
 def context_for(ctx: PrimeContext | None, p: int, t: int) -> PrimeContext:

@@ -26,15 +26,17 @@ Lins in one sample's named sums, is both its check and its claim.
 
 Every statement runs on a context at its own modulus exponent t, so
 ``ctx.P`` = p^t is its modulus.  A closed form's value is exact, a
-Fraction or an int, e.g. (3/5)p - (1/5)x^2.  Its leaves are exact
-integers or residues mod ``ctx.P`` (2^(p-1), binomials, Fermat
-quotients, Euler and U numbers), or R1/R3, which are known mod p^2 only
-and raise ModulusTooHigh above it.  ``_fixed`` reduces it once, mod
-``ctx.P``, with ``_fr``, which is also the one place that raises
-DenominatorNotUnit.  The unit invariant that keeps this exact: a closed
-form divides only by exact integers (such as x) or by ``ctx.binom``
-values, and ``ctx.binom`` raises DenominatorNotUnit when p divides the
-binomial, so no division by a residue can cancel a factor p unseen.
+Fraction or an int, e.g. (3/5)p - (1/5)x^2, and ``_fixed`` reduces it
+once, mod ``ctx.P``, with ``_fr``, which is also the one place that raises
+DenominatorNotUnit.  Its leaves are exact integers or residues mod
+``ctx.P`` (2^(p-1), binomials, Fermat quotients, Euler and U numbers), or
+R1/R3, known mod p^2 only, whose atoms (``_mod_p2``) raise ModulusTooHigh
+above it; over p = x^2 + 4y^2, ``_x`` signs x == 1 (mod 4) beside
+``_x_where``, which prints that sign.  The unit invariant that keeps
+this exact: a closed form divides only by exact integers (such as x) or
+by ``ctx.binom`` values, and ``ctx.binom`` raises DenominatorNotUnit when
+p divides the binomial, so no division by a residue can cancel a factor p
+unseen.
 """
 
 from __future__ import annotations
@@ -45,10 +47,11 @@ from fractions import Fraction
 from functools import cache, partial
 from typing import Callable, Iterable, Union
 
-from . import quadform
+from . import quadform, special
 from .binomials import B22, B31, B42, B63, PRODUCT_FORMS
 from .context import PrimeContext
-from .padic import residue_from_rational
+from .errors import ModulusTooHigh
+from .padic import Residue, residue_from_rational
 from .quadform import F2, F3, F4, F7, F27
 from .sums import (
     FULL,
@@ -372,11 +375,22 @@ def _sign(exponent: str, e: Callable[[int], int]) -> Lin:
     return _atom(f"(-1)^{exponent}", lambda ctx: -1 if e(ctx.p) % 2 else 1, word=True)
 
 
+def _mod_p2(name: str, value: Callable[[int], Residue]) -> Lin:
+    """name(p), known mod p^2 only: ModulusTooHigh above p^2."""
+
+    def at(ctx: PrimeContext) -> int:
+        if ctx.workexp > 2:
+            raise ModulusTooHigh(f"{name} is known mod p^2 only, not mod p^{ctx.workexp}")
+        return value(ctx.p).value
+
+    return _atom(f"{name}(p)", at, word=True)
+
+
 _ONE = Atom("", lambda ctx: 1, key=())
 ZERO = Lin()
 P = _atom("p", lambda ctx: ctx.p, over="p/{}")
-R1 = _atom("R1(p)", lambda ctx: ctx.r1(), word=True)
-R3 = _atom("R3(p)", lambda ctx: ctx.r3(), word=True)
+R1 = _mod_p2("R1", special.r1)
+R3 = _mod_p2("R3", special.r3)
 SIGN2 = _sign("((p-1)/2)", lambda p: (p - 1) // 2)
 SIGN4 = _sign("((p-1)/4)", lambda p: (p - 1) // 4)
 # p = 3 (mod 4)
@@ -384,15 +398,22 @@ SIGN4_PLUS = _sign("((p+1)/4)", lambda p: (p + 1) // 4)
 SIGN4_MINUS = _sign("((p-3)/4)", lambda p: (p - 3) // 4)
 SIGN_FLOOR4 = _sign("floor(p/4)", lambda p: p // 4)
 LEG3 = _atom("(p|3)", lambda ctx: 1 if ctx.p % 3 == 1 else -1, word=True)
-LEG6 = _atom("(6|p)", lambda ctx: ctx.legendre(6), word=True)
+LEG6 = _atom("(6|p)", lambda ctx: special.legendre(6, ctx.p), word=True)
 # (x|3) with p = x^2 + 3y^2, where 3 does not divide x
 X_LEG3 = _atom("(x|3)", lambda ctx: 1 if ctx.xy(F3)[0] % 3 == 1 else -1, form=F3, word=True)
-Q2 = _atom("q_2(p)", lambda ctx: ctx.fermat_quotient(2), word=True)
+Q2 = _atom(
+    "q_2(p)", lambda ctx: special.fermat_quotient(2, ctx.p, ctx.workexp + 1).value, word=True
+)
 POW2 = _atom("2^(p-1)", lambda ctx: pow(2, ctx.p - 1, ctx.P), word=True)
 POW2_1 = _atom("(2^(p-1)-1)", lambda ctx: pow(2, ctx.p - 1, ctx.P) - 1, word=True)
 POW3_1 = _atom("(3^(p-1)-1)", lambda ctx: pow(3, ctx.p - 1, ctx.P) - 1, word=True)
-P3_U = _atom("p^3 U(p-3)", lambda ctx: ctx.p**3 * ctx.u_number(ctx.p - 3), word=True)
-P3_E = _atom("p^3 E(p-3)", lambda ctx: ctx.p**3 * ctx.euler_number(ctx.p - 3), word=True)
+# E and U are read through ``special``, where bench/tracing.py rebinds them
+P3_U = _atom(
+    "p^3 U(p-3)", lambda ctx: ctx.p**3 * special.u_numbers_mod(ctx.p - 3, ctx.p), word=True
+)
+P3_E = _atom(
+    "p^3 E(p-3)", lambda ctx: ctx.p**3 * special.euler_numbers_mod(ctx.p - 3, ctx.p), word=True
+)
 # (2p+1) C(floor(2p/3), floor(p/3))^2, a p-unit binomial for p = 2 (mod 3)
 B3_SQ = _atom(
     "(2p+1) C(floor(2p/3), floor(p/3))^2",
@@ -421,7 +442,8 @@ def p2_y2(form: str) -> Lin:
 
 
 def _x(ctx: PrimeContext, form: str) -> int:
-    return ctx.x_one_mod_4() if form == F4 else ctx.xy(form)[0]
+    x = ctx.xy(form)[0]
+    return -x if form == F4 and x % 4 != 1 else x
 
 
 def _x_where(form: str) -> str:
@@ -1421,7 +1443,8 @@ def _mono(pairs: tuple) -> Atom:
         den = " ".join(down)
         single = len(down) == 1 and (den[0] == "(" or "(" not in den)
         text = f"{text or '1'}/{den if single else f'({den})'}"
-    return Atom(text, None, word=True, key=key)
+    # the sampled t or m alone, the factor (0, 1, 0, text), prints like p: 2m
+    return Atom(text, None, word=key != (((0, 1, 0, text), 1),), key=key)
 
 
 def _sym(sym: str | tuple) -> Lin:

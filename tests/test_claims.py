@@ -465,7 +465,7 @@ def test_relation_reader_rejects_a_wrong_coefficient(sid, old, new):
 # -- the listing ---------------------------------------------------------------------
 
 LIST_SHA256 = "f0d45da7e8c3a9d9959911a6e07ed87ea497d3e477a77a3a7b2d4c7eafc8fb7e"
-CLAIMS_SHA256 = "0393eac53bccbb4ae2d61f0c359348b56c342f01c1090a56c0d6a8be0b3d14b1"
+CLAIMS_SHA256 = "e4796e980aae49df3f99203a01892925260c9b5b081490016b19076a63a28f7f"
 
 
 def _listing(capsys, *extra: str) -> str:

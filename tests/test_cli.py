@@ -69,6 +69,16 @@ def test_verify_out_file(tmp_path, capsys):
     assert path.read_text() == f"{CSV_HEADER}\n7,T2.7,Holds,36,36,49\n"
 
 
+def test_verify_unwritable_out_is_a_usage_error(tmp_path, capsys):
+    """An --out in a missing directory exits 2, the usage-error code, with
+    one error line: exit 1 would report a failed statement."""
+    path = tmp_path / "missing" / "report.txt"
+    assert main(["verify", "--primes", "5..7", "--ids", "T2.7", "--out", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and str(path) in err, err
+    assert "Traceback" not in err and err.count("\n") == 1
+
+
 def test_verify_jobs_do_not_change_output(capsys):
     main(["verify", "--primes", "5..40", "--ids", "T2.*", "--format", "csv"])
     one = capsys.readouterr().out
@@ -235,10 +245,11 @@ def test_represent_golden(capsys):
 
 def test_represent_errors(capsys):
     assert main(["represent", "13", "F9"]) == 2  # no such form
+    assert capsys.readouterr().err.startswith("error: unknown form 'F9'")
     assert main(["represent", "15", "F4"]) == 2  # composite
+    assert capsys.readouterr().err == "error: 15 is not prime\n"
     assert main(["represent", "11", "F4"]) == 2  # 11 = 3 (mod 4): not representable
-    err = capsys.readouterr().err
-    assert err.count("error:") == 3
+    assert capsys.readouterr().err.startswith("error: NotRepresentable: ")
 
 
 IDENTITY_SUITES = ("convolution", "recurrence", "products", "series-square", "shift")

@@ -12,6 +12,7 @@ import supercong
 import supercong.cli  # binds supercong.cli and supercong.identities, as the bench does
 from supercong import special
 from supercong.context import PrimeContext
+from supercong.registry import P3_E, P3_U
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 PACKAGE = Path(supercong.__file__).resolve().parent
@@ -142,8 +143,8 @@ def test_traced_engine_unit_records_every_required_span(tmp_path):
 
 
 def test_euler_and_u_numbers_go_through_traced_functions(monkeypatch):
-    """The right-hand sides read E_{p-3} and U_{p-3} through the two special
-    functions the tracer wraps, one call each."""
+    """The p^3 E(p-3) and p^3 U(p-3) atoms read E_{p-3} and U_{p-3} through
+    the two special functions the tracer wraps, one call each."""
     calls = []
     for name in ("euler_numbers_mod", "u_numbers_mod"):
         original = getattr(special, name)
@@ -155,8 +156,8 @@ def test_euler_and_u_numbers_go_through_traced_functions(monkeypatch):
         monkeypatch.setattr(special, name, counted)
     p = 1997
     ctx = PrimeContext(p, 4)
-    assert ctx.euler_number(p - 3) == 1131
-    assert ctx.u_number(p - 3) == 1531
+    assert P3_E.value(ctx) == p**3 * 1131
+    assert P3_U.value(ctx) == p**3 * 1531
     assert calls == [("euler_numbers_mod", p - 3, p), ("u_numbers_mod", p - 3, p)]
 
 

@@ -7,6 +7,7 @@ import pytest
 from supercong.context import PrimeContext
 from supercong.errors import NotRepresentable
 from supercong.quadform import F2, F3, F4, F7, F27, FORMS, applicable, is_prime, represent
+from supercong.registry import x1
 
 # Independent shape table: (coefficient D, multiplier on p) per form tag,
 # for target = multiplier * p = x^2 + D * y^2.
@@ -84,16 +85,17 @@ def test_known_small_representations():
 
 
 def test_normalize_x_one_mod_4():
-    """The context's x over p = x^2 + 4y^2 is the represented x, signed so
-    that x = 1 (mod 4)."""
+    """The x atom over p = x^2 + 4y^2 is the represented x, signed so that
+    x = 1 (mod 4), as its text says."""
+    assert str(x1(F4)) == "x with p = x^2 + 4y^2, x == 1 (mod 4)"
     for p in (13, 17, 29, 37, 41, 53):
         rep = represent(p, F4)
-        x = PrimeContext(p, 2).x_one_mod_4()
+        x = x1(F4).value(PrimeContext(p, 2))
         assert x % 4 == 1
         assert x**2 + 4 * rep.y**2 == p
         assert abs(x) == rep.x
     with pytest.raises(NotRepresentable):
-        PrimeContext(11, 2).x_one_mod_4()
+        x1(F4).value(PrimeContext(11, 2))
 
 
 # Far above the primes the registry reads: 999983 is in no form's classes,

@@ -9,6 +9,7 @@ from oracles import euler_numbers_exact, u_numbers_exact
 
 from supercong.context import PrimeContext
 from supercong.errors import ModulusTooHigh, NotCoprime, WrongClass
+from supercong.registry import Q2, R1, R3
 from supercong.special import (
     euler_numbers_mod,
     fermat_quotient,
@@ -91,20 +92,22 @@ def test_fermat_quotient_consistency():
 
 
 def test_context_constants_are_known_at_the_context_exponent():
-    """A context's Fermat quotients and binomials are residues mod its own
-    P = p^t; R1 and R3, known mod p^2 only, raise ModulusTooHigh above it."""
+    """The q_2(p) atom and a context's binomials are residues mod its own
+    P = p^t; the R1 and R3 atoms, known mod p^2 only, raise ModulusTooHigh
+    above it."""
     p = 11  # 3 (mod 4) and 2 (mod 3): both R1 and R3 exist
     for t in (1, 2, 3, 4):
         ctx = PrimeContext(p, t)
-        assert ctx.fermat_quotient(2) == (2 ** (p - 1) - 1) // p % p**t
+        assert Q2.value(ctx) == (2 ** (p - 1) - 1) // p % p**t
         assert ctx.binom(20, 7) == math.comb(20, 7) % p**t
         if t <= 2:
-            assert (ctx.r1(), ctx.r3()) == (r1(p).value, r3(p).value)
+            assert (R1.value(ctx), R3.value(ctx)) == (r1(p).value, r3(p).value)
         else:
-            with pytest.raises(ModulusTooHigh):
-                ctx.r1()
-            with pytest.raises(ModulusTooHigh):
-                ctx.r3()
+            message = rf"is known mod p\^2 only, not mod p\^{t}$"
+            with pytest.raises(ModulusTooHigh, match="R1 " + message):
+                R1.value(ctx)
+            with pytest.raises(ModulusTooHigh, match="R3 " + message):
+                R3.value(ctx)
 
 
 def test_fermat_quotient_input_validation():

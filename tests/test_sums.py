@@ -539,8 +539,12 @@ def test_context_for_another_prime_is_rejected():
 
 
 def test_modulus_exponent_below_one_is_rejected():
+    """A context, not only the evaluators, refuses t < 1: p^0 = 1 would be
+    a modulus and p^-1 a float."""
     spec = SUM_SPECS["T2.7"]
     for t in (0, -1):
+        with pytest.raises(ValueError, match="working exponent must be >= 1"):
+            PrimeContext(7, t)
         with pytest.raises(ValueError):
             evaluate_sum(spec, 7, t)
         with pytest.raises(ValueError):
